@@ -18,7 +18,10 @@ from .errors import (
     InsufficientHistoryError,
     SolverConvergenceError,
 )
+from .evolve import RunConfig, run, step_rk4
+from .graphmap import build_graphmap, flat_graphmap, make_cutoff
 from .grid import Grid, make_grid
+from .state import History, InitSpec, State, build_initial_data
 
 __all__ = [
     "CapelastError",
@@ -27,25 +30,20 @@ __all__ = [
     "DegenerateMapError",
     "Grid",
     "GridError",
+    "History",
     "InfeasibleWidthError",
+    "InitSpec",
     "InsufficientHistoryError",
+    "RunConfig",
     "SolverConvergenceError",
+    "State",
+    "build_graphmap",
+    "build_initial_data",
+    "flat_graphmap",
+    "make_cutoff",
     "make_grid",
+    "run",
+    "step_rk4",
 ]
 
 __version__ = "0.1.0"
-
-
-def _export_api():
-    """Late imports so `import capelast` stays light but the main surface
-    is reachable from the package root."""
-    global build_graphmap, make_cutoff, flat_graphmap
-    global State, InitSpec, History, build_initial_data
-    global RunConfig, run, step_rk4
-    from .evolve import RunConfig, run, step_rk4
-    from .graphmap import build_graphmap, flat_graphmap, make_cutoff
-    from .state import History, InitSpec, State, build_initial_data
-
-
-_export_api()
-del _export_api

@@ -21,8 +21,10 @@ from . import __version__
 from .config import config_to_text, load_config
 from .diagnostics import CSV_COLUMNS
 from .errors import CapelastError, ConfigError, InsufficientHistoryError
+from .evolve import run
 from .recipes import RandomRecipe
 from .sigma_sweep import limit_compare, sweep_sigma
+from .state import save_state
 from .verify import CSV_HEADER, run_battery
 
 log = logging.getLogger(__name__)
@@ -105,9 +107,6 @@ def _write_diagnostics(path, diagnostics):
 
 
 def cmd_simulate(args) -> int:
-    from .evolve import run
-    from .state import save_state
-
     cfg, _ = load_config(args.config)
     cfg = _apply_overrides(cfg, args)
     os.makedirs(args.out, exist_ok=True)
@@ -168,7 +167,6 @@ def cmd_sweep_sigma(args) -> int:
     if 0.0 in sigmas and not report.aborted:
         zero_cfg = dataclasses.replace(
             cfg, init=dataclasses.replace(cfg.init, sigma=0.0))
-        from .evolve import run
         zero = run(zero_cfg)
         if zero.aborted:
             report.aborted = True

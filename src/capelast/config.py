@@ -1,8 +1,10 @@
 """Flat key-value run configuration with sections.
 
 Sections: grid, surface, fields, physics, time, solver, output, and an
-optional sweep.  Parsing then re-serializing a configuration reproduces it
-verbatim, which keeps configs diff-friendly.
+optional sweep.  A section or key the parser does not read is rejected, so
+a misspelling cannot silently fall back to a default.  Parsing then
+re-serializing a configuration reproduces it verbatim, which keeps configs
+diff-friendly.
 """
 
 from __future__ import annotations
@@ -78,7 +80,10 @@ def parse_config_text(text: str):
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
+    read = set()
+
     def get(section, key, cast, default=None):
+        read.add((section, key))
         if not cp.has_option(section, key):
             if default is None:
                 raise ConfigError(f"missing [{section}] {key}")
@@ -138,12 +143,20 @@ def parse_config_text(text: str):
         rt_c0=get("output", "rt_c0", float, 0.0),
     )
     sweep = {}
-    if cp.has_section("sweep"):
-        if cp.has_option("sweep", "sigmas"):
-            sweep["sigmas"] = [float(s) for s in
-                               cp.get("sweep", "sigmas").split(",")]
-        if cp.has_option("sweep", "rt_c0"):
-            sweep["rt_c0"] = float(cp.get("sweep", "rt_c0"))
+    floats = lambda raw: [float(s) for s in raw.split(",")]
+    for key, cast in (("sigmas", floats), ("rt_c0", float)):
+        read.add(("sweep", key))
+        if cp.has_option("sweep", key):
+            sweep[key] = get("sweep", key, cast)
+
+    sections = {sec for sec, _ in read}
+    for sec in cp.sections():
+        if sec not in sections:
+            raise ConfigError(f"unknown section [{sec}]; expected one of "
+                              f"{', '.join(sorted(sections))}")
+        for key in cp.options(sec):
+            if (sec, key) not in read:
+                raise ConfigError(f"unknown key [{sec}] {key}")
     return cfg, sweep
 
 

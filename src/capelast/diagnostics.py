@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .good_unknowns import Calculus
+from .good_unknowns import Calculus, fornberg_weights
 from .graphmap import Cutoff, GraphMap, div_phi, dphi
 from .grid import Grid
 from .state import History, State
@@ -126,7 +126,6 @@ def transport_residual(hist: History, cutoff: Cutoff, grid: Grid,
     S = calc.series(fieldkey)
     integrals = np.array([
         grid.quad_volume(S[k] * calc.gms[k].d3phi) for k in range(len(hist))])
-    from .good_unknowns import fornberg_weights
     w = fornberg_weights(calc.times[node], calc.times, 1)
     dIdt = float(w @ integrals)
     Dt = calc.material_series(S)[node]

@@ -8,8 +8,11 @@ the chart tolerates, the flat operator is within O(|psi|) of the full one
 and the loop converges in a handful of iterations.
 
 Unknowns live on the full grid; the top plane carries a Dirichlet row, the
-bottom plane the twisted Neumann row d3^phi W.  Solves verify the true
-interior residual ||-Lap^phi W - rhs||_0 against tol * (1 + ||rhs||_0).
+bottom plane the twisted Neumann row d3^phi W.  The Krylov operator is
+``laplace_phi`` itself with those two rows written over its top and bottom
+planes, so the solver and the identity checks share one twisted Laplacian.
+Solves verify the true interior residual ||-Lap^phi W - rhs||_0 against
+tol * (1 + ||rhs||_0).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import SolverConvergenceError
-from .graphmap import GraphMap, div_phi, grad_phi, laplace_phi
+from .graphmap import GraphMap, curl_phi, div_phi, grad_phi_stack, laplace_phi
 from .grid import Grid, irfft2, rfft2
 
 log = logging.getLogger(__name__)
@@ -38,13 +41,10 @@ class _FlatSolver:
         nz = grid.nz
         D = grid.Dz
         D2 = D @ D
-        # full fft layout along axis 0, rfft along axis 1; Nyquist zeroed to
-        # match the d_tan multipliers so the flat case preconditions exactly
-        kx_full = np.fft.fftfreq(grid.nx, d=1.0 / grid.nx)
-        if grid.nx % 2 == 0:
-            kx_full[grid.nx // 2] = 0.0
+        # the d_tan multipliers (Nyquist zeroed) in the rfft2 layout, so the
+        # flat case preconditions exactly
         ky_r = np.imag(grid._ik2)
-        k2 = kx_full[:, None] ** 2 + ky_r[None, :] ** 2  # (nx, nyr)
+        k2 = np.imag(grid._ik1_full)[:, None] ** 2 + ky_r[None, :] ** 2
         nk = k2.size
         eye = np.eye(nz)
         mats = np.empty((nk, nz, nz))
@@ -76,28 +76,11 @@ def _flat_solver(grid: Grid) -> _FlatSolver:
 
 
 def _apply_bc_operator(w: np.ndarray, gm: GraphMap) -> np.ndarray:
-    """Rows of the discrete problem: -Lap^phi inside, trace on top, flux
-    below.  Tangential transforms are shared across the gradient and the
-    divergence, which matters inside the Krylov loop."""
-    g = gm.grid
-    nx, ny = g.nx, g.ny
-    ik1 = g._ik1_full[:, None, None]
-    ik2 = g._ik2[None, :, None]
-    wh = rfft2(w, axes=(0, 1))
-    d1w = irfft2(wh * ik1, s=(nx, ny), axes=(0, 1))
-    d2w = irfft2(wh * ik2, s=(nx, ny), axes=(0, 1))
-    d3w = g.d_vert(w)
-    g1 = d1w + gm.a31 * d3w
-    g2 = d2w + gm.a32 * d3w
-    g3 = gm.a33 * d3w
-    g1h = rfft2(g1, axes=(0, 1))
-    g2h = rfft2(g2, axes=(0, 1))
-    tang = irfft2(g1h * ik1 + g2h * ik2, s=(nx, ny), axes=(0, 1))
-    lap = (tang + gm.a31 * g.d_vert(g1) + gm.a32 * g.d_vert(g2)
-           + gm.a33 * g.d_vert(g3))
-    out = -lap
+    """Rows of the discrete problem: -Lap^phi inside, the trace W on the
+    top plane, and the flux d3^phi W on the bottom plane."""
+    out = -laplace_phi(w, gm)
     out[:, :, 0] = w[:, :, 0]
-    out[:, :, -1] = (gm.inv_d3phi * d3w)[:, :, -1]
+    out[:, :, -1] = gm.inv_d3phi[:, :, -1] * (w @ gm.grid.Dz[-1])
     return out
 
 
@@ -133,8 +116,10 @@ def solve_poisson_phi(rhs: np.ndarray, dir_top: np.ndarray,
         iters[0] += 1
         return flat.solve(x.reshape(shape)).ravel()
 
-    A = LinearOperator((n, n), matvec=matvec)
-    M = LinearOperator((n, n), matvec=precond)
+    # an explicit dtype keeps scipy from applying each operator once to
+    # infer it
+    A = LinearOperator((n, n), matvec=matvec, dtype=float)
+    M = LinearOperator((n, n), matvec=precond, dtype=float)
 
     # warm start from the flat solve; the preconditioned residual tracks the
     # true one, so begin at the requested tolerance and only tighten when
@@ -183,7 +168,7 @@ def solve_poisson_phi_neumann(rhs: np.ndarray, neu_top: np.ndarray,
     top = np.zeros((grid.nx, grid.ny))
     W = solve_poisson_phi(rhs, top, neu_bottom, gm, grid, tol=tol)
     for _ in range(60):
-        gW = grad_phi(W, gm)
+        gW = grad_phi_stack(W, gm)
         trace = (gW[0][:, :, 0] * gm.N[0] + gW[1][:, :, 0] * gm.N[1]
                  + gW[2][:, :, 0] * gm.N[2])
         defect = trace - neu_top
@@ -198,15 +183,12 @@ def solve_poisson_phi_neumann(rhs: np.ndarray, neu_top: np.ndarray,
 
 def _dtn_inverse(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Invert the flat Dirichlet-to-Neumann map k tanh(kb) on the surface."""
-    fh = np.fft.rfft2(f)
-    kx_full = np.fft.fftfreq(grid.nx, d=1.0 / grid.nx)
-    kmag = np.sqrt(kx_full[:, None] ** 2
-                   + np.arange(fh.shape[1])[None, :] ** 2)
+    kmag = np.sqrt(grid.k1[:, None] ** 2 + grid.k2[None, :] ** 2)
     dtn = kmag * np.tanh(kmag * grid.b)
     dtn[0, 0] = 1.0
-    out = fh / dtn
-    out[0, 0] = 0.0
-    return np.fft.irfft2(out, s=(grid.nx, grid.ny))
+    inv = 1.0 / dtn
+    inv[0, 0] = 0.0
+    return grid.tan_multiply(f, inv)
 
 
 @dataclass
@@ -224,8 +206,6 @@ def pressure_rhs(v: np.ndarray, F: np.ndarray, gm: GraphMap) -> PressureRHS:
     ((F_k . grad^phi) F_3k) there, the momentum balance with v3 = 0.
     The result is advisory when the divergence constraints look violated.
     """
-    from .graphmap import grad_phi_stack
-
     g = gm.grid
     if g.dealias:
         v = g.dealias_tangential(v)
@@ -264,7 +244,7 @@ def project_divfree(X: np.ndarray, gm: GraphMap, grid: Grid,
     d = div_phi(X, gm)
     zero = np.zeros((grid.nx, grid.ny))
     theta = solve_poisson_phi(-d, zero, zero, gm, grid, tol=tol)
-    return X - grad_phi(theta, gm)
+    return X - grad_phi_stack(theta, gm)
 
 
 @dataclass
@@ -279,8 +259,6 @@ class HodgeReport:
 
 def hodge_report(X: np.ndarray, gm: GraphMap, grid: Grid, s: int) -> HodgeReport:
     """The five norms of the div-curl control; the ratio is informational."""
-    from .graphmap import curl_phi
-
     if not 1 <= s <= 4:
         raise ValueError(f"hodge order must be 1..4, got {s}")
     norm_s = grid.vector_sobolev_norm(X, s)

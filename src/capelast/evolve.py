@@ -25,7 +25,7 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord, conserved_energy, higher_energy, rt_monitor
 from .elliptic import pressure_rhs, project_divfree, solve_poisson_phi
 from .errors import CapelastError, CFLError
-from .graphmap import Cutoff, GraphMap, advection_speed, mean_curvature
+from .graphmap import Cutoff, GraphMap, advection_speed, grad_phi_stack, mean_curvature
 from .grid import Grid
 from .state import History, InitSpec, State, build_initial_data, constraint_residuals
 
@@ -52,8 +52,6 @@ def tendencies(state: State, gm: GraphMap, solver_tol: float = 1e-11,
     equals per-product truncation for band-limited inputs.  Geometric
     coefficient products stay pointwise.
     """
-    from .graphmap import grad_phi_stack
-
     g = gm.grid
     sigma = state.sigma
     if q is None:
@@ -118,15 +116,6 @@ def cfl_limit(state: State, gm: GraphMap, grid: Grid) -> float:
     return 0.5 * min(terms)
 
 
-def _stage_graphmap(psi, v, cutoff, grid) -> GraphMap:
-    from .graphmap import build_graphmap
-    d1 = grid.d_tan(psi, 1)
-    d2 = grid.d_tan(psi, 2)
-    vtop = v[:, :, :, 0]
-    psi_t = -vtop[0] * d1 - vtop[1] * d2 + vtop[2]
-    return build_graphmap(psi, psi_t, cutoff, grid)
-
-
 def _enforce_bottom(state: State):
     state.v[2][:, :, -1] = 0.0
     for j in range(3):
@@ -149,8 +138,8 @@ def step_rk4(state: State, cutoff: Cutoff, grid: Grid, dt: float,
     def eval_stage(psi, v, F, q=None):
         probe = State(t=state.t, psi=psi, v=v, F=F,
                       q=state.q if q is None else q, sigma=state.sigma)
-        gm = _stage_graphmap(psi, v, cutoff, grid)
-        return tendencies(probe, gm, solver_tol=solver_tol, q=q)
+        return tendencies(probe, probe.graphmap(cutoff, grid),
+                          solver_tol=solver_tol, q=q)
 
     k1 = eval_stage(state.psi, state.v, state.F, q=state.q)
     k2 = eval_stage(state.psi + 0.5 * dt * k1.psi_dot,
@@ -174,12 +163,12 @@ def step_rk4(state: State, cutoff: Cutoff, grid: Grid, dt: float,
                              + k4.F_dot),
         q=state.q, sigma=state.sigma)
 
-    gm_new = _stage_graphmap(new.psi, new.v, cutoff, grid)
     if project:
-        new.v = project_divfree(new.v, gm_new, grid, tol=solver_tol)
+        new.v = project_divfree(new.v, new.graphmap(cutoff, grid), grid,
+                                tol=solver_tol)
     _enforce_bottom(new)
 
-    gm_new = _stage_graphmap(new.psi, new.v, cutoff, grid)
+    gm_new = new.graphmap(cutoff, grid)
     pr = pressure_rhs(new.v, new.F, gm_new)
     dir_top = -new.sigma * mean_curvature(new.psi, grid)
     new.q = solve_poisson_phi(pr.rhs, dir_top, pr.neu_bottom, gm_new, grid,
@@ -219,15 +208,10 @@ class RunResult:
 
 
 def _exp_filter(grid: Grid, f: np.ndarray) -> np.ndarray:
-    fh = np.fft.rfft2(f, axes=(0, 1))
-    kx = np.abs(np.fft.fftfreq(grid.nx, d=1.0 / grid.nx)) / (grid.nx / 2)
-    ky = grid.ky / max(grid.ky.max(), 1.0)
+    kx = np.abs(grid.k1) / (grid.nx / 2)
+    ky = grid.k2 / max(grid.k2.max(), 1.0)
     damp = np.exp(-36.0 * kx[:, None] ** 36) * np.exp(-36.0 * ky[None, :] ** 36)
-    if f.ndim == 3:
-        fh *= damp[:, :, None]
-    else:
-        fh *= damp
-    return np.fft.irfft2(fh, s=(grid.nx, grid.ny), axes=(0, 1))
+    return grid.tan_multiply(f, damp)
 
 
 def _record(state, gm, hist, grid, dt, kmax) -> DiagnosticsRecord:

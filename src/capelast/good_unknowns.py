@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientHistoryError
-from .graphmap import Cutoff, GraphMap, curl_phi, dphi
+from .graphmap import Cutoff, GraphMap, curl_phi, dphi, material_derivative
 from .grid import Grid
 from .state import History
 
@@ -203,18 +203,13 @@ class Calculus:
         St = self.dt(S, 1)
         out = np.empty_like(S)
         for k, (state, gmk) in enumerate(zip(self.hist, self.gms)):
-            out[k] = self._advect(St[k], S[k], state.v, gmk)
+            out[k] = material_derivative(St[k], S[k], state.v, gmk)
         return out
 
     def material_at(self, S: np.ndarray) -> np.ndarray:
         """D_t^phi at the newest slice only."""
         St = self.dt(S, 1)
-        return self._advect(St[-1], S[-1], self.hist.newest.v, self.gm)
-
-    @staticmethod
-    def _advect(f_t, f, v, gmk):
-        from .graphmap import material_derivative
-        return material_derivative(f_t, f, v, gmk)
+        return material_derivative(St[-1], S[-1], self.hist.newest.v, self.gm)
 
 
 def _calc(hist: History, gm: GraphMap) -> Calculus:

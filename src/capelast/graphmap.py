@@ -38,13 +38,8 @@ class Cutoff:
     delta0: float
     chi: np.ndarray
     chi_prime: np.ndarray
-    lip: float
     plateau_defect: float
     profile: str
-
-    def extend(self, f_surf: np.ndarray) -> np.ndarray:
-        """chi(x3) * f(x): extend a surface field into the volume."""
-        return self.chi[None, None, :] * f_surf[:, :, None]
 
 
 def make_cutoff(grid: Grid, delta0: float, psi0_sup: float,
@@ -53,9 +48,9 @@ def make_cutoff(grid: Grid, delta0: float, psi0_sup: float,
 
     ``strict`` enforces the slope bound |chi'| <= 1/(1 + psi0_sup), which
     needs depth: it errors when b - delta0 < 1 + psi0_sup.  Shallow-domain
-    runs use strict=False, where the profile keeps its natural slope and
-    ``lip`` records the bound actually achieved; chart validity is then
-    guarded pointwise by build_graphmap instead of by the a-priori bound.
+    runs use strict=False, where the profile keeps its natural slope;
+    chart validity is then guarded pointwise by build_graphmap instead of
+    by the a-priori bound.
     """
     b = grid.b
     if not (0 < delta0 < b / 4):
@@ -72,17 +67,15 @@ def make_cutoff(grid: Grid, delta0: float, psi0_sup: float,
     if strict and CUBIC_SLOPE / b > lip_target:
         chi = u.copy()
         profile = "linear"
-        lip = 1.0 / b
     else:
         chi = u * u * (3.0 - 2.0 * u)
         profile = "cubic"
-        lip = CUBIC_SLOPE / b if not strict else lip_target
     chi[0] = 1.0
     chi[-1] = 0.0
     chi_prime = grid.Dz @ chi
     plateau = float(np.abs(chi_prime[grid.x3 > -delta0]).max())
     return Cutoff(delta0=float(delta0), chi=chi, chi_prime=chi_prime,
-                  lip=float(lip), plateau_defect=plateau, profile=profile)
+                  plateau_defect=plateau, profile=profile)
 
 
 @dataclass
@@ -167,31 +160,15 @@ def dphi(f: np.ndarray, i: int, gm: GraphMap) -> np.ndarray:
     return g.d_tan(f, i) + coef * d3f
 
 
-def grad_phi(f: np.ndarray, gm: GraphMap) -> np.ndarray:
-    """Twisted gradient, stacked (3, nx, ny, nz)."""
+def grad_phi_stack(f: np.ndarray, gm: GraphMap) -> np.ndarray:
+    """Twisted gradient of a scalar volume field or of every field in a
+    leading-axis stack; shape (3,) + f.shape."""
     g = gm.grid
     d3f = g.d_vert(f)
     return np.stack([
         g.d_tan(f, 1) + gm.a31 * d3f,
         g.d_tan(f, 2) + gm.a32 * d3f,
         gm.a33 * d3f,
-    ])
-
-
-def grad_phi_stack(f: np.ndarray, gm: GraphMap, mul=None) -> np.ndarray:
-    """Twisted gradient of every field in a leading-axis stack.
-
-    Shape (3,) + f.shape; ``mul`` overrides the coefficient product (the
-    evolution passes a dealiasing product, identity checks stay pointwise).
-    """
-    g = gm.grid
-    if mul is None:
-        mul = np.multiply
-    d3f = g.d_vert(f)
-    return np.stack([
-        g.d_tan(f, 1) + mul(gm.a31, d3f),
-        g.d_tan(f, 2) + mul(gm.a32, d3f),
-        mul(gm.a33, d3f),
     ])
 
 
@@ -216,7 +193,7 @@ def curl_phi(X: np.ndarray, gm: GraphMap) -> np.ndarray:
 
 def laplace_phi(f: np.ndarray, gm: GraphMap) -> np.ndarray:
     """Twisted Laplacian div^phi(grad^phi f)."""
-    return div_phi(grad_phi(f, gm), gm)
+    return div_phi(grad_phi_stack(f, gm), gm)
 
 
 def advection_speed(v: np.ndarray, gm: GraphMap) -> np.ndarray:

@@ -117,25 +117,24 @@ class Grid:
         self.x3[-1] = -self.b
         self.wz = clenshaw_curtis_weights(self.nz) * (self.b / 2.0)
         self.Dz = chebyshev_diff_matrix(self.nz) * (2.0 / self.b)
-        # derivative multipliers; Nyquist column zeroed so derivatives stay real
-        k1 = np.fft.rfftfreq(self.nx, d=1.0 / self.nx)
-        k2 = np.fft.rfftfreq(self.ny, d=1.0 / self.ny)
+        # integer wavenumbers in the rfft2 layout of the tangential pair:
+        # axis 0 full (Nyquist at -nx/2), axis 1 half (Nyquist kept)
+        self.k1 = np.fft.fftfreq(self.nx, d=1.0 / self.nx)
+        self.k2 = np.fft.rfftfreq(self.ny, d=1.0 / self.ny)
+        # 2/3-rule keep-mask on that layout
+        self.keep = ((np.abs(self.k1) <= self.nx // 3)[:, None]
+                     & (self.k2 <= self.ny // 3)[None, :])
+        # derivative multipliers; Nyquist zeroed so derivatives stay real.
+        # _ik1_full is the rfft2 layout, _ik1 its half that d_tan uses for
+        # a 1-D transform along axis 1.
+        k1, k2 = self.k1.copy(), self.k2.copy()
         if self.nx % 2 == 0:
-            k1 = k1.copy()
-            k1[-1] = 0.0
+            k1[self.nx // 2] = 0.0
         if self.ny % 2 == 0:
-            k2 = k2.copy()
             k2[-1] = 0.0
-        self._ik1 = 1j * k1
+        self._ik1_full = 1j * k1
+        self._ik1 = self._ik1_full[: self.nx // 2 + 1]
         self._ik2 = 1j * k2
-        # full-fft layout along axis 0 for rfft2-based operators
-        k1_full = np.fft.fftfreq(self.nx, d=1.0 / self.nx)
-        if self.nx % 2 == 0:
-            k1_full[self.nx // 2] = 0.0
-        self._ik1_full = 1j * k1_full
-        # true integer wavenumber magnitudes (Nyquist retained) for multipliers
-        self.kx = np.fft.rfftfreq(self.nx, d=1.0 / self.nx)
-        self.ky = np.fft.rfftfreq(self.ny, d=1.0 / self.ny)
 
     # -- geometry helpers -------------------------------------------------
 
@@ -146,10 +145,6 @@ class Grid:
     def mesh_volume(self):
         """(X1, X2, X3) coordinate arrays of shape (nx, ny, nz)."""
         return np.meshgrid(self.x1, self.x2, self.x3, indexing="ij")
-
-    @property
-    def volume(self) -> float:
-        return 4.0 * np.pi**2 * self.b
 
     # -- derivatives ------------------------------------------------------
 
@@ -280,47 +275,23 @@ class Grid:
                 g = self.d_vert(g)
         return float(np.sqrt(max(total, 0.0)))
 
-    # -- products ---------------------------------------------------------
+    # -- tangential spectral multipliers ------------------------------------
 
-    def product(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Pointwise product, tangentially dealiased when the grid flag is on.
-
-        The 2/3 rule truncates both factors to |k| <= n/3 before multiplying
-        and truncates the product again, so quadratic aliasing never lands
-        inside the retained band.  Factors already truncated can skip their
-        pass via product_banded.
-        """
-        if not self.dealias:
-            return f * g
-        p = self.dealias_tangential(f) * self.dealias_tangential(g)
-        return self.dealias_tangential(p)
-
-    def product_banded(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Product of factors known to be band-limited to |k| <= n/3."""
-        if not self.dealias:
-            return f * g
-        return self.dealias_tangential(f * g)
-
-    def _tan_axes(self, f: np.ndarray):
-        return (0, 1) if f.ndim == 2 else (f.ndim - 3, f.ndim - 2)
-
-    def dealias_tangential(self, f: np.ndarray) -> np.ndarray:
-        """Zero tangential modes with |k| above n/3.
+    def tan_multiply(self, f: np.ndarray, mult: np.ndarray) -> np.ndarray:
+        """Scale the tangential spectrum of f by ``mult``, a real array in
+        the rfft2 layout of ``k1`` and ``k2``.
 
         Works on single fields and on stacks with leading component axes
         (the tangential axes are the last-but-one pair for volume shapes).
         """
-        ax = self._tan_axes(f)
+        ax = (0, 1) if f.ndim == 2 else (f.ndim - 3, f.ndim - 2)
         fh = rfft2(f, axes=ax)
-        kx = np.abs(np.fft.fftfreq(self.nx, d=1.0 / self.nx))
-        shape1 = [1] * fh.ndim
-        shape1[ax[0]] = self.nx
-        shape2 = [1] * fh.ndim
-        shape2[ax[1]] = fh.shape[ax[1]]
-        mask = ((kx > self.nx // 3).reshape(shape1)
-                | (self.ky > self.ny // 3).reshape(shape2))
-        fh = np.where(mask, 0.0, fh)
+        fh = fh * (mult if f.ndim == 2 else mult[:, :, None])
         return irfft2(fh, s=(self.nx, self.ny), axes=ax)
+
+    def dealias_tangential(self, f: np.ndarray) -> np.ndarray:
+        """Zero tangential modes with |k| above n/3 (the 2/3 rule)."""
+        return self.tan_multiply(f, self.keep)
 
 
 def make_grid(nx: int, ny: int, nz: int, b: float, dealias: bool = True) -> Grid:

@@ -72,10 +72,6 @@ class ConstraintResiduals:
     F3_bottom: float
     v3_bottom: float
 
-    def as_dict(self):
-        return dict(div_v=self.div_v, div_F=self.div_F, FN_top=self.FN_top,
-                    F3_bottom=self.F3_bottom, v3_bottom=self.v3_bottom)
-
     def max(self) -> float:
         return max(self.div_v, self.div_F, self.FN_top, self.F3_bottom,
                    self.v3_bottom)
@@ -197,10 +193,6 @@ class History:
 
     def __getitem__(self, i) -> State:
         return self._dq[i]
-
-    @property
-    def maxlen(self):
-        return self._dq.maxlen
 
     @property
     def newest(self) -> State:

@@ -20,7 +20,7 @@ from .graphmap import (
     build_graphmap,
     dphi,
     flat_graphmap,
-    grad_phi,
+    grad_phi_stack,
     laplace_phi,
     make_cutoff,
 )
@@ -282,7 +282,7 @@ def elliptic_battery(tol=1e-11) -> list[VerifyRow]:
     f = np.sin(X1) * X3 * (X3 + 1.0) ** 2
     h = np.cos(X2) * X3 * (X3 + 1.0) ** 2
     lhs = grid.quad_volume(-laplace_phi(f, gm) * h * gm.d3phi)
-    gf, gh = grad_phi(f, gm), grad_phi(h, gm)
+    gf, gh = grad_phi_stack(f, gm), grad_phi_stack(h, gm)
     rhs2 = grid.quad_volume(sum(gf[i] * gh[i] for i in range(3)) * gm.d3phi)
     rows.append(VerifyRow("elliptic", "weak-form symmetry",
                           _res_label(grid),

@@ -1,5 +1,6 @@
 import pytest
 
+import capelast
 from capelast.cli import main
 from capelast.config import config_to_text, parse_config_text
 from capelast.evolve import RunConfig
@@ -79,6 +80,30 @@ def test_missing_config_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 2
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("dealias = true", "dealais = false", "unknown key [grid] dealais"),
+    ("[solver]", "[solvr]", "unknown section [solvr]"),
+    ("[output]", "[sweep]\nsigmas = 0.1, x\n\n[output]",
+     "bad value for [sweep] sigmas"),
+])
+def test_unknown_config_entry_exits_2(tmp_path, capsys, old, new, message):
+    cfgpath = _write(tmp_path, REST_CONFIG.replace(old, new))
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", cfgpath, "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_package_all_resolves():
+    missing = [name for name in capelast.__all__
+               if not hasattr(capelast, name)]
+    assert not missing
+    assert {"RunConfig", "run", "step_rk4", "State", "InitSpec", "History",
+            "build_initial_data", "build_graphmap", "flat_graphmap",
+            "make_cutoff"} <= set(capelast.__all__)
 
 
 def test_rest_state_simulation(tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 
-from capelast import make_grid
+from capelast import elliptic, make_grid
 from capelast.elliptic import (
     _apply_bc_operator,
     hodge_report,
@@ -13,7 +13,7 @@ from capelast.graphmap import (
     build_graphmap,
     div_phi,
     flat_graphmap,
-    grad_phi,
+    grad_phi_stack,
     laplace_phi,
     make_cutoff,
 )
@@ -112,6 +112,33 @@ def test_dense_oracle_small_grid():
     assert g.norm0(W_iter - W_dense) <= 1e-8
 
 
+def test_warm_started_solve_applies_no_operator(monkeypatch):
+    # on the flat map the flat solve is exact, so the warm start settles the
+    # solve and neither Krylov operator may be applied, not even as a probe
+    g = make_grid(8, 8, 9, 1.0)
+    gm = flat_graphmap(g)
+    calls = {"matvec": 0, "flat": 0}
+    apply_op = elliptic._apply_bc_operator
+    flat_solve = elliptic._FlatSolver.solve
+
+    def counted_op(w, gm):
+        calls["matvec"] += 1
+        return apply_op(w, gm)
+
+    def counted_flat(self, B):
+        calls["flat"] += 1
+        return flat_solve(self, B)
+
+    monkeypatch.setattr(elliptic, "_apply_bc_operator", counted_op)
+    monkeypatch.setattr(elliptic._FlatSolver, "solve", counted_flat)
+    X1, X2, X3 = g.mesh_volume()
+    rhs = np.cos(X1) * np.sin(X2) * (1 + X3)
+    zero = np.zeros((8, 8))
+    W = solve_poisson_phi(rhs, zero, zero, gm, g, tol=1e-11)
+    assert calls == {"matvec": 0, "flat": 1}   # the warm start only
+    assert np.abs(W[:, :, 0]).max() == 0.0
+
+
 def test_pressure_rhs_vanishing_cases():
     g = make_grid(16, 16, 9, 1.0)
     gm = flat_graphmap(g)
@@ -155,7 +182,7 @@ def test_project_divfree_cases():
 
     # manufactured potential with theta|_Sigma = 0 and flat bottom flux
     theta = np.sin(X1) * X3 * (X3 + 1.0) ** 2
-    G = grad_phi(theta, gm)
+    G = grad_phi_stack(theta, gm)
     Gp = project_divfree(G, gm, g, tol=1e-11)
     assert g.vector_sobolev_norm(Gp, 0) <= 1e-7
 
@@ -175,7 +202,7 @@ def test_self_adjoint_weak_form():
     f = np.sin(X1) * X3 * (X3 + 1.0) ** 2
     h = np.cos(X2) * X3 * (X3 + 1.0) ** 2
     lhs = g.quad_volume(-laplace_phi(f, gm) * h * gm.d3phi)
-    gf, gh = grad_phi(f, gm), grad_phi(h, gm)
+    gf, gh = grad_phi_stack(f, gm), grad_phi_stack(h, gm)
     rhs = g.quad_volume(sum(gf[i] * gh[i] for i in range(3)) * gm.d3phi)
     assert abs(lhs - rhs) <= 1e-8 * (1 + abs(lhs) + abs(rhs))
 

@@ -156,18 +156,22 @@ def test_adjointness_of_tangential_derivative(seed):
     assert abs(lhs - rhs) <= 1e-10 * scale
 
 
-def test_dealias_product_removes_aliased_modes():
-    g = make_grid(12, 12, 7, 1.0, dealias=True)
-    X1, _, _ = g.mesh_volume()
-    # k=5 sits above the retained band n/3 = 4: its square would alias onto k=2
-    f = np.cos(5 * X1)
-    p = g.product(f, f)
-    assert np.abs(p).max() <= 1e-12
-    # in-band factor: product keeps the mean, drops the out-of-band harmonic
-    f3 = np.cos(3 * X1)
-    p3 = g.product(f3, f3)
-    ph = np.fft.rfft(p3, axis=0)
-    assert np.abs(ph[6]).max() <= 1e-10
-    assert abs(ph[0, 0, 0].real / 12 - 0.5) <= 1e-12
-    g2 = make_grid(12, 12, 7, 1.0, dealias=False)
-    assert np.abs(g2.product(f, f) - f * f).max() == 0.0
+def test_dealias_keeps_band_edge_and_drops_next_mode():
+    # n/3 is the last retained mode and n/3 + 1 the first removed one, on
+    # each tangential axis; distinct nx and ny catch swapped axes
+    g = make_grid(12, 18, 7, 1.0)
+    X1, X2, X3 = g.mesh_volume()
+    profile = 1.0 + X3 + X3**2
+    for n, X in ((g.nx, X1), (g.ny, X2)):
+        kept = np.cos(n // 3 * X + 0.3) * profile
+        dropped = np.sin((n // 3 + 1) * X) * profile
+        cases = (
+            (kept[:, :, 0], dropped[:, :, 0]),                  # surface
+            (kept, dropped),                                     # volume
+            (np.stack([kept, -2 * kept, 0 * kept]),              # stack
+             np.stack([dropped, dropped, -dropped])),
+        )
+        for f_kept, f_dropped in cases:
+            out = g.dealias_tangential(f_kept + f_dropped)
+            assert out.shape == f_kept.shape
+            assert np.abs(out - f_kept).max() <= 1e-13
