@@ -16,6 +16,7 @@ from .errors import (
     GridError,
     InfeasibleWidthError,
     InsufficientHistoryError,
+    NonFiniteStateError,
     SolverConvergenceError,
 )
 from .evolve import RunConfig, run, step_rk4
@@ -34,6 +35,7 @@ __all__ = [
     "InfeasibleWidthError",
     "InitSpec",
     "InsufficientHistoryError",
+    "NonFiniteStateError",
     "RunConfig",
     "SolverConvergenceError",
     "State",

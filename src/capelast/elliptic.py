@@ -13,6 +13,11 @@ bottom plane the twisted Neumann row d3^phi W.  The Krylov operator is
 planes, so the solver and the identity checks share one twisted Laplacian.
 Solves verify the true interior residual ||-Lap^phi W - rhs||_0 against
 tol * (1 + ||rhs||_0).
+
+The pressure source reads a ``StageFields`` bundle: the stage velocity and
+deformation dealiased once, with their twisted gradients taken once.  The
+tendencies of the same stage read the same bundle, so each RK stage makes
+one spectral pass over v and F.
 """
 
 from __future__ import annotations
@@ -192,49 +197,80 @@ def _dtn_inverse(f: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 @dataclass
+class StageFields:
+    """One RK stage's dealiased velocity and deformation with their twisted
+    gradients; the pressure source and the tendencies both read it."""
+
+    gm: GraphMap
+    v: np.ndarray
+    F: np.ndarray
+    Dv: np.ndarray              # Dv[l, i] = d_l^phi v_i
+    DF: np.ndarray | None       # DF[l, k, i] = d_l^phi F_ik; None when F = 0
+
+
+def stage_fields(v: np.ndarray, F: np.ndarray, gm: GraphMap) -> StageFields:
+    """Dealias v and F once and take their twisted gradients once."""
+    g = gm.grid
+    v = g.truncate(v)
+    DF = None
+    if F.any():
+        F = g.truncate(F)
+        DF = grad_phi_stack(F, gm)
+    return StageFields(gm=gm, v=v, F=F, Dv=grad_phi_stack(v, gm), DF=DF)
+
+
+def _trace_of_square(D: np.ndarray) -> np.ndarray:
+    """sum_{i,l} D[i, l] D[l, i] for a 3x3 stack of fields."""
+    out = D[0, 0] * D[0, 0]
+    out += D[1, 1] * D[1, 1]
+    out += D[2, 2] * D[2, 2]
+    for i, l in ((0, 1), (0, 2), (1, 2)):
+        out += 2.0 * (D[i, l] * D[l, i])
+    return out
+
+
+@dataclass
 class PressureRHS:
     rhs: np.ndarray
     neu_bottom: np.ndarray
     advisory: bool
 
 
-def pressure_rhs(v: np.ndarray, F: np.ndarray, gm: GraphMap) -> PressureRHS:
+def pressure_rhs(sf: StageFields) -> PressureRHS:
     """Source and bottom flux for the pressure problem.
 
     rhs = d_i^phi v_l d_l^phi v_i - d_i^phi F_lk d_l^phi F_ik, using the
     divergence constraints; the bottom Neumann datum is the normal trace
     ((F_k . grad^phi) F_3k) there, the momentum balance with v3 = 0.
-    The result is advisory when the divergence constraints look violated.
+    Both are truncated once, as sums.  The result is advisory when the
+    divergence constraints look violated.
     """
-    g = gm.grid
-    if g.dealias:
-        v = g.dealias_tangential(v)
-        F = g.dealias_tangential(F)
-        trunc = g.dealias_tangential
-    else:
-        trunc = lambda a: a
-
-    Dv = grad_phi_stack(v, gm)                   # Dv[i, l] = d_i^phi v_l
-    rhs = (Dv * np.swapaxes(Dv, 0, 1)).sum(axis=(0, 1))
-    div_v = g.norm0(sum(Dv[i, i] for i in range(3)))
-    if not F.any():
-        return PressureRHS(rhs=trunc(rhs),
+    g = sf.gm.grid
+    Dv, DF = sf.Dv, sf.DF
+    rhs = _trace_of_square(Dv)
+    div_v = g.norm0(Dv[0, 0] + Dv[1, 1] + Dv[2, 2])
+    if DF is None:
+        return PressureRHS(rhs=g.truncate(rhs),
                            neu_bottom=np.zeros((g.nx, g.ny)),
                            advisory=div_v > 1e-4)
 
-    DF = grad_phi_stack(F, gm)                   # DF[i, k, l] = d_i^phi F_lk
-    rhs = trunc(rhs - (DF * np.swapaxes(DF, 0, 2)).sum(axis=(0, 1, 2)))
+    div_F_max = 0.0
+    for k in range(3):
+        # DF[i, k, l] = d_i^phi F_lk
+        rhs -= _trace_of_square(DF[:, k])
+        div_F_max = max(div_F_max,
+                        g.norm0(DF[0, k, 0] + DF[1, k, 1] + DF[2, k, 2]))
 
-    # bottom Neumann datum: sum_{k,l} F_lk (d_l^phi F_3k) on the bottom plane
-    F_lk = np.swapaxes(F, 0, 1)                  # (l, k, ...)
-    stretch3 = trunc((F_lk * DF[:, :, 2]).sum(axis=(0, 1)))
-    stretch_bottom = stretch3[:, :, -1]
-
-    # divergences read off the traces of the gradient stacks
-    div_F_max = max(g.norm0(sum(DF[i, k, i] for i in range(3)))
-                    for k in range(3))
+    # bottom Neumann datum sum_{k,l} F_lk (d_l^phi F_3k), formed on the
+    # bottom plane only: truncation acts plane by plane
+    F, bot = sf.F, np.s_[:, :, -1]
+    stretch = np.zeros((g.nx, g.ny))
+    for k in range(3):
+        for l in range(3):
+            stretch += F[k, l][bot] * DF[l, k, 2][bot]
     advisory = div_v > 1e-4 or div_F_max > 1e-4
-    return PressureRHS(rhs=rhs, neu_bottom=stretch_bottom, advisory=advisory)
+    return PressureRHS(rhs=g.truncate(rhs), neu_bottom=g.truncate(stretch),
+                       advisory=advisory)
 
 
 def project_divfree(X: np.ndarray, gm: GraphMap, grid: Grid,

@@ -29,6 +29,11 @@ class SolverConvergenceError(CapelastError, RuntimeError):
         self.iterations = iterations
 
 
+class NonFiniteStateError(CapelastError, FloatingPointError):
+    """A stepped state holds NaN or Inf; the message names the first such
+    field and the time it was reached."""
+
+
 class InsufficientHistoryError(CapelastError, ValueError):
     """A time-derivative request needs more stored slices than available."""
 

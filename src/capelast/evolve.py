@@ -1,11 +1,15 @@
 """Time integration: tendency assembly, RK4 stepping, and the run loop.
 
-Each RK4 stage rebuilds the graph map from the stage surface, solves the
-pressure problem with the capillary Dirichlet datum, and assembles the
-tendencies.  After the combined update the velocity is projected back to
-divergence-free and the bottom conditions v3 = F_3j = 0 are re-imposed on
-the bottom collocation plane; the kinematic surface equation is evolved,
-never overwritten.
+Each RK4 stage rebuilds the graph map from the stage surface (stage k1
+reuses the map of the step's start), dealiases v and F and takes their
+twisted gradients once, and feeds that one bundle to both the pressure
+source and the tendencies.  Every q-independent term is formed before the
+pressure solve, which runs with the capillary Dirichlet datum; each
+tendency is then truncated once, as a sum.  After the combined update the
+velocity is projected back to divergence-free and the bottom conditions
+v3 = F_3j = 0 are re-imposed on the bottom collocation plane; the
+kinematic surface equation is evolved, never overwritten.  ``run`` stops
+with a named reason when a stepped state is no longer finite.
 
 The step is guarded by dt <= 0.5 * min(advective, capillary, vertical)
 bounds.  The vertical bound compares the transport speed w = v.Nb - dt(phi)
@@ -23,8 +27,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord, conserved_energy, higher_energy, rt_monitor
-from .elliptic import pressure_rhs, project_divfree, solve_poisson_phi
-from .errors import CapelastError, CFLError
+from .elliptic import (
+    StageFields,
+    pressure_rhs,
+    project_divfree,
+    solve_poisson_phi,
+    stage_fields,
+)
+from .errors import CapelastError, CFLError, NonFiniteStateError
 from .graphmap import Cutoff, GraphMap, advection_speed, grad_phi_stack, mean_curvature
 from .grid import Grid
 from .state import History, InitSpec, State, build_initial_data, constraint_residuals
@@ -47,54 +57,51 @@ def tendencies(state: State, gm: GraphMap, solver_tol: float = 1e-11,
     ``q`` short-circuits the pressure solve when the caller already holds
     the pressure consistent with this state (e.g. the first RK stage).
 
-    Dealiasing exploits linearity: quadratic state products are multiplied
-    pointwise, contracted, and the summed tendency truncated once, which
-    equals per-product truncation for band-limited inputs.  Geometric
-    coefficient products stay pointwise.
+    The pressure source and every tendency term read one ``StageFields``
+    bundle, so v and F are dealiased and differentiated once per stage.
+    Advection comes from the twisted gradient stacks alone, since
+    v . grad^phi f - dt(phi) d3^phi f equals vbar . dbar f
+    + (v . Nb - dt(phi)) d3 f / d3(phi).  Dealiasing exploits linearity:
+    quadratic state products are multiplied pointwise, summed, and each
+    tendency truncated once, which equals per-product truncation.
+    Geometric coefficient products stay pointwise.
     """
     g = gm.grid
-    sigma = state.sigma
+    sf = stage_fields(state.v, state.F, gm)
+    pr = pressure_rhs(sf) if q is None else None
+    v_dot, F_dot = _pressure_free_terms(sf)
+    del sf  # no gradient stack stays alive during the pressure solve
     if q is None:
-        pr = pressure_rhs(state.v, state.F, gm)
-        dir_top = -sigma * mean_curvature(state.psi, g)
+        dir_top = -state.sigma * mean_curvature(state.psi, g)
         q = solve_poisson_phi(pr.rhs, dir_top, pr.neu_bottom, gm, g,
                               tol=solver_tol)
+    v_dot -= grad_phi_stack(q, gm)
+    # the graph map was built with psi_t = v . N
+    return Tendencies(psi_dot=gm.psi_t, v_dot=g.truncate(v_dot),
+                      F_dot=F_dot, q=q)
 
-    if g.dealias:
-        v = g.dealias_tangential(state.v)
-        F = g.dealias_tangential(state.F)
-        trunc = g.dealias_tangential
-    else:
-        v, F = state.v, state.F
-        trunc = lambda a: a
 
-    psi_dot = gm.psi_t  # the graph map was built with psi_t = v . N
-    w_over_d3 = advection_speed(v, gm) * gm.inv_d3phi
-
-    def advect(stack):
-        return trunc(v[0] * g.d_tan(stack, 1) + v[1] * g.d_tan(stack, 2)
-                     + w_over_d3 * g.d_vert(stack))
-
-    grad_q = trunc(grad_phi_stack(q, gm))
-
-    if not F.any():
+def _pressure_free_terms(sf: StageFields):
+    """Stress minus advection for v (untruncated), and the truncated F
+    tendency: transport by u = (v1, v2, v3 - dt(phi)) contracted with the
+    gradient stacks, stress_i = F_lk d_l^phi F_ik, and stretching
+    (F_j . grad^phi) v_i = F_lj d_l^phi v_i."""
+    gm, v, F, Dv, DF = sf.gm, sf.v, sf.F, sf.Dv, sf.DF
+    u = (v[0], v[1], v[2] - gm.dtphi)
+    v_dot = u[0] * Dv[0]
+    v_dot += u[1] * Dv[1]
+    v_dot += u[2] * Dv[2]
+    np.negative(v_dot, out=v_dot)
+    if DF is None:
         # vanishing deformation stays zero; skip the elastic terms
-        v_dot = -advect(v) - grad_q
-        return Tendencies(psi_dot=psi_dot, v_dot=v_dot,
-                          F_dot=np.zeros_like(F), q=q)
-
-    # stress_i = sum_{k,l} F_lk d_l^phi F_ik
-    DF = grad_phi_stack(F, gm)                   # DF[l, k, i] = d_l^phi F_ik
-    F_lk = np.swapaxes(F, 0, 1)                  # (l, k, ...)
-    stress = trunc((F_lk[:, :, None] * DF).sum(axis=(0, 1)))
-
-    v_dot = -advect(v) - grad_q + stress
-
-    # (F_j . grad^phi) v_i = sum_l F_lj d_l^phi v_i
-    Dv = grad_phi_stack(v, gm)                   # Dv[l, i] = d_l^phi v_i
-    stretch = trunc((F[:, :, None] * Dv[None, :, :]).sum(axis=1))
-    F_dot = -advect(F) + stretch
-    return Tendencies(psi_dot=psi_dot, v_dot=v_dot, F_dot=F_dot, q=q)
+        return v_dot, np.zeros_like(F)
+    F_dot = np.zeros_like(F)
+    for l in range(3):
+        for k in range(3):
+            F_dot[k] += F[k, l] * Dv[l]
+            F_dot[k] -= u[l] * DF[l, k]
+            v_dot += F[k, l] * DF[l, k]
+    return v_dot, gm.grid.truncate(F_dot)
 
 
 def cfl_limit(state: State, gm: GraphMap, grid: Grid) -> float:
@@ -135,13 +142,14 @@ def step_rk4(state: State, cutoff: Cutoff, grid: Grid, dt: float,
                 f"dt = {dt:g} exceeds the stability bound {bound:g}",
                 suggested_dt=bound)
 
-    def eval_stage(psi, v, F, q=None):
+    def eval_stage(psi, v, F, q=None, gm=None):
         probe = State(t=state.t, psi=psi, v=v, F=F,
                       q=state.q if q is None else q, sigma=state.sigma)
-        return tendencies(probe, probe.graphmap(cutoff, grid),
-                          solver_tol=solver_tol, q=q)
+        if gm is None:
+            gm = probe.graphmap(cutoff, grid)
+        return tendencies(probe, gm, solver_tol=solver_tol, q=q)
 
-    k1 = eval_stage(state.psi, state.v, state.F, q=state.q)
+    k1 = eval_stage(state.psi, state.v, state.F, q=state.q, gm=gm0)
     k2 = eval_stage(state.psi + 0.5 * dt * k1.psi_dot,
                     state.v + 0.5 * dt * k1.v_dot,
                     state.F + 0.5 * dt * k1.F_dot)
@@ -169,7 +177,7 @@ def step_rk4(state: State, cutoff: Cutoff, grid: Grid, dt: float,
     _enforce_bottom(new)
 
     gm_new = new.graphmap(cutoff, grid)
-    pr = pressure_rhs(new.v, new.F, gm_new)
+    pr = pressure_rhs(stage_fields(new.v, new.F, gm_new))
     dir_top = -new.sigma * mean_curvature(new.psi, grid)
     new.q = solve_poisson_phi(pr.rhs, dir_top, pr.neu_bottom, gm_new, grid,
                               tol=solver_tol)
@@ -207,11 +215,21 @@ class RunResult:
         return self.history.newest
 
 
-def _exp_filter(grid: Grid, f: np.ndarray) -> np.ndarray:
+def _exp_damping(grid: Grid) -> np.ndarray:
+    """Exponential filter exp(-36 |k/k_max|^36) per tangential axis, in the
+    rfft2 layout that ``Grid.tan_multiply`` takes."""
     kx = np.abs(grid.k1) / (grid.nx / 2)
     ky = grid.k2 / max(grid.k2.max(), 1.0)
-    damp = np.exp(-36.0 * kx[:, None] ** 36) * np.exp(-36.0 * ky[None, :] ** 36)
-    return grid.tan_multiply(f, damp)
+    return np.exp(-36.0 * kx[:, None] ** 36) * np.exp(-36.0 * ky[None, :] ** 36)
+
+
+def _check_finite(state: State):
+    """Raise NonFiniteStateError naming the first of psi, v, F, q that
+    holds NaN or Inf."""
+    for name in ("psi", "v", "F", "q"):
+        if not np.isfinite(getattr(state, name)).all():
+            raise NonFiniteStateError(
+                f"{name} is not finite at t = {state.t:.6g}")
 
 
 def _record(state, gm, hist, grid, dt, kmax) -> DiagnosticsRecord:
@@ -245,22 +263,22 @@ def run(config: RunConfig) -> RunResult:
     if config.probe is not None:
         probes.append((state.t, config.probe(state, grid)))
     aborted = None
+    damp = _exp_damping(grid) if config.spectral_filter else None
 
     for n in range(nsteps):
         try:
             state = step_rk4(state, cutoff, grid, dt,
                              solver_tol=config.solver_tol,
                              check_cfl=config.check_cfl)
+            _check_finite(state)
         except CapelastError as exc:
             aborted = f"{type(exc).__name__}: {exc}"
             log.warning("run aborted at t=%.6g: %s", hist.newest.t, aborted)
             break
-        if config.spectral_filter:
-            state.psi = _exp_filter(grid, state.psi)
-            for i in range(3):
-                state.v[i] = _exp_filter(grid, state.v[i])
-                for j in range(3):
-                    state.F[j, i] = _exp_filter(grid, state.F[j, i])
+        if damp is not None:
+            state.psi = grid.tan_multiply(state.psi, damp)
+            state.v = grid.tan_multiply(state.v, damp)
+            state.F = grid.tan_multiply(state.F, damp)
         gm = state.graphmap(cutoff, grid)
         hist.push(state)
         diags.append(_record(state, gm, hist, grid, dt, config.kmax))

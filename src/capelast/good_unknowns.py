@@ -17,6 +17,7 @@ weights alpha_i/|alpha|; each choice agrees up to discretization error.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,13 +93,17 @@ class Calculus:
         self.hist = hist
         self.grid = grid
         self.cutoff = cutoff
-        self.gms = hist.graphmaps(cutoff, grid)
         self.times = hist.times
         n = len(self.times)
         W = np.empty((n, n))
         for i in range(n):
             W[i] = fornberg_weights(self.times[i], self.times, 1)
         self._W = W
+
+    @functools.cached_property
+    def gms(self) -> list[GraphMap]:
+        """The graph map of every slice, built on first use."""
+        return self.hist.graphmaps(self.cutoff, self.grid)
 
     @property
     def gm(self) -> GraphMap:

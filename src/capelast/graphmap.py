@@ -165,11 +165,13 @@ def grad_phi_stack(f: np.ndarray, gm: GraphMap) -> np.ndarray:
     leading-axis stack; shape (3,) + f.shape."""
     g = gm.grid
     d3f = g.d_vert(f)
-    return np.stack([
-        g.d_tan(f, 1) + gm.a31 * d3f,
-        g.d_tan(f, 2) + gm.a32 * d3f,
-        gm.a33 * d3f,
-    ])
+    out = np.empty((3,) + f.shape)
+    np.multiply(gm.a31, d3f, out=out[0])
+    out[0] += g.d_tan(f, 1)
+    np.multiply(gm.a32, d3f, out=out[1])
+    out[1] += g.d_tan(f, 2)
+    np.multiply(gm.a33, d3f, out=out[2])
+    return out
 
 
 def div_phi(X: np.ndarray, gm: GraphMap) -> np.ndarray:

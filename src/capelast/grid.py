@@ -293,6 +293,10 @@ class Grid:
         """Zero tangential modes with |k| above n/3 (the 2/3 rule)."""
         return self.tan_multiply(f, self.keep)
 
+    def truncate(self, f: np.ndarray) -> np.ndarray:
+        """``f`` under the 2/3 rule when this grid dealiases, else ``f``."""
+        return self.dealias_tangential(f) if self.dealias else f
+
 
 def make_grid(nx: int, ny: int, nz: int, b: float, dealias: bool = True) -> Grid:
     """Validated grid constructor."""

@@ -16,7 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fieldio
-from .elliptic import pressure_rhs, project_divfree, solve_poisson_phi
+from .elliptic import (
+    pressure_rhs,
+    project_divfree,
+    solve_poisson_phi,
+    stage_fields,
+)
 from .errors import ConfigError, InsufficientHistoryError
 from .graphmap import (
     Cutoff,
@@ -159,7 +164,7 @@ def build_initial_data(spec: InitSpec, grid: Grid | None = None):
     state = State(t=0.0, psi=psi0, v=v, F=F,
                   q=np.zeros((grid.nx, grid.ny, grid.nz)), sigma=spec.sigma)
     gm = state.graphmap(cutoff, grid)
-    pr = pressure_rhs(v, F, gm)
+    pr = pressure_rhs(stage_fields(v, F, gm))
     dir_top = -spec.sigma * mean_curvature(psi0, grid)
     state.q = solve_poisson_phi(pr.rhs, dir_top, pr.neu_bottom, gm, grid,
                                 tol=spec.pressure_tol)
@@ -245,6 +250,7 @@ def save_state(state: State, grid: Grid, out_dir: str):
     fieldio.write_manifest(os.path.join(out_dir, "manifest.json"), {
         "t": state.t, "sigma": state.sigma,
         "b": grid.b, "nx": grid.nx, "ny": grid.ny, "nz": grid.nz,
+        "dealias": grid.dealias,
         "fields": sorted(_FIELD_FILES),
     })
 
@@ -252,8 +258,10 @@ def save_state(state: State, grid: Grid, out_dir: str):
 def load_state(in_dir: str):
     """Returns (state, grid) reconstructed from a dump directory."""
     manifest = fieldio.read_manifest(os.path.join(in_dir, "manifest.json"))
+    # manifests written before the key existed reload with the default
     grid = make_grid(manifest["nx"], manifest["ny"], manifest["nz"],
-                     manifest["b"])
+                     manifest["b"],
+                     dealias=bool(manifest.get("dealias", True)))
     psi, _ = fieldio.read_field(os.path.join(in_dir, "psi.fld"))
     q, _ = fieldio.read_field(os.path.join(in_dir, "q.fld"))
     v = np.stack([fieldio.read_field(os.path.join(in_dir, f"v{i+1}.fld"))[0]

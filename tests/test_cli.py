@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 import capelast
+import capelast.evolve
 from capelast.cli import main
 from capelast.config import config_to_text, parse_config_text
 from capelast.evolve import RunConfig
@@ -142,6 +144,23 @@ def test_cfl_abort_exits_1(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 1
     assert "aborted" in capsys.readouterr().err
+
+
+def test_blow_up_exits_1(tmp_path, capsys, monkeypatch):
+    original = capelast.evolve.step_rk4
+
+    def blowing_up(*args, **kwargs):
+        new = original(*args, **kwargs)
+        new.v[2, 0, 0, 0] = np.nan
+        return new
+
+    monkeypatch.setattr(capelast.evolve, "step_rk4", blowing_up)
+    cfgpath = _write(tmp_path, REST_CONFIG)
+    code = main(["simulate", "--config", cfgpath,
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "NonFiniteStateError: v is not finite at t = 0.01" in err
 
 
 def test_verify_unknown_suite_exits_2(tmp_path):

@@ -51,6 +51,27 @@ def _shear_history(g, cut, n=6, dt=0.05):
     return hist
 
 
+def test_higher_energy_builds_no_graphmap(monkeypatch):
+    # the graded energy reads field series only; mapping every slice of
+    # the history would be wasted work on each diagnostics record
+    import capelast.state
+
+    g = make_grid(16, 16, 9, 1.0)
+    cut = make_cutoff(g, 0.1, 0.0, strict=False)
+    hist = _shear_history(g, cut)
+    gm = hist.newest.graphmap(cut, g)
+    built = []
+    original = capelast.state.build_graphmap
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(capelast.state, "build_graphmap", counting)
+    assert higher_energy(hist, gm, kmax=1) > 0.0
+    assert not built
+
+
 def test_higher_energy_cases():
     g = make_grid(16, 16, 9, 1.0)
     cut = make_cutoff(g, 0.1, 0.0, strict=False)

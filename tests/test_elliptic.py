@@ -8,6 +8,7 @@ from capelast.elliptic import (
     project_divfree,
     solve_poisson_phi,
     solve_poisson_phi_neumann,
+    stage_fields,
 )
 from capelast.graphmap import (
     build_graphmap,
@@ -145,18 +146,19 @@ def test_pressure_rhs_vanishing_cases():
     X1, X2, _ = g.mesh_volume()
     zero_v = np.zeros((3, 16, 16, 9))
     zero_F = np.zeros((3, 3, 16, 16, 9))
-    out = pressure_rhs(zero_v, zero_F, gm)
+    out = pressure_rhs(stage_fields(zero_v, zero_F, gm))
     assert np.abs(out.rhs).max() == 0.0
     assert np.abs(out.neu_bottom).max() == 0.0
     assert not out.advisory
 
     v = np.stack([np.cos(X2), np.zeros_like(X1), np.zeros_like(X1)])
-    out = pressure_rhs(v, zero_F, gm)  # shear: the 9-term sum cancels
+    # shear: the 9-term sum cancels
+    out = pressure_rhs(stage_fields(v, zero_F, gm))
     assert np.abs(out.rhs).max() <= 1e-12
 
     F = zero_F.copy()
     F[0, 0] = 0.2 * np.cos(X2)
-    out = pressure_rhs(zero_v, F, gm)
+    out = pressure_rhs(stage_fields(zero_v, F, gm))
     assert np.abs(out.rhs).max() <= 1e-12
     assert np.abs(out.neu_bottom).max() <= 1e-12
 
@@ -166,7 +168,7 @@ def test_pressure_rhs_advisory_flag():
     gm = flat_graphmap(g)
     _, _, X3 = g.mesh_volume()
     v = np.stack([np.zeros_like(X3), np.zeros_like(X3), X3 + 1.0])  # div = 1
-    out = pressure_rhs(v, np.zeros((3, 3, 8, 8, 9)), gm)
+    out = pressure_rhs(stage_fields(v, np.zeros((3, 3, 8, 8, 9)), gm))
     assert out.advisory
 
 

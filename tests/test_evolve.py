@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from capelast import CFLError
+import capelast.evolve
+from capelast import CFLError, Grid
+from capelast.elliptic import pressure_rhs, stage_fields
 from capelast.evolve import RunConfig, cfl_limit, run, step_rk4, tendencies
+from capelast.graphmap import grad_phi_stack, material_derivative
 from capelast.recipes import ShearRecipe, StreamRecipe
 from capelast.state import InitSpec, build_initial_data
 
@@ -177,3 +180,96 @@ def test_tendencies_rest_zero():
     assert np.abs(td.psi_dot).max() == 0.0
     assert np.abs(td.v_dot).max() == 0.0
     assert np.abs(td.F_dot).max() == 0.0
+
+
+def oblique_spec():
+    """Data that depend on x2: an oblique multi-mode surface, a yz-stream
+    velocity, and xz and yz stream deformation columns."""
+    return InitSpec(
+        nx=16, ny=16, nz=9, b=1.0, sigma=0.1,
+        psi_modes=((1, 0, 1e-2, 0.0), (1, 1, 5e-3, 0.3), (0, 2, 4e-3, 1.1)),
+        v_recipe=StreamRecipe(amp=0.3, k=1, profile="sinh", plane="yz"),
+        F_recipes=(StreamRecipe(amp=0.1, k=1, profile="confined", plane="xz"),
+                   StreamRecipe(amp=0.1, k=2, profile="confined", plane="yz"),
+                   None))
+
+
+def test_tendencies_match_per_product_truncation_3d():
+    # reference: every product truncated on its own, advection from
+    # material_derivative, stress and stretching from explicit einsums
+    state, gm, _ = build_initial_data(oblique_spec())
+    g = gm.grid
+    assert g.dealias
+    td = tendencies(state, gm, solver_tol=1e-12)
+    trunc = g.dealias_tangential
+    v, F = trunc(state.v), trunc(state.F)
+    Dv = grad_phi_stack(v, gm)                   # Dv[l, i] = d_l^phi v_i
+    DF = grad_phi_stack(F, gm)                   # DF[l, k, i] = d_l^phi F_ik
+    stress = trunc(np.einsum("kl...,lki...->i...", F, DF))
+    stretch = trunc(np.einsum("jl...,li...->ji...", F, Dv))
+    v_ref = (-trunc(material_derivative(0.0, v, v, gm))
+             - trunc(grad_phi_stack(td.q, gm)) + stress)
+    F_ref = -trunc(material_derivative(0.0, F, v, gm)) + stretch
+
+    def rel(a, b):
+        return np.abs(a - b).max() / np.abs(b).max()
+
+    # the pressure source and bottom flux, with deformation columns that
+    # do not vanish on the bottom so that the flux is exercised too
+    X1, X2, X3 = g.mesh_volume()
+    G = state.F.copy()
+    for k in range(3):
+        for l in range(3):
+            G[k, l] += 0.05 * np.cos((k + 1) * X1 + (l + 1) * X2 + X3)
+    pr = pressure_rhs(stage_fields(state.v, G, gm))
+    G = trunc(G)
+    DG = grad_phi_stack(G, gm)
+    rhs_ref = trunc(np.einsum("il...,li...->...", Dv, Dv)
+                    - np.einsum("ikl...,lki...->...", DG, DG))
+    neu_ref = trunc(np.einsum("kl...,lk...->...", G, DG[:, :, 2]))[:, :, -1]
+    assert rel(pr.rhs, rhs_ref) <= 1e-12
+    assert rel(pr.neu_bottom, neu_ref) <= 1e-12
+
+    assert np.abs(F_ref).max() > 1e-3 and np.abs(v_ref).max() > 1e-3
+    assert rel(td.v_dot, v_ref) <= 1e-12
+    assert rel(td.F_dot, F_ref) <= 1e-12
+    assert np.array_equal(td.psi_dot, gm.psi_t)
+    # the given-pressure path assembles the same tendencies
+    again = tendencies(state, gm, q=td.q)
+    assert rel(again.v_dot, v_ref) <= 1e-12
+    assert rel(again.F_dot, F_ref) <= 1e-12
+
+
+def test_step_dealiases_once_per_stage(monkeypatch):
+    # one bundle per stage: v and F are dealiased once, the pressure
+    # source and bottom flux once each, and each tendency once
+    state, _, cut = build_initial_data(oblique_spec())
+    g = oblique_spec().make_grid()
+    calls = []
+    original = Grid.dealias_tangential
+
+    def counting(self, f):
+        calls.append(f.shape)
+        return original(self, f)
+
+    monkeypatch.setattr(Grid, "dealias_tangential", counting)
+    step_rk4(state, cut, g, 0.01)
+    assert len(calls) <= 26
+
+
+def test_blow_up_is_named(monkeypatch):
+    original = capelast.evolve.step_rk4
+
+    def blowing_up(*args, **kwargs):
+        new = original(*args, **kwargs)
+        new.F[0, 1, 2, 3, 4] = np.nan
+        new.q[0, 0, 0] = np.inf
+        return new
+
+    monkeypatch.setattr(capelast.evolve, "step_rk4", blowing_up)
+    cfg = RunConfig(init=InitSpec(nx=8, ny=8, nz=9, b=1.0, sigma=0.2,
+                                  psi_modes=((1, 0, 1e-3, 0.0),)),
+                    t_final=0.1, dt=0.02)
+    res = run(cfg)
+    assert res.aborted == "NonFiniteStateError: F is not finite at t = 0.02"
+    assert len(res.diagnostics) == 1

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -106,20 +108,36 @@ def test_history_contract():
 
 
 def test_state_roundtrip(tmp_path):
-    spec = InitSpec(nx=8, ny=8, nz=9, b=1.5, sigma=0.25,
-                    psi_modes=((1, 1, 0.05, 0.3),),
-                    v_recipe=ShearRecipe(comp=2, dep_axis=1, amp=0.4))
-    state, _, _ = build_initial_data(spec)
-    grid = spec.make_grid()
-    state.t = 1.25
-    save_state(state, grid, tmp_path / "snap")
-    loaded, g2 = load_state(tmp_path / "snap")
-    assert g2.nx == 8 and g2.b == 1.5
-    assert loaded.t == 1.25 and loaded.sigma == 0.25
-    assert np.array_equal(loaded.psi, state.psi)
-    assert np.array_equal(loaded.v, state.v)
-    assert np.array_equal(loaded.F, state.F)
-    assert np.array_equal(loaded.q, state.q)
+    for dealias in (True, False):
+        spec = InitSpec(nx=8, ny=8, nz=9, b=1.5, sigma=0.25,
+                        psi_modes=((1, 1, 0.05, 0.3),),
+                        v_recipe=ShearRecipe(comp=2, dep_axis=1, amp=0.4),
+                        dealias=dealias)
+        state, _, _ = build_initial_data(spec)
+        grid = spec.make_grid()
+        state.t = 1.25
+        out = tmp_path / f"snap_{dealias}"
+        save_state(state, grid, out)
+        loaded, g2 = load_state(out)
+        assert g2.nx == 8 and g2.b == 1.5
+        assert g2.dealias is dealias
+        assert loaded.t == 1.25 and loaded.sigma == 0.25
+        assert np.array_equal(loaded.psi, state.psi)
+        assert np.array_equal(loaded.v, state.v)
+        assert np.array_equal(loaded.F, state.F)
+        assert np.array_equal(loaded.q, state.q)
+
+
+def test_load_state_without_dealias_key_dealiases(tmp_path):
+    # manifests written before the key existed reload with the default
+    state = zero_state(make_grid(8, 8, 9, 1.0), sigma=0.1)
+    save_state(state, make_grid(8, 8, 9, 1.0, dealias=False), tmp_path)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["dealias"]
+    path.write_text(json.dumps(manifest))
+    _, grid = load_state(tmp_path)
+    assert grid.dealias is True
 
 
 def test_fieldio_header_and_order(tmp_path):
