@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .good_unknowns import Calculus, fornberg_weights
-from .graphmap import Cutoff, GraphMap, div_phi, dphi
+from .graphmap import GraphMap, div_phi, dphi
 from .grid import Grid
 from .state import History, State
 
@@ -112,15 +112,16 @@ def ibp_residual(f: np.ndarray, h: np.ndarray, gm: GraphMap, i: int) -> float:
     return abs(lhs - surf) / (1.0 + abs(lhs) + abs(surf))
 
 
-def transport_residual(hist: History, cutoff: Cutoff, grid: Grid,
-                       fieldkey="q", node: int | None = None) -> float:
-    """Defect of d/dt int f d3phi = int (D_t^phi f + f div^phi v) d3phi.
+def transport_residual(calc: Calculus, fieldkey="q",
+                       node: int | None = None) -> float:
+    """Defect of d/dt int f d3phi = int (D_t^phi f + f div^phi v) d3phi
+    over the calculus' history.
 
     The time derivative of the integral uses the stored-slice interpolant;
     when the kinematic and bottom conditions hold and div^phi v = 0 the
     correction term vanishes and this is the transport theorem.
     """
-    calc = Calculus(hist, cutoff, grid)
+    grid, hist = calc.grid, calc.hist
     if node is None:
         node = len(hist) // 2  # interior node: most accurate differencing
     S = calc.series(fieldkey)
@@ -138,7 +139,8 @@ def lemma_checks(hist: History, gm: GraphMap, grid: Grid) -> list[dict]:
     """One residual row per lemma instance over the stored data.
 
     Commutation and integration by parts run on the newest slice's fields;
-    transport runs over the whole history.
+    transport runs over the whole history, through one ``Calculus`` that
+    is built only when the history is long enough for those rows.
     """
     rows = []
     X1, X2, X3 = grid.mesh_volume()
@@ -150,9 +152,9 @@ def lemma_checks(hist: History, gm: GraphMap, grid: Grid) -> list[dict]:
     for i in (1, 2, 3):
         rows.append({"lemma": "integration_by_parts", "case": f"i={i}",
                      "residual": ibp_residual(probe, probe2, gm, i)})
-    for key in ("q", "v1"):
-        if len(hist) >= 5:
+    if len(hist) >= 5:
+        calc = Calculus(hist, gm.cutoff, grid)
+        for key in ("q", "v1"):
             rows.append({"lemma": "transport", "case": f"field={key}",
-                         "residual": transport_residual(
-                             hist, gm.cutoff, grid, key)})
+                         "residual": transport_residual(calc, key)})
     return rows

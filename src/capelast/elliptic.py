@@ -23,13 +23,14 @@ one spectral pass over v and F.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import SolverConvergenceError
-from .graphmap import GraphMap, curl_phi, div_phi, grad_phi_stack, laplace_phi
+from .graphmap import GraphMap, div_phi, grad_phi_stack, laplace_phi
 from .grid import Grid, irfft2, rfft2
 
 log = logging.getLogger(__name__)
@@ -137,7 +138,8 @@ def solve_poisson_phi(rhs: np.ndarray, dir_top: np.ndarray,
         return W
     rtol = tol
     for _ in range(4):
-        if iters[0] >= MAX_ITER:
+        # a non-finite residual (NaN data) cannot recover: stop at once
+        if iters[0] >= MAX_ITER or not math.isfinite(achieved):
             break
         x, _ = gmres(A, bvec, x0=x, rtol=rtol, atol=0.0, restart=40,
                      maxiter=max(1, (MAX_ITER - iters[0]) // 40 + 1), M=M)
@@ -281,37 +283,3 @@ def project_divfree(X: np.ndarray, gm: GraphMap, grid: Grid,
     zero = np.zeros((grid.nx, grid.ny))
     theta = solve_poisson_phi(-d, zero, zero, gm, grid, tol=tol)
     return X - grad_phi_stack(theta, gm)
-
-
-@dataclass
-class HodgeReport:
-    norm_s: float
-    div_norm: float
-    curl_norm: float
-    tangential_norm: float
-    norm_0: float
-    ratio: float | None
-
-
-def hodge_report(X: np.ndarray, gm: GraphMap, grid: Grid, s: int) -> HodgeReport:
-    """The five norms of the div-curl control; the ratio is informational."""
-    if not 1 <= s <= 4:
-        raise ValueError(f"hodge order must be 1..4, got {s}")
-    norm_s = grid.vector_sobolev_norm(X, s)
-    div_n = grid.sobolev_norm(div_phi(X, gm), s - 1)
-    curl_n = grid.vector_sobolev_norm(curl_phi(X, gm), s - 1)
-    tan_sq = 0.0
-    for comp in X:
-        for m1 in range(s + 1):
-            h = comp
-            for _ in range(m1):
-                h = grid.d_tan(h, 1)
-            for _ in range(s - m1):
-                h = grid.d_tan(h, 2)
-            tan_sq += grid.norm0(h) ** 2
-    tan_n = float(np.sqrt(tan_sq))
-    norm_0 = grid.vector_sobolev_norm(X, 0)
-    denom = div_n**2 + curl_n**2 + tan_n**2 + norm_0**2
-    ratio = (norm_s**2 / denom) if denom > 1e-28 else None
-    return HodgeReport(norm_s=norm_s, div_norm=div_n, curl_norm=curl_n,
-                       tangential_norm=tan_n, norm_0=norm_0, ratio=ratio)

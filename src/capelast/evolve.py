@@ -1,15 +1,23 @@
 """Time integration: tendency assembly, RK4 stepping, and the run loop.
 
-Each RK4 stage rebuilds the graph map from the stage surface (stage k1
-reuses the map of the step's start), dealiases v and F and takes their
-twisted gradients once, and feeds that one bundle to both the pressure
-source and the tendencies.  Every q-independent term is formed before the
-pressure solve, which runs with the capillary Dirichlet datum; each
-tendency is then truncated once, as a sum.  After the combined update the
-velocity is projected back to divergence-free and the bottom conditions
-v3 = F_3j = 0 are re-imposed on the bottom collocation plane; the
-kinematic surface equation is evolved, never overwritten.  ``run`` stops
-with a named reason when a stepped state is no longer finite.
+Graph maps.  ``step_rk4(state, gm, dt)`` takes ``gm``, the map of
+``state``, and uses it for the CFL check and stage k1.  It builds one map
+for each of stages k2 to k4, one for the projection of the updated
+velocity, and one for the projected state; it returns that last map with
+the new state, and the new pressure is solved on it.  ``run`` starts from
+the map ``build_initial_data`` returns, records each step with the map the
+step returned and hands it to the next step; it builds a map itself only
+after the spectral filter has changed psi or v.
+
+Each RK4 stage dealiases v and F and takes their twisted gradients once,
+and feeds that one bundle to both the pressure source and the tendencies.
+Every q-independent term is formed before the pressure solve, which runs
+with the capillary Dirichlet datum; each tendency is then truncated once,
+as a sum.  After the combined update the velocity is projected back to
+divergence-free and the bottom conditions v3 = F_3j = 0 are re-imposed on
+the bottom collocation plane; the kinematic surface equation is evolved,
+never overwritten.  ``run`` stops with a named reason when a stepped state
+is no longer finite.
 
 The step is guarded by dt <= 0.5 * min(advective, capillary, vertical)
 bounds.  The vertical bound compares the transport speed w = v.Nb - dt(phi)
@@ -105,11 +113,12 @@ def _pressure_free_terms(sf: StageFields):
 
 
 def cfl_limit(state: State, gm: GraphMap, grid: Grid) -> float:
-    """Largest admissible dt: 0.5 * min(advective, capillary, vertical)."""
+    """Largest admissible dt: 0.5 * min(advective, capillary, vertical);
+    NaN when a speed is not finite."""
     dx = min(2.0 * np.pi / grid.nx, 2.0 * np.pi / grid.ny)
     vbar = float(np.sqrt(state.v[0] ** 2 + state.v[1] ** 2).max())
     terms = []
-    terms.append(dx / vbar if vbar > 0 else math.inf)
+    terms.append(dx / vbar if vbar != 0.0 else math.inf)
     if state.sigma > 0:
         terms.append(math.sqrt(dx**3 / (math.pi * state.sigma)))
     w = np.abs(advection_speed(state.v, gm))
@@ -119,8 +128,8 @@ def cfl_limit(state: State, gm: GraphMap, grid: Grid) -> float:
     gaps[-1] = d[-1]
     gaps[1:-1] = np.minimum(d[:-1], d[1:])
     rate = float((w / gaps[None, None, :]).max())
-    terms.append(gm.c0 / rate if rate > 0 else math.inf)
-    return 0.5 * min(terms)
+    terms.append(gm.c0 / rate if rate != 0.0 else math.inf)
+    return 0.5 * float(np.min(terms))
 
 
 def _enforce_bottom(state: State):
@@ -129,14 +138,20 @@ def _enforce_bottom(state: State):
         state.F[j][2][:, :, -1] = 0.0
 
 
-def step_rk4(state: State, cutoff: Cutoff, grid: Grid, dt: float,
+def step_rk4(state: State, gm: GraphMap, dt: float,
              solver_tol: float = 1e-11, check_cfl: bool = True,
-             project: bool = True) -> State:
-    """One classical four-stage step; returns the advanced state with a
-    freshly solved pressure."""
-    gm0 = state.graphmap(cutoff, grid)
+             project: bool = True) -> tuple[State, GraphMap]:
+    """One classical four-stage step from ``state``, whose map is ``gm``.
+
+    Returns the advanced state, with a freshly solved pressure, and its
+    graph map.  A NaN CFL bound raises NonFiniteStateError naming the
+    field that is not finite.
+    """
+    grid, cutoff = gm.grid, gm.cutoff
     if check_cfl:
-        bound = cfl_limit(state, gm0, grid)
+        bound = cfl_limit(state, gm, grid)
+        if math.isnan(bound):
+            _check_finite(state)
         if dt > bound:
             raise CFLError(
                 f"dt = {dt:g} exceeds the stability bound {bound:g}",
@@ -149,7 +164,7 @@ def step_rk4(state: State, cutoff: Cutoff, grid: Grid, dt: float,
             gm = probe.graphmap(cutoff, grid)
         return tendencies(probe, gm, solver_tol=solver_tol, q=q)
 
-    k1 = eval_stage(state.psi, state.v, state.F, q=state.q, gm=gm0)
+    k1 = eval_stage(state.psi, state.v, state.F, q=state.q, gm=gm)
     k2 = eval_stage(state.psi + 0.5 * dt * k1.psi_dot,
                     state.v + 0.5 * dt * k1.v_dot,
                     state.F + 0.5 * dt * k1.F_dot)
@@ -181,7 +196,7 @@ def step_rk4(state: State, cutoff: Cutoff, grid: Grid, dt: float,
     dir_top = -new.sigma * mean_curvature(new.psi, grid)
     new.q = solve_poisson_phi(pr.rhs, dir_top, pr.neu_bottom, gm_new, grid,
                               tol=solver_tol)
-    return new
+    return new, gm_new
 
 
 @dataclass
@@ -267,9 +282,8 @@ def run(config: RunConfig) -> RunResult:
 
     for n in range(nsteps):
         try:
-            state = step_rk4(state, cutoff, grid, dt,
-                             solver_tol=config.solver_tol,
-                             check_cfl=config.check_cfl)
+            state, gm = step_rk4(state, gm, dt, solver_tol=config.solver_tol,
+                                 check_cfl=config.check_cfl)
             _check_finite(state)
         except CapelastError as exc:
             aborted = f"{type(exc).__name__}: {exc}"
@@ -279,7 +293,7 @@ def run(config: RunConfig) -> RunResult:
             state.psi = grid.tan_multiply(state.psi, damp)
             state.v = grid.tan_multiply(state.v, damp)
             state.F = grid.tan_multiply(state.F, damp)
-        gm = state.graphmap(cutoff, grid)
+            gm = state.graphmap(cutoff, grid)
         hist.push(state)
         diags.append(_record(state, gm, hist, grid, dt, config.kmax))
         if config.probe is not None:

@@ -13,6 +13,12 @@ the stored slices exactly (Fornberg weights), so their order equals the
 number of slices minus the derivative order.  The unit-index splitting of
 D^alpha(1/d3phi) is averaged over the directions present in alpha with
 weights alpha_i/|alpha|; each choice agrees up to discretization error.
+
+Graph maps.  A ``Calculus`` is bound to one History and builds the graph
+map of each slice once, on first use; it also stacks each named series
+once and hands it out read-only.  Every identity below takes the caller's
+``Calculus`` instead of building its own, so a battery that checks many
+identities on one history builds one ``Calculus`` and passes it to each.
 """
 
 from __future__ import annotations
@@ -23,9 +29,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientHistoryError
-from .graphmap import Cutoff, GraphMap, curl_phi, dphi, material_derivative
+from .graphmap import (
+    Cutoff,
+    GraphMap,
+    advection_speed,
+    curl_phi,
+    dphi,
+    material_derivative,
+)
 from .grid import Grid
 from .state import History
+
+_GEOMETRY = ("phi", "d1phi", "d2phi", "d3phi", "inv_d3phi")
 
 _LEVI = [(0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
          (0, 2, 1, -1.0), (2, 1, 0, -1.0), (1, 0, 2, -1.0)]
@@ -99,11 +114,12 @@ class Calculus:
         for i in range(n):
             W[i] = fornberg_weights(self.times[i], self.times, 1)
         self._W = W
+        self._named: dict[str, np.ndarray] = {}
 
     @functools.cached_property
     def gms(self) -> list[GraphMap]:
         """The graph map of every slice, built on first use."""
-        return self.hist.graphmaps(self.cutoff, self.grid)
+        return [s.graphmap(self.cutoff, self.grid) for s in self.hist]
 
     @property
     def gm(self) -> GraphMap:
@@ -112,23 +128,35 @@ class Calculus:
     # -- series construction ------------------------------------------------
 
     def series(self, field) -> np.ndarray:
-        """Stack a named field or callable(state, gm) over the slices."""
+        """Stack a callable(state, gm) or a named field over the slices.
+
+        Names are psi, q, v1..v3, f11..f33 (F_ij), and the map fields phi,
+        d1phi, d2phi, d3phi and inv_d3phi.  A named series is stacked once
+        and returned read-only.
+        """
         if callable(field):
             return np.stack([field(s, g)
                              for s, g in zip(self.hist, self.gms)])
-        name = field
+        S = self._named.get(field)
+        if S is None:
+            S = np.stack(self._slices(field))
+            S.flags.writeable = False
+            self._named[field] = S
+        return S
+
+    def _slices(self, name: str) -> list[np.ndarray]:
+        if name in _GEOMETRY:
+            return [getattr(g, name) for g in self.gms]
         if name == "psi":
-            return np.stack([s.psi for s in self.hist])
-        if name == "phi":
-            return np.stack([g.phi for g in self.gms])
+            return [s.psi for s in self.hist]
         if name == "q":
-            return np.stack([s.q for s in self.hist])
+            return [s.q for s in self.hist]
         if name.startswith("v") and len(name) == 2:
             i = int(name[1]) - 1
-            return np.stack([s.v[i] for s in self.hist])
+            return [s.v[i] for s in self.hist]
         if name.startswith("f") and len(name) == 3:
             i, j = int(name[1]) - 1, int(name[2]) - 1
-            return np.stack([s.F[j][i] for s in self.hist])
+            return [s.F[j][i] for s in self.hist]
         raise KeyError(f"unknown field name {name!r}")
 
     def dt(self, S: np.ndarray, order: int = 1) -> np.ndarray:
@@ -217,81 +245,56 @@ class Calculus:
         return material_derivative(St[-1], S[-1], self.hist.newest.v, self.gm)
 
 
-def _calc(hist: History, gm: GraphMap) -> Calculus:
-    return Calculus(hist, gm.cutoff, gm.grid)
-
-
 # -- public operations --------------------------------------------------------
 
-def tangential_derivative(hist: History, fieldname, alpha: MultiIndex,
-                          grid: Grid, cutoff: Cutoff) -> np.ndarray:
-    """D^alpha of a stored field, evaluated at the newest time."""
-    hist.require(alpha.a0 + 1, f"dt^{alpha.a0}")
-    calc = Calculus(hist, cutoff, grid)
-    return calc.D_alpha(calc.series(fieldname), alpha)
-
-
-def good_unknown(hist: History, fieldname, alpha: MultiIndex,
-                 gm: GraphMap) -> np.ndarray:
+def good_unknown(calc: Calculus, fieldname, alpha: MultiIndex) -> np.ndarray:
     """D^alpha f - D^alpha(phi) d3^phi f at the newest time."""
-    calc = _calc(hist, gm)
     S = calc.series(fieldname)
     Phi = calc.series("phi")
     return (calc.D_alpha(S, alpha)
             - calc.D_alpha(Phi, alpha) * dphi(S[-1], 3, calc.gm))
 
 
-def _remainders(calc: Calculus, fieldname, alpha: MultiIndex):
-    """Shared series for the three remainder assemblies."""
-    if alpha.total < 1:
-        raise ValueError("remainders need |alpha| >= 1")
-    S = calc.series(fieldname)
-    Phi = calc.series("phi")
-    D3f = calc.op_series(S, lambda f, g: calc.grid.d_vert(f))
-    U = np.stack([g.inv_d3phi for g in calc.gms])
-    D3Phi = np.stack([g.d3phi for g in calc.gms])
-    return S, Phi, D3f, U, D3Phi
-
-
-def remainder_Ctau(hist: History, fieldname, alpha: MultiIndex, tau: int,
-                   gm: GraphMap) -> np.ndarray:
+def remainder_Ctau(calc: Calculus, fieldname, alpha: MultiIndex,
+                   tau: int) -> np.ndarray:
     """C_tau(f) for the tangential-derivative identity, tau in {1, 2}."""
     if tau not in (1, 2):
         raise ValueError("tau must be 1 or 2")
-    calc = _calc(hist, gm)
-    S, Phi, D3f, U, D3Phi = _remainders(calc, fieldname, alpha)
-    Ptau = np.stack([(g.d1phi if tau == 1 else g.d2phi) for g in calc.gms])
+    U, D3Phi = calc.series("inv_d3phi"), calc.series("d3phi")
     B = calc.unit_split_bracket(U * U, D3Phi, alpha)
+    S = calc.series(fieldname)
+    D3f = calc.op_series(S, lambda f, g: calc.grid.d_vert(f))
+    Ptau = calc.series(f"d{tau}phi")
     Cp = (-calc.bracket3(Ptau * U, D3f, alpha)
           - D3f[-1] * calc.bracket3(Ptau, U, alpha)
           + D3f[-1] * Ptau[-1] * B)
-    lead = calc.D_alpha(Phi, alpha) * dphi(dphi(S[-1], 3, calc.gm), tau,
-                                           calc.gm)
+    lead = calc.D_alpha(calc.series("phi"), alpha) * dphi(
+        dphi(S[-1], 3, calc.gm), tau, calc.gm)
     return lead + Cp
 
 
-def remainder_C3(hist: History, fieldname, alpha: MultiIndex,
-                 gm: GraphMap) -> np.ndarray:
+def remainder_C3(calc: Calculus, fieldname, alpha: MultiIndex) -> np.ndarray:
     """C_3(f) for the vertical-derivative identity."""
-    calc = _calc(hist, gm)
-    S, Phi, D3f, U, D3Phi = _remainders(calc, fieldname, alpha)
+    U, D3Phi = calc.series("inv_d3phi"), calc.series("d3phi")
     B = calc.unit_split_bracket(U * U, D3Phi, alpha)
+    S = calc.series(fieldname)
+    D3f = calc.op_series(S, lambda f, g: calc.grid.d_vert(f))
     Cp = calc.bracket3(U, D3f, alpha) - D3f[-1] * B
-    lead = calc.D_alpha(Phi, alpha) * dphi(dphi(S[-1], 3, calc.gm), 3,
-                                           calc.gm)
+    lead = calc.D_alpha(calc.series("phi"), alpha) * dphi(
+        dphi(S[-1], 3, calc.gm), 3, calc.gm)
     return lead + Cp
 
 
-def remainder_D(hist: History, fieldname, alpha: MultiIndex, v: np.ndarray,
-                gm: GraphMap) -> np.ndarray:
-    """D(f) for the material-derivative identity; v is the newest velocity."""
-    calc = _calc(hist, gm)
-    S, Phi, D3f, U, D3Phi = _remainders(calc, fieldname, alpha)
+def remainder_D(calc: Calculus, fieldname, alpha: MultiIndex) -> np.ndarray:
+    """D(f) for the material-derivative identity, transported by the
+    newest velocity."""
+    U, D3Phi = calc.series("inv_d3phi"), calc.series("d3phi")
+    B = calc.unit_split_bracket(U * U, D3Phi, alpha)
+    S = calc.series(fieldname)
+    D3f = calc.op_series(S, lambda f, g: calc.grid.d_vert(f))
+    v = calc.hist.newest.v
     Vs = [calc.series(f"v{i+1}") for i in range(3)]
-    # w = v . Nb - dt(phi) per slice
-    Wsp = np.stack([
-        state.v[2] - state.v[0] * g.d1phi - state.v[1] * g.d2phi - g.dtphi
-        for state, g in zip(calc.hist, calc.gms)])
+    Wsp = calc.series(lambda state, g: advection_speed(state.v, g))
 
     # [D^alpha, vbar] . dbar f
     comm_adv = 0.0
@@ -299,13 +302,12 @@ def remainder_D(hist: History, fieldname, alpha: MultiIndex, v: np.ndarray,
         Dtf = calc.op_series(S, lambda f, g, t=taud: calc.grid.d_tan(f, t))
         comm_adv = comm_adv + calc.commutator(Vs[taud - 1], Dtf, alpha)
 
-    B = calc.unit_split_bracket(U * U, D3Phi, alpha)
     # [D^alpha, v] . Nb = D^alpha(v . Nb) - v . D^alpha(Nb), where
     # D^alpha(Nb) = (-d1 D^alpha phi, -d2 D^alpha phi, 0)
     vN = np.stack([
         state.v[2] - state.v[0] * g.d1phi - state.v[1] * g.d2phi
         for state, g in zip(calc.hist, calc.gms)])
-    DPhi = calc.D_alpha(Phi, alpha)
+    DPhi = calc.D_alpha(calc.series("phi"), alpha)
     comm_vN = (calc.D_alpha(vN, alpha)
                + v[0] * calc.grid.d_tan(DPhi, 1)
                + v[1] * calc.grid.d_tan(DPhi, 2))
@@ -316,74 +318,52 @@ def remainder_D(hist: History, fieldname, alpha: MultiIndex, v: np.ndarray,
           - Wsp[-1] * D3f[-1] * B
           + U[-1] * D3f[-1] * comm_vN)
     g3 = calc.op_series(S, lambda f, g: dphi(f, 3, g))
-    lead = calc.D_alpha(Phi, alpha) * calc.material_at(g3)
+    lead = DPhi * calc.material_at(g3)
     return lead + Dp
 
 
-def alinhac_residual(hist: History, fieldname, alpha: MultiIndex, which,
-                     gm: GraphMap) -> float:
+def alinhac_residual(calc: Calculus, fieldname, alpha: MultiIndex,
+                     which) -> float:
     """||LHS - RHS||_0 of one derivative-exchange identity.
 
     which: "tau1", "tau2", "d3", or "dt".
     """
-    calc = _calc(hist, gm)
     S = calc.series(fieldname)
-    Phi = calc.series("phi")
-    grid = calc.grid
-
-    # good unknown as a series (needed when the outer operator is D_t^phi)
-    D3f_new = dphi(S[-1], 3, calc.gm)
-    agu_new = (calc.D_alpha(S, alpha) - calc.D_alpha(Phi, alpha) * D3f_new)
+    agu_new = good_unknown(calc, fieldname, alpha)
 
     if which in ("tau1", "tau2"):
         tau = 1 if which == "tau1" else 2
         lhs = calc.D_alpha(
             calc.op_series(S, lambda f, g, t=tau: dphi(f, t, g)), alpha)
         rhs = (dphi(agu_new, tau, calc.gm)
-               + remainder_Ctau(hist, fieldname, alpha, tau, gm))
+               + remainder_Ctau(calc, fieldname, alpha, tau))
     elif which == "d3":
         lhs = calc.D_alpha(
             calc.op_series(S, lambda f, g: dphi(f, 3, g)), alpha)
         rhs = (dphi(agu_new, 3, calc.gm)
-               + remainder_C3(hist, fieldname, alpha, gm))
+               + remainder_C3(calc, fieldname, alpha))
     elif which == "dt":
         lhs = calc.D_alpha(calc.material_series(S), alpha)
+        # the good unknown as a series: the outer operator is D_t^phi
         agu_series = (calc.D_alpha_series(S, alpha)
-                      - calc.D_alpha_series(Phi, alpha)
+                      - calc.D_alpha_series(calc.series("phi"), alpha)
                       * calc.op_series(S, lambda f, g: dphi(f, 3, g)))
         rhs = (calc.material_at(agu_series)
-               + remainder_D(hist, fieldname, alpha,
-                             hist.newest.v, gm))
+               + remainder_D(calc, fieldname, alpha))
     else:
         raise ValueError(f"unknown identity {which!r}")
-    return grid.norm0(lhs - rhs)
+    return calc.grid.norm0(lhs - rhs)
 
 
-def agu_dominance(hist: History, fieldname, alpha: MultiIndex,
-                  gm: GraphMap):
-    """Check ||D^alpha f||_0 <= ||AGU||_0 + sup|d3^phi f| ||D^alpha phi||_0."""
-    calc = _calc(hist, gm)
-    S = calc.series(fieldname)
-    Phi = calc.series("phi")
-    grid = calc.grid
-    lhs = grid.norm0(calc.D_alpha(S, alpha))
-    agu = good_unknown(hist, fieldname, alpha, gm)
-    rhs = (grid.norm0(agu)
-           + float(np.abs(dphi(S[-1], 3, calc.gm)).max())
-           * grid.norm0(calc.D_alpha(Phi, alpha)))
-    return lhs, rhs, lhs <= rhs + 1e-12 * (1.0 + rhs)
-
-
-def curl_commutator_residuals(hist: History, gm: GraphMap):
+def curl_commutator_residuals(calc: Calculus):
     """Residuals of the two curl-commutator identities at the newest slice.
 
     r1: [curl^phi, D_t^phi] v = eps^{iab} d_a^phi v_k d_k^phi v_b
     r2: [curl^phi, (F_k . grad^phi)] F_k = eps^{iab} ((d_a^phi F_k) . grad^phi) F_bk
     """
-    calc = _calc(hist, gm)
     grid = calc.grid
     gmn = calc.gm
-    state = hist.newest
+    state = calc.hist.newest
     v = state.v
 
     # r1 -- needs the time derivative of v and of curl v

@@ -220,9 +220,6 @@ class History:
             raise InsufficientHistoryError(
                 f"{what} needs {nslices} stored slices, have {len(self._dq)}")
 
-    def graphmaps(self, cutoff: Cutoff, grid: Grid) -> list[GraphMap]:
-        return [s.graphmap(cutoff, grid) for s in self._dq]
-
 
 # -- serialization ------------------------------------------------------------
 

@@ -15,7 +15,12 @@ import numpy as np
 from .diagnostics import lemma_checks
 from .elliptic import project_divfree, solve_poisson_phi
 from .errors import InsufficientHistoryError
-from .good_unknowns import MultiIndex, alinhac_residual, curl_commutator_residuals
+from .good_unknowns import (
+    Calculus,
+    MultiIndex,
+    alinhac_residual,
+    curl_commutator_residuals,
+)
 from .graphmap import (
     build_graphmap,
     dphi,
@@ -212,16 +217,16 @@ def alinhac_battery(nx=32, ny=32, nz=17, b=1.0, hist_len=6) -> list[VerifyRow]:
     cut = make_cutoff(grid, b / 8, psi0_sup, strict=False)
     rows = []
 
-    hist = static_history(grid, cut, nslices=hist_len)
-    gm = hist.newest.graphmap(cut, grid)
+    calc = Calculus(static_history(grid, cut, nslices=hist_len), cut, grid)
     for alpha in (MultiIndex(0, 1, 0), MultiIndex(0, 0, 1),
                   MultiIndex(0, 1, 1), MultiIndex(0, 2, 0),
                   MultiIndex(0, 0, 2)):
         for which in ("tau1", "tau2", "d3", "dt"):
-            r = alinhac_residual(hist, "q", alpha, which, gm)
+            r = alinhac_residual(calc, "q", alpha, which)
             rows.append(VerifyRow(
                 "alinhac", f"{which} alpha=({alpha.a0};{alpha.a1},{alpha.a2})",
                 res, r, 1e-8))
+    del calc  # free its maps and series before the next history is mapped
 
     # time-derivative order study: observed order >= 3.5 encoded as
     # residual = max(0, 3.5 - order)
@@ -229,15 +234,14 @@ def alinhac_battery(nx=32, ny=32, nz=17, b=1.0, hist_len=6) -> list[VerifyRow]:
     rs = []
     for dt in dts:
         h = moving_history(grid, cut, nslices=hist_len, dt=dt, freq=3.0)
-        g = h.newest.graphmap(cut, grid)
-        rs.append(alinhac_residual(h, "q", MultiIndex(1, 0, 0), "tau1", g))
+        rs.append(alinhac_residual(Calculus(h, cut, grid), "q",
+                                   MultiIndex(1, 0, 0), "tau1"))
     order = float(np.polyfit(np.log(dts), np.log(rs), 1)[0])
     rows.append(VerifyRow("alinhac", f"dt order (measured {order:.2f})", res,
                           max(0.0, 3.5 - order), 0.0))
 
     steady = steady_sheared_history(grid, cut, nslices=hist_len)
-    gms = steady.newest.graphmap(cut, grid)
-    rec = curl_commutator_residuals(steady, gms)
+    rec = curl_commutator_residuals(Calculus(steady, cut, grid))
     rows.append(VerifyRow("alinhac", "curl commutator r1", res,
                           rec["r1"], 1e-8))
     rows.append(VerifyRow("alinhac", "curl commutator r2", res,

@@ -150,9 +150,9 @@ def test_blow_up_exits_1(tmp_path, capsys, monkeypatch):
     original = capelast.evolve.step_rk4
 
     def blowing_up(*args, **kwargs):
-        new = original(*args, **kwargs)
+        new, gm = original(*args, **kwargs)
         new.v[2, 0, 0, 0] = np.nan
-        return new
+        return new, gm
 
     monkeypatch.setattr(capelast.evolve, "step_rk4", blowing_up)
     cfgpath = _write(tmp_path, REST_CONFIG)

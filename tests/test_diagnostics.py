@@ -11,6 +11,7 @@ from capelast.diagnostics import (
     rt_monitor,
     transport_residual,
 )
+from capelast.good_unknowns import Calculus
 from capelast.graphmap import build_graphmap, dphi, flat_graphmap, make_cutoff
 from capelast.recipes import ShearRecipe
 from capelast.state import History, InitSpec, State, build_initial_data, zero_state
@@ -138,7 +139,7 @@ def test_transport_residual_compatible_family():
     g = make_grid(32, 32, 17, 1.0, dealias=False)
     cut = make_cutoff(g, 0.125, 0.12, strict=False)
     hist = compatible_history(g, cut)
-    r = transport_residual(hist, cut, g, "q")
+    r = transport_residual(Calculus(hist, cut, g), "q")
     assert r <= 1e-8, r
 
 

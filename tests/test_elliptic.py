@@ -3,7 +3,6 @@ import numpy as np
 from capelast import elliptic, make_grid
 from capelast.elliptic import (
     _apply_bc_operator,
-    hodge_report,
     pressure_rhs,
     project_divfree,
     solve_poisson_phi,
@@ -221,31 +220,3 @@ def test_all_neumann_compatibility_and_solve():
         np.zeros_like(Wstar), neu_top, np.zeros((16, 16)), gm, g, tol=1e-10)
     assert abs(compat) <= 1e-10
     assert g.norm0(W - Wstar) <= 1e-6
-
-
-def test_hodge_report_cases():
-    g = make_grid(16, 16, 9, 1.0)
-    gm = flat_graphmap(g)
-    X1, X2, X3 = g.mesh_volume()
-    rep0 = hodge_report(np.zeros((3, 16, 16, 9)), gm, g, 1)
-    assert rep0.ratio is None and rep0.norm_s == 0.0
-
-    X = np.stack([np.cos(X2), np.zeros_like(X2), np.zeros_like(X2)])
-    rep = hodge_report(X, gm, g, 1)
-    val = np.sqrt(2.0 * np.pi**2)  # L2 of cos over the unit-depth slab
-    assert abs(rep.div_norm) <= 1e-10
-    assert abs(rep.curl_norm - val) <= 1e-8
-    assert abs(rep.norm_0 - val) <= 1e-10
-    assert abs(rep.norm_s - np.sqrt(2.0) * val) <= 1e-8
-    assert rep.ratio is not None
-
-
-def test_hodge_ratio_stable_under_refinement():
-    ratios = []
-    for (nx, nz) in ((12, 9), (24, 17)):
-        g = make_grid(nx, nx, nz, 1.0)
-        gm = wavy_gm(g, amp=0.03)
-        X1, X2, X3 = g.mesh_volume()
-        X = np.stack([np.cos(X2) * (1 + X3), np.sin(X1 + X2), X3 * (1 + X3)])
-        ratios.append(hodge_report(X, gm, g, 1).ratio)
-    assert abs(ratios[0] - ratios[1]) <= 0.1 * abs(ratios[1])

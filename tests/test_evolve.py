@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import capelast.evolve
-from capelast import CFLError, Grid
+import capelast.state
+from capelast import CFLError, Grid, NonFiniteStateError, SolverConvergenceError
 from capelast.elliptic import pressure_rhs, stage_fields
 from capelast.evolve import RunConfig, cfl_limit, run, step_rk4, tendencies
 from capelast.graphmap import grad_phi_stack, material_derivative
@@ -26,9 +27,8 @@ def test_rest_state_is_fixed_point():
 def test_steady_shear_preserved():
     spec = InitSpec(nx=16, ny=16, nz=9, b=1.0, sigma=0.3,
                     v_recipe=ShearRecipe(comp=1, dep_axis=2, k=1, amp=1.0))
-    state, gm, cut = build_initial_data(spec)
-    g = spec.make_grid()
-    new = step_rk4(state, cut, g, 0.02)
+    state, gm, _ = build_initial_data(spec)
+    new, _ = step_rk4(state, gm, 0.02)
     assert np.abs(new.v - state.v).max() <= 1e-10
     assert np.abs(new.psi - state.psi).max() <= 1e-10
 
@@ -38,9 +38,8 @@ def test_elastic_shear_rest_persists():
     spec = InitSpec(nx=16, ny=16, nz=9, b=1.0, sigma=0.0,
                     F_recipes=(ShearRecipe(comp=1, dep_axis=2, amp=0.3),
                                None, None))
-    state, gm, cut = build_initial_data(spec)
-    g = spec.make_grid()
-    new = step_rk4(state, cut, g, 0.02)
+    state, gm, _ = build_initial_data(spec)
+    new, _ = step_rk4(state, gm, 0.02)
     assert np.abs(new.v).max() <= 1e-11
     assert np.abs(new.F - state.F).max() <= 1e-11
 
@@ -48,14 +47,13 @@ def test_elastic_shear_rest_persists():
 def test_cfl_rejection_with_suggestion():
     spec = InitSpec(nx=16, ny=16, nz=9, b=1.0, sigma=1.0,
                     v_recipe=ShearRecipe(comp=1, dep_axis=2, amp=1.0))
-    state, gm, cut = build_initial_data(spec)
-    g = spec.make_grid()
-    bound = cfl_limit(state, gm, g)
+    state, gm, _ = build_initial_data(spec)
+    bound = cfl_limit(state, gm, gm.grid)
     with pytest.raises(CFLError) as exc:
-        step_rk4(state, cut, g, 10.0 * bound)
+        step_rk4(state, gm, 10.0 * bound)
     assert exc.value.suggested_dt == pytest.approx(bound)
     # an admissible step passes
-    step_rk4(state, cut, g, 0.9 * bound)
+    step_rk4(state, gm, 0.9 * bound)
 
 
 def test_run_aborts_cleanly_on_cfl():
@@ -71,12 +69,11 @@ def test_reversibility_smoke():
     spec = InitSpec(nx=16, ny=16, nz=9, b=1.0, sigma=0.2,
                     psi_modes=((1, 0, 5e-3, 0.0),),
                     v_recipe=StreamRecipe(amp=0.1, k=1, profile="sinh"))
-    state, _, cut = build_initial_data(spec)
-    g = spec.make_grid()
+    state, gm, _ = build_initial_data(spec)
 
     def roundtrip(dt):
-        fwd = step_rk4(state, cut, g, dt, check_cfl=False, project=False)
-        back = step_rk4(fwd, cut, g, -dt, check_cfl=False, project=False)
+        fwd, gm_fwd = step_rk4(state, gm, dt, check_cfl=False, project=False)
+        back, _ = step_rk4(fwd, gm_fwd, -dt, check_cfl=False, project=False)
         return (np.abs(back.v - state.v).max()
                 + np.abs(back.psi - state.psi).max())
 
@@ -243,8 +240,7 @@ def test_tendencies_match_per_product_truncation_3d():
 def test_step_dealiases_once_per_stage(monkeypatch):
     # one bundle per stage: v and F are dealiased once, the pressure
     # source and bottom flux once each, and each tendency once
-    state, _, cut = build_initial_data(oblique_spec())
-    g = oblique_spec().make_grid()
+    state, gm, _ = build_initial_data(oblique_spec())
     calls = []
     original = Grid.dealias_tangential
 
@@ -253,7 +249,7 @@ def test_step_dealiases_once_per_stage(monkeypatch):
         return original(self, f)
 
     monkeypatch.setattr(Grid, "dealias_tangential", counting)
-    step_rk4(state, cut, g, 0.01)
+    step_rk4(state, gm, 0.01)
     assert len(calls) <= 26
 
 
@@ -261,10 +257,10 @@ def test_blow_up_is_named(monkeypatch):
     original = capelast.evolve.step_rk4
 
     def blowing_up(*args, **kwargs):
-        new = original(*args, **kwargs)
+        new, gm = original(*args, **kwargs)
         new.F[0, 1, 2, 3, 4] = np.nan
         new.q[0, 0, 0] = np.inf
-        return new
+        return new, gm
 
     monkeypatch.setattr(capelast.evolve, "step_rk4", blowing_up)
     cfg = RunConfig(init=InitSpec(nx=8, ny=8, nz=9, b=1.0, sigma=0.2,
@@ -273,3 +269,42 @@ def test_blow_up_is_named(monkeypatch):
     res = run(cfg)
     assert res.aborted == "NonFiniteStateError: F is not finite at t = 0.02"
     assert len(res.diagnostics) == 1
+
+
+def capillary_spec():
+    return InitSpec(nx=8, ny=8, nz=9, b=1.0, sigma=0.2,
+                    psi_modes=((1, 0, 1e-3, 0.0),))
+
+
+@pytest.mark.parametrize("component", [0, 2])
+def test_nan_entering_a_step_is_named(component):
+    state, gm, _ = build_initial_data(capillary_spec())
+    state.v[component, 1, 2, 3] = np.nan
+    assert np.isnan(cfl_limit(state, gm, gm.grid))
+    with pytest.raises(NonFiniteStateError, match="v is not finite at t = 0"):
+        step_rk4(state, gm, 0.01)
+    # unchecked, the NaN reaches the first pressure solve, which stops
+    # before any Krylov iteration
+    with pytest.raises(SolverConvergenceError) as exc:
+        step_rk4(state, gm, 0.01, check_cfl=False)
+    assert exc.value.iterations == 0
+
+
+@pytest.mark.parametrize("spectral_filter, per_step", [(False, 5), (True, 6)])
+def test_run_builds_each_step_map_once(monkeypatch, spectral_filter,
+                                       per_step):
+    # initial data build two maps; a step builds stages k2-k4, the
+    # projection map and the post-step map, which the next step reuses;
+    # the filter changes psi and v, so its map is built again
+    builds = []
+    original = capelast.state.build_graphmap
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(capelast.state, "build_graphmap", counting)
+    res = run(RunConfig(init=capillary_spec(), t_final=0.06, dt=0.02,
+                        spectral_filter=spectral_filter))
+    assert res.aborted is None and len(res.diagnostics) == 4
+    assert len(builds) == per_step * 3 + 2

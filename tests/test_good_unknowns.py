@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from capelast import InsufficientHistoryError, make_grid
+import capelast.state
+from capelast import InsufficientHistoryError, make_grid, verify
 from capelast.good_unknowns import (
     Calculus,
     MultiIndex,
-    agu_dominance,
     alinhac_residual,
     curl_commutator_residuals,
     fornberg_weights,
@@ -13,7 +13,6 @@ from capelast.good_unknowns import (
     remainder_C3,
     remainder_Ctau,
     remainder_D,
-    tangential_derivative,
 )
 from capelast.graphmap import make_cutoff
 from capelast.state import History, State
@@ -28,8 +27,7 @@ def make_history(grid, cutoff, nslices, dt, psi_fn, v_fn, f_fn, t0=0.3):
         state = State(t=t, psi=psi, v=v_fn(t), F=np.zeros((3, 3) + shape),
                       q=f_fn(t), sigma=0.0, psi_t=psi_t)
         hist.push(state)
-    gm = hist.newest.graphmap(cutoff, grid)
-    return hist, gm
+    return hist
 
 
 def wavy_setup(grid, moving=True, amp=0.06, freq=1.0):
@@ -89,23 +87,26 @@ def test_tangential_derivative_cases():
         z = np.zeros((16, 16))
         return z, z
 
-    hist, gm = make_history(
+    hist = make_history(
         g, cut, 6, 0.05, psi_fn,
         lambda t: np.zeros((3, 16, 16, 9)),
         lambda t: t * (np.cos(X1) * (1 + X3)),  # linear in t
     )
+    calc = Calculus(hist, cut, g)
+    q = calc.series("q")
     # spatial alpha on the newest slice
-    got = tangential_derivative(hist, "q", MultiIndex(0, 1, 0), g, cut)
+    got = calc.D_alpha(q, MultiIndex(0, 1, 0))
     t_new = hist.newest.t
     assert np.abs(got + t_new * np.sin(X1) * (1 + X3)).max() <= 1e-10
     # first time derivative of a linear-in-t field is exact
-    got_t = tangential_derivative(hist, "q", MultiIndex(1, 0, 0), g, cut)
+    got_t = calc.D_alpha(q, MultiIndex(1, 0, 0))
     assert np.abs(got_t - np.cos(X1) * (1 + X3)).max() <= 1e-9
     # analytic mixed derivative
-    hist2, _ = make_history(
+    hist2 = make_history(
         g, cut, 6, 0.05, psi_fn, lambda t: np.zeros((3, 16, 16, 9)),
         lambda t: np.exp(-t) * np.cos(X1) * np.cos(X2))
-    got_m = tangential_derivative(hist2, "q", MultiIndex(2, 1, 1), g, cut)
+    calc2 = Calculus(hist2, cut, g)
+    got_m = calc2.D_alpha(calc2.series("q"), MultiIndex(2, 1, 1))
     t_new = hist2.newest.t
     expect = np.exp(-t_new) * np.sin(X1) * np.sin(X2)
     assert np.abs(got_m - expect).max() <= 5e-6  # dt^2 of the interpolant
@@ -114,26 +115,41 @@ def test_tangential_derivative_cases():
         short = History(maxlen=5)
         for k in range(2):
             short.push(hist[k])
-        tangential_derivative(short, "q", MultiIndex(3, 0, 0), g, cut)
+        calc_s = Calculus(short, cut, g)
+        calc_s.D_alpha(calc_s.series("q"), MultiIndex(3, 0, 0))
+
+
+def test_named_series_stacked_once_and_read_only():
+    g = make_grid(8, 8, 9, 1.0, dealias=False)
+    cut = make_cutoff(g, 0.1, 0.1, strict=False)
+    psi_fn, v_fn, f_fn = wavy_setup(g)
+    calc = Calculus(make_history(g, cut, 5, 0.05, psi_fn, v_fn, f_fn), cut, g)
+    for name in ("q", "v2", "phi", "inv_d3phi"):
+        S = calc.series(name)
+        assert calc.series(name) is S
+        assert not S.flags.writeable
+        with pytest.raises(ValueError):
+            S[-1] += 1.0
+    assert np.array_equal(calc.series("d3phi")[2], calc.gms[2].d3phi)
 
 
 def test_good_unknown_flat_and_phi_identity():
     g = make_grid(16, 16, 9, 1.0, dealias=False)
     cut = make_cutoff(g, 0.1, 0.1, strict=False)
     psi_fn, v_fn, f_fn = wavy_setup(g, moving=True)
-    hist, gm = make_history(g, cut, 6, 0.05, psi_fn, v_fn, f_fn)
+    hist = make_history(g, cut, 6, 0.05, psi_fn, v_fn, f_fn)
     alpha = MultiIndex(0, 1, 0)
     # f = phi: the good unknown vanishes identically (d3^phi phi = 1)
-    agu_phi = good_unknown(hist, "phi", alpha, gm)
+    agu_phi = good_unknown(Calculus(hist, cut, g), "phi", alpha)
     assert np.abs(agu_phi).max() <= 1e-12
 
     # static flat surface: good unknown reduces to D^alpha f
     zero = np.zeros((16, 16))
-    hist0, gm0 = make_history(g, cut, 6, 0.05, lambda t: (zero, zero),
-                              v_fn, f_fn)
+    hist0 = make_history(g, cut, 6, 0.05, lambda t: (zero, zero),
+                         v_fn, f_fn)
     calc = Calculus(hist0, cut, g)
     expect = calc.D_alpha(calc.series("q"), alpha)
-    got = good_unknown(hist0, "q", alpha, gm0)
+    got = good_unknown(calc, "q", alpha)
     assert np.abs(got - expect).max() <= 1e-13
 
 
@@ -145,21 +161,21 @@ def test_remainders_collapse_flat_static():
     zero = np.zeros((16, 16))
     const_v = np.stack([np.ones((16, 16, 9)), 0.5 * np.ones((16, 16, 9)),
                         np.zeros((16, 16, 9))])
-    hist, gm = make_history(g, cut, 6, 0.05, lambda t: (zero, zero),
-                            lambda t: const_v,
-                            lambda t: np.cos(X1) * (1 + X3) ** 2
-                            * (1 + 0.2 * np.sin(t)))
+    hist = make_history(g, cut, 6, 0.05, lambda t: (zero, zero),
+                        lambda t: const_v,
+                        lambda t: np.cos(X1) * (1 + X3) ** 2
+                        * (1 + 0.2 * np.sin(t)))
+    calc = Calculus(hist, cut, g)
     for alpha in (MultiIndex(0, 1, 0), MultiIndex(1, 0, 0),
                   MultiIndex(0, 1, 1)):
-        assert np.abs(remainder_Ctau(hist, "q", alpha, 1, gm)).max() <= 1e-11
-        assert np.abs(remainder_C3(hist, "q", alpha, gm)).max() <= 1e-11
-        assert np.abs(remainder_D(hist, "q", alpha, hist.newest.v,
-                                  gm)).max() <= 1e-9
+        assert np.abs(remainder_Ctau(calc, "q", alpha, 1)).max() <= 1e-11
+        assert np.abs(remainder_C3(calc, "q", alpha)).max() <= 1e-11
+        assert np.abs(remainder_D(calc, "q", alpha)).max() <= 1e-9
         for which in ("tau1", "tau2", "d3", "dt"):
-            assert alinhac_residual(hist, "q", alpha, which, gm) <= 1e-9
+            assert alinhac_residual(calc, "q", alpha, which) <= 1e-9
 
     with pytest.raises(ValueError):
-        remainder_C3(hist, "q", MultiIndex(0, 0, 0), gm)
+        remainder_C3(calc, "q", MultiIndex(0, 0, 0))
 
 
 def test_order_one_triple_brackets_vanish():
@@ -167,7 +183,7 @@ def test_order_one_triple_brackets_vanish():
     g = make_grid(32, 32, 17, 1.0, dealias=False)
     cut = make_cutoff(g, 0.125, 0.1, strict=False)
     psi_fn, v_fn, f_fn = wavy_setup(g)
-    hist, gm = make_history(g, cut, 6, 0.05, psi_fn, v_fn, f_fn)
+    hist = make_history(g, cut, 6, 0.05, psi_fn, v_fn, f_fn)
     calc = Calculus(hist, cut, g)
     A = calc.series(lambda s, gmk: gmk.inv_d3phi)
     B = calc.series(lambda s, gmk: g.d_vert(s.q))
@@ -182,11 +198,12 @@ def test_identity_residuals_spatial_static():
     g = make_grid(32, 32, 17, 1.0, dealias=False)
     cut = make_cutoff(g, 0.125, 0.1, strict=False)
     psi_fn, v_fn, f_fn = wavy_setup(g, moving=False)
-    hist, gm = make_history(g, cut, 6, 0.05, psi_fn, v_fn, f_fn)
+    hist = make_history(g, cut, 6, 0.05, psi_fn, v_fn, f_fn)
+    calc = Calculus(hist, cut, g)
     for alpha in (MultiIndex(0, 1, 0), MultiIndex(0, 0, 1),
                   MultiIndex(0, 1, 1), MultiIndex(0, 2, 0)):
         for which in ("tau1", "tau2", "d3", "dt"):
-            r = alinhac_residual(hist, "q", alpha, which, gm)
+            r = alinhac_residual(calc, "q", alpha, which)
             assert r <= 1e-8, (alpha, which, r)
 
 
@@ -200,8 +217,9 @@ def test_identity_residual_time_order():
     dts = (0.12, 0.06, 0.03)
     res = []
     for dt in dts:
-        hist, gm = make_history(g, cut, 6, dt, psi_fn, v_fn, f_fn)
-        res.append(alinhac_residual(hist, "q", alpha, "tau1", gm))
+        hist = make_history(g, cut, 6, dt, psi_fn, v_fn, f_fn)
+        res.append(alinhac_residual(Calculus(hist, cut, g), "q", alpha,
+                                    "tau1"))
     order = np.polyfit(np.log(dts), np.log(res), 1)[0]
     assert order >= 3.5, (res, order)
 
@@ -212,21 +230,13 @@ def test_top_order_alpha_accepted():
     g = make_grid(16, 16, 13, 1.0, dealias=False)
     cut = make_cutoff(g, 0.1, 0.1, strict=False)
     psi_fn, v_fn, f_fn = wavy_setup(g, moving=False)
-    hist, gm = make_history(g, cut, 6, 0.05, psi_fn, v_fn, f_fn)
+    hist = make_history(g, cut, 6, 0.05, psi_fn, v_fn, f_fn)
     alpha = MultiIndex(0, 2, 2)
-    r = alinhac_residual(hist, "q", alpha, "tau1", gm)
+    calc = Calculus(hist, cut, g)
+    r = alinhac_residual(calc, "q", alpha, "tau1")
     assert np.isfinite(r) and r <= 1e-4
-    agu = good_unknown(hist, "q", alpha, gm)
+    agu = good_unknown(calc, "q", alpha)
     assert np.isfinite(agu).all()
-
-
-def test_agu_dominance_holds():
-    g = make_grid(16, 16, 13, 1.0, dealias=False)
-    cut = make_cutoff(g, 0.1, 0.1, strict=False)
-    psi_fn, v_fn, f_fn = wavy_setup(g)
-    hist, gm = make_history(g, cut, 6, 0.05, psi_fn, v_fn, f_fn)
-    lhs, rhs, ok = agu_dominance(hist, "q", MultiIndex(1, 1, 0), gm)
-    assert ok and lhs <= rhs + 1e-12
 
 
 def test_curl_commutators_trivial_and_steady():
@@ -236,9 +246,9 @@ def test_curl_commutators_trivial_and_steady():
     zero = np.zeros((16, 16))
     const_v = np.stack([np.ones((16, 16, 13)), np.zeros((16, 16, 13)),
                         np.zeros((16, 16, 13))])
-    hist, gm = make_history(g, cut, 6, 0.05, lambda t: (zero, zero),
-                            lambda t: const_v, lambda t: np.zeros((16, 16, 13)))
-    rec = curl_commutator_residuals(hist, gm)
+    hist = make_history(g, cut, 6, 0.05, lambda t: (zero, zero),
+                        lambda t: const_v, lambda t: np.zeros((16, 16, 13)))
+    rec = curl_commutator_residuals(Calculus(hist, cut, g))
     assert rec["r1"] <= 1e-11 and rec["r2"] <= 1e-13
 
     # steady sheared state with a wavy frozen surface
@@ -254,7 +264,21 @@ def test_curl_commutators_trivial_and_steady():
         hist2.push(State(t=0.05 * k, psi=psi, v=vfield, F=F,
                          q=np.zeros((16, 16, 13)), sigma=0.0,
                          psi_t=np.zeros_like(psi)))
-    gm2 = hist2.newest.graphmap(cut, g)
-    rec2 = curl_commutator_residuals(hist2, gm2)
+    rec2 = curl_commutator_residuals(Calculus(hist2, cut, g))
     assert rec2["r1"] <= 1e-8, rec2
     assert rec2["r2"] <= 1e-8, rec2
+
+
+def test_alinhac_battery_builds_each_map_once(monkeypatch):
+    # five histories of six slices: one map per slice, none rebuilt
+    builds = []
+    original = capelast.state.build_graphmap
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(capelast.state, "build_graphmap", counting)
+    rows = verify.alinhac_battery(16, 16, 9)
+    assert len(rows) == 23  # 20 identity rows, dt order, two curl rows
+    assert len(builds) == 30
