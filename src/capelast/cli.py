@@ -23,7 +23,7 @@ from .diagnostics import CSV_COLUMNS
 from .errors import CapelastError, ConfigError, InsufficientHistoryError
 from .evolve import run
 from .recipes import RandomRecipe
-from .sigma_sweep import limit_compare, sweep_sigma
+from .sigma_sweep import sweep_sigma
 from .state import save_state
 from .verify import CSV_HEADER, run_battery
 
@@ -80,8 +80,6 @@ def _apply_overrides(cfg, args):
         if val is not None:
             init_kw[key] = val
     if args.seed is not None:
-        init_kw["seed"] = args.seed
-
         def reseed(r):
             if isinstance(r, RandomRecipe):
                 return dataclasses.replace(r, seed=args.seed)
@@ -162,18 +160,7 @@ def cmd_sweep_sigma(args) -> int:
     if "rt_c0" in sweep_opts:
         cfg = dataclasses.replace(cfg, rt_c0=sweep_opts["rt_c0"])
 
-    positive = [s for s in sigmas if s > 0]
-    report = sweep_sigma(cfg, positive if 0.0 in sigmas else sigmas)
-    if 0.0 in sigmas and not report.aborted:
-        zero_cfg = dataclasses.replace(
-            cfg, init=dataclasses.replace(cfg.init, sigma=0.0))
-        zero = run(zero_cfg)
-        if zero.aborted:
-            report.aborted = True
-            report.verdict = "void (sigma=0 member aborted)"
-        else:
-            report = limit_compare(report, zero)
-
+    report = sweep_sigma(cfg, sigmas)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "sweep.csv"), "w") as fh:
         fh.write("\n".join(report.csv_rows()) + "\n")

@@ -48,7 +48,6 @@ def config_to_text(cfg: RunConfig, sweep: dict | None = None) -> str:
         "f2": recipe_to_text(init.F_recipes[1]),
         "f3": recipe_to_text(init.F_recipes[2]),
         "project": _fmt(init.project),
-        "seed": _fmt(init.seed),
     }
     cp["physics"] = {"sigma": _fmt(init.sigma)}
     cp["time"] = {
@@ -127,7 +126,6 @@ def parse_config_text(text: str):
                    parse_recipe(get("fields", "f2", str, "none")),
                    parse_recipe(get("fields", "f3", str, "none"))),
         project=get("fields", "project", bool, True),
-        seed=get("fields", "seed", int, 0),
         sigma=get("physics", "sigma", float),
     )
     cfg = RunConfig(

@@ -22,7 +22,6 @@ one spectral pass over v and F.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -33,7 +32,6 @@ from .errors import SolverConvergenceError
 from .graphmap import GraphMap, div_phi, grad_phi_stack, laplace_phi
 from .grid import Grid, irfft2, rfft2
 
-log = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-9
 MAX_ITER = 500
@@ -154,48 +152,6 @@ def solve_poisson_phi(rhs: np.ndarray, dir_top: np.ndarray,
         f"poisson solve stalled: residual {achieved:.3e} > {target:.3e} "
         f"after {iters[0]} preconditioned iterations",
         achieved_residual=achieved, iterations=iters[0])
-
-
-def solve_poisson_phi_neumann(rhs: np.ndarray, neu_top: np.ndarray,
-                              neu_bottom: np.ndarray, gm: GraphMap,
-                              grid: Grid, tol: float = DEFAULT_TOL):
-    """All-Neumann variant used for experiments.
-
-    Logs the compatibility defect int(rhs d3phi) + int_Sigma h_top
-    - int_Sigma_b h_bot, fixes the gauge by zero mean, and returns
-    (W, compatibility_defect).
-    """
-    compat = (grid.quad_volume(rhs * gm.d3phi)
-              + grid.quad_surface(neu_top)
-              - grid.quad_surface(neu_bottom))
-    log.info("all-Neumann solve: compatibility defect %.3e", compat)
-
-    # iterate on Dirichlet top data until the top Neumann trace matches,
-    # using the flat Dirichlet-to-Neumann map as the update
-    top = np.zeros((grid.nx, grid.ny))
-    W = solve_poisson_phi(rhs, top, neu_bottom, gm, grid, tol=tol)
-    for _ in range(60):
-        gW = grad_phi_stack(W, gm)
-        trace = (gW[0][:, :, 0] * gm.N[0] + gW[1][:, :, 0] * gm.N[1]
-                 + gW[2][:, :, 0] * gm.N[2])
-        defect = trace - neu_top
-        if grid.norm0(defect) <= 10 * tol * (1.0 + grid.norm0(neu_top)):
-            break
-        # Dirichlet update via the flat Dirichlet-to-Neumann map
-        top -= _dtn_inverse(defect, grid)
-        W = solve_poisson_phi(rhs, top, neu_bottom, gm, grid, tol=tol)
-    W = W - grid.quad_volume(W * gm.d3phi) / grid.quad_volume(gm.d3phi)
-    return W, compat
-
-
-def _dtn_inverse(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """Invert the flat Dirichlet-to-Neumann map k tanh(kb) on the surface."""
-    kmag = np.sqrt(grid.k1[:, None] ** 2 + grid.k2[None, :] ** 2)
-    dtn = kmag * np.tanh(kmag * grid.b)
-    dtn[0, 0] = 1.0
-    inv = 1.0 / dtn
-    inv[0, 0] = 0.0
-    return grid.tan_multiply(f, inv)
 
 
 @dataclass

@@ -30,8 +30,8 @@ class SolverConvergenceError(CapelastError, RuntimeError):
 
 
 class NonFiniteStateError(CapelastError, FloatingPointError):
-    """A stepped state holds NaN or Inf; the message names the first such
-    field and the time it was reached."""
+    """A state or surface holds NaN or Inf; the message names the first
+    such field and, for a stepped state, the time it was reached."""
 
 
 class InsufficientHistoryError(CapelastError, ValueError):

@@ -262,7 +262,8 @@ def _record(state, gm, hist, grid, dt, kmax) -> DiagnosticsRecord:
 
 def run(config: RunConfig) -> RunResult:
     """Evolve to t_final, emitting one diagnostics record per step."""
-    state, gm, cutoff = build_initial_data(config.init)
+    state, gm, cutoff = build_initial_data(config.init,
+                                           tol=config.solver_tol)
     grid = gm.grid
     nsteps = max(0, round(config.t_final / config.dt)) if config.t_final > 0 else 0
     dt = config.t_final / nsteps if nsteps else config.dt

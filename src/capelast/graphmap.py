@@ -25,7 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMapError, GridError, InfeasibleWidthError
+from .errors import (
+    DegenerateMapError,
+    GridError,
+    InfeasibleWidthError,
+    NonFiniteStateError,
+)
 from .grid import Grid
 
 CUBIC_SLOPE = 1.5  # max of 6 u (1 - u) on [0, 1]
@@ -99,7 +104,6 @@ class GraphMap:
     a31: np.ndarray
     a32: np.ndarray
     a33: np.ndarray
-    Nb: np.ndarray       # interior normal-like field (-d1phi, -d2phi, 1)
     N: np.ndarray        # surface normal (-d1psi, -d2psi, 1) on Sigma
     c0: float
 
@@ -109,6 +113,9 @@ def build_graphmap(psi: np.ndarray, psi_t: np.ndarray, cutoff: Cutoff,
     """Assemble the geometry for a surface psi with time derivative psi_t."""
     if psi.shape != (grid.nx, grid.ny):
         raise GridError(f"psi shape {psi.shape} does not match grid")
+    # the chart checks below compare against NaN as False and would pass
+    if not np.isfinite(psi).all():
+        raise NonFiniteStateError("psi is not finite")
     chi = cutoff.chi[None, None, :]
     chip = cutoff.chi_prime[None, None, :]
     pcol = psi[:, :, None]
@@ -131,13 +138,12 @@ def build_graphmap(psi: np.ndarray, psi_t: np.ndarray, cutoff: Cutoff,
     dtphi = chi * psi_t[:, :, None]
     inv = 1.0 / d3phi
 
-    Nb = np.stack([-d1phi, -d2phi, np.ones_like(d3phi)])
     N = np.stack([-d1psi, -d2psi, np.ones_like(psi)])
     return GraphMap(grid=grid, cutoff=cutoff, psi=psi, psi_t=psi_t,
                     phi=phi, d1phi=d1phi, d2phi=d2phi, d3phi=d3phi,
                     dtphi=dtphi, inv_d3phi=inv,
                     a31=-d1phi * inv, a32=-d2phi * inv, a33=inv,
-                    Nb=Nb, N=N, c0=c0)
+                    N=N, c0=c0)
 
 
 def flat_graphmap(grid: Grid, delta0: float | None = None) -> GraphMap:

@@ -7,12 +7,18 @@ verdict is withheld whenever any member violates the requested sign
 condition min(-d3 q) >= c0 somewhere along its run, since the sigma-uniform
 behaviour is conditional on that bound.  Members run sequentially and
 deterministically; they share the grid, time step, and snapshot cadence.
+
+A sweep takes at least two members.  A sigma = 0 entry, which a
+non-increasing list holds last, runs and is gated like any other member;
+the verdict then reads the distances d(sigma_i, 0) of the positive members
+to it, which is the zero-surface-tension limit, and otherwise the
+distances between consecutive members.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,12 +64,15 @@ class SweepMember:
 class SweepReport:
     members: list[SweepMember]
     pair_distances: list[tuple[float, float, float]]  # (sigma_i, sigma_j, d)
+    limit_distances: list[tuple[float, float]]        # (sigma_i, d(sigma_i, 0))
     rt_required: float
     rt_ok: bool
     monotone: bool | None
     verdict: str
-    aborted: bool = False
-    limit_distances: list[tuple[float, float]] = field(default_factory=list)
+
+    @property
+    def aborted(self) -> bool:
+        return any(m.aborted for m in self.members)
 
     def csv_rows(self):
         rows = ["sigma_i,sigma_j,distance,rt_min_i,verdict"]
@@ -91,13 +100,19 @@ class SweepReport:
 
 
 def sweep_sigma(base: RunConfig, sigmas) -> SweepReport:
-    """Run each sigma from shared initial data and measure pair distances.
+    """Run each sigma from shared initial data and measure distances.
 
-    ``sigmas`` must be non-increasing and non-negative (equal entries are
-    allowed and give zero distance); the monotonicity verdict only applies
-    to strictly decreasing lists.
+    ``sigmas`` must hold at least two entries and be non-increasing and
+    non-negative (equal entries are allowed and give zero distance); the
+    monotonicity verdict only applies to strictly decreasing lists.
+    ``pair_distances`` join consecutive positive members, and
+    ``limit_distances`` join each positive member to the sigma = 0 member
+    when the list holds one.
     """
     sigmas = [float(s) for s in sigmas]
+    if len(sigmas) < 2:
+        raise ConfigError(
+            f"a sigma sweep needs at least two values, got {len(sigmas)}")
     if any(s < 0 for s in sigmas):
         raise ConfigError("sigma values must be >= 0")
     if any(s2 > s1 for s1, s2 in zip(sigmas, sigmas[1:])):
@@ -113,12 +128,16 @@ def sweep_sigma(base: RunConfig, sigmas) -> SweepReport:
         log.info("sweep member sigma=%g: rt_min=%.4f aborted=%s",
                  s, rt_min, result.aborted)
 
+    positive = [m for m in members if m.sigma > 0.0]
+    zero = next((m for m in members if m.sigma == 0.0), None)
     aborted = any(m.aborted for m in members)
-    pair = []
+    pair, limit = [], []
     if not aborted:
-        for m1, m2 in zip(members, members[1:]):
-            pair.append((m1.sigma, m2.sigma,
-                         run_distance(m1.result, m2.result)))
+        pair = [(m1.sigma, m2.sigma, run_distance(m1.result, m2.result))
+                for m1, m2 in zip(positive, positive[1:])]
+        if zero is not None:
+            limit = [(m.sigma, run_distance(m.result, zero.result))
+                     for m in positive]
 
     rt_ok = all(m.rt_min >= base.rt_c0 for m in members)
     strict = all(s1 > s2 for s1, s2 in zip(sigmas, sigmas[1:]))
@@ -129,29 +148,10 @@ def sweep_sigma(base: RunConfig, sigmas) -> SweepReport:
     elif not strict:
         verdict, monotone = "trivial (non-strict sigma list)", None
     else:
-        ds = [d for (_, _, d) in pair]
+        ds = ([d for (_, d) in limit] if zero is not None
+              else [d for (_, _, d) in pair])
         monotone = all(d1 > d2 for d1, d2 in zip(ds, ds[1:]))
         verdict = "monotone decreasing" if monotone else "not monotone"
     return SweepReport(members=members, pair_distances=pair,
-                       rt_required=base.rt_c0, rt_ok=rt_ok,
-                       monotone=monotone, verdict=verdict, aborted=aborted)
-
-
-def limit_compare(report: SweepReport, zero_result: RunResult) -> SweepReport:
-    """Attach distances d(sigma_i, 0) against a completed sigma = 0 run."""
-    if zero_result is None or zero_result.aborted:
-        raise ConfigError("limit comparison needs a completed sigma = 0 run")
-    if abs(zero_result.final.sigma) != 0.0:
-        raise ConfigError("reference run must have sigma = 0")
-    report.limit_distances = [
-        (m.sigma, run_distance(m.result, zero_result))
-        for m in report.members if m.sigma > 0.0]
-    if report.rt_ok and report.limit_distances:
-        ds = [d for (_, d) in report.limit_distances]
-        decreasing = all(d1 > d2 for d1, d2 in zip(ds, ds[1:]))
-        report.verdict = ("monotone decreasing"
-                          if decreasing else "not monotone")
-        report.monotone = decreasing
-    elif not report.rt_ok:
-        report.verdict = "withheld (sign condition violated)"
-    return report
+                       limit_distances=limit, rt_required=base.rt_c0,
+                       rt_ok=rt_ok, monotone=monotone, verdict=verdict)

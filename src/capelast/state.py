@@ -114,11 +114,9 @@ class InitSpec:
     psi_modes: tuple = ()            # (kx, ky, amp, phase) entries
     v_recipe: object = None
     F_recipes: tuple = (None, None, None)
-    seed: int = 0
     dealias: bool = True
     strict_cutoff: bool = False
     project: bool = True
-    pressure_tol: float = 1e-11
 
     def make_grid(self) -> Grid:
         return make_grid(self.nx, self.ny, self.nz, self.b,
@@ -132,16 +130,16 @@ class InitSpec:
         return psi
 
 
-def build_initial_data(spec: InitSpec, grid: Grid | None = None):
+def build_initial_data(spec: InitSpec, tol: float = 1e-11):
     """Construct (state, gm, cutoff) satisfying the compatibility constraints.
 
     Recipes are projected to divergence-free fields, the bottom conditions
     v3 = F_3j = 0 are imposed on the bottom plane, and the initial pressure
     solves the elliptic problem with the capillary Dirichlet datum on top
-    and the Neumann datum from the momentum balance below.
+    and the Neumann datum from the momentum balance below.  The projection
+    and the pressure solve run to the solver tolerance ``tol``.
     """
-    if grid is None:
-        grid = spec.make_grid()
+    grid = spec.make_grid()
     psi0 = spec.build_psi0(grid)
     delta0 = spec.delta0 if spec.delta0 is not None else grid.b / 8.0
     cutoff = make_cutoff(grid, delta0, float(np.abs(psi0).max()),
@@ -154,7 +152,7 @@ def build_initial_data(spec: InitSpec, grid: Grid | None = None):
             return np.zeros((3, grid.nx, grid.ny, grid.nz))
         field = recipe.build(grid, gm0)
         if spec.project:
-            field = project_divfree(field, gm0, grid, tol=spec.pressure_tol)
+            field = project_divfree(field, gm0, grid, tol=tol)
         field[2][:, :, -1] = 0.0
         return field
 
@@ -167,7 +165,7 @@ def build_initial_data(spec: InitSpec, grid: Grid | None = None):
     pr = pressure_rhs(stage_fields(v, F, gm))
     dir_top = -spec.sigma * mean_curvature(psi0, grid)
     state.q = solve_poisson_phi(pr.rhs, dir_top, pr.neu_bottom, gm, grid,
-                                tol=spec.pressure_tol)
+                                tol=tol)
     return state, gm, cutoff
 
 

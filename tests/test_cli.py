@@ -3,10 +3,12 @@ import pytest
 
 import capelast
 import capelast.evolve
+from capelast import ConfigError
 from capelast.cli import main
 from capelast.config import config_to_text, parse_config_text
 from capelast.evolve import RunConfig
 from capelast.recipes import RandomRecipe, StreamRecipe
+from capelast.sigma_sweep import sweep_sigma
 from capelast.state import InitSpec
 
 REST_CONFIG = """\
@@ -28,7 +30,6 @@ f1 = none
 f2 = none
 f3 = none
 project = true
-seed = 0
 
 [physics]
 sigma = 0.5
@@ -208,7 +209,9 @@ def test_sweep_sigma_with_limit_run(tmp_path):
                  "--sigmas", "0.1,0.01,0"])
     assert code == 0
     summary = (out / "summary.txt").read_text()
-    assert "d(0.1, 0)" in summary or "d(0.1, 0.01)" in summary
+    assert "d(0.1, 0.01) = " in summary and "d(0.1, 0) = " in summary
+    rows = (out / "sweep.csv").read_text().strip().splitlines()
+    assert len(rows) == 1 + 1 + 2
 
 
 def test_sweep_sigma_from_config_section(tmp_path):
@@ -221,6 +224,20 @@ def test_sweep_sigma_from_config_section(tmp_path):
     code = main(["sweep-sigma", "--config", cfgpath, "--out", str(out)])
     assert code == 0
     assert "monotone" in (out / "summary.txt").read_text()
+
+
+@pytest.mark.parametrize("sigmas", [[], [0.1], [0.0]])
+def test_sweep_needs_two_members(tmp_path, capsys, sigmas):
+    cfg, _ = parse_config_text(REST_CONFIG)
+    with pytest.raises(ConfigError, match="at least two"):
+        sweep_sigma(cfg, sigmas)
+    cfgpath = _write(tmp_path, REST_CONFIG)
+    out = tmp_path / "x"
+    code = main(["sweep-sigma", "--config", cfgpath, "--out", str(out),
+                 "--sigmas", ",".join(str(s) for s in sigmas)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_sigma_without_list_exits_2(tmp_path, capsys):

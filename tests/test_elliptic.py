@@ -6,7 +6,6 @@ from capelast.elliptic import (
     pressure_rhs,
     project_divfree,
     solve_poisson_phi,
-    solve_poisson_phi_neumann,
     stage_fields,
 )
 from capelast.graphmap import (
@@ -206,17 +205,3 @@ def test_self_adjoint_weak_form():
     gf, gh = grad_phi_stack(f, gm), grad_phi_stack(h, gm)
     rhs = g.quad_volume(sum(gf[i] * gh[i] for i in range(3)) * gm.d3phi)
     assert abs(lhs - rhs) <= 1e-8 * (1 + abs(lhs) + abs(rhs))
-
-
-def test_all_neumann_compatibility_and_solve():
-    g = make_grid(16, 16, 13, 1.0)
-    gm = flat_graphmap(g)
-    X1, _, X3 = g.mesh_volume()
-    Wstar = np.cos(X1) * np.cosh(X3 + 1.0)  # harmonic, zero bottom flux
-    Wstar -= g.quad_volume(Wstar * gm.d3phi) / g.quad_volume(gm.d3phi)
-    neu_top = (-np.sin(X1) * np.cosh(X3 + 1.0) * gm.N[0][..., None]
-               + np.cos(X1) * np.sinh(X3 + 1.0))[:, :, 0]
-    W, compat = solve_poisson_phi_neumann(
-        np.zeros_like(Wstar), neu_top, np.zeros((16, 16)), gm, g, tol=1e-10)
-    assert abs(compat) <= 1e-10
-    assert g.norm0(W - Wstar) <= 1e-6

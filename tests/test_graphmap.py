@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from capelast import DegenerateMapError, GridError, InfeasibleWidthError, make_grid
+from capelast import (
+    DegenerateMapError,
+    GridError,
+    InfeasibleWidthError,
+    NonFiniteStateError,
+    make_grid,
+)
 from capelast.graphmap import (
     advection_speed,
     build_graphmap,
@@ -87,11 +93,11 @@ def test_surface_normal_matches_interior_on_sigma():
     gm = build_graphmap(psi, np.zeros_like(psi), cut, g)
     expected_N1 = 0.1 * np.sin(X1s)
     assert np.abs(gm.N[0] - expected_N1).max() <= 1e-12
-    # chi(0) = 1 makes the interior field agree with N on the top plane
-    assert np.abs(gm.Nb[0][:, :, 0] - gm.N[0]).max() <= 1e-12
-    # chi(-b) = 0 makes it (0, 0, 1) on the bottom plane
-    assert np.abs(gm.Nb[0][:, :, -1]).max() <= 1e-14
-    assert np.abs(gm.Nb[2][:, :, -1] - 1.0).max() == 0.0
+    # chi(0) = 1 makes the interior slope agree with -N on the top plane
+    assert np.abs(gm.d1phi[:, :, 0] + gm.N[0]).max() <= 1e-12
+    # chi(-b) = 0 makes it vanish exactly on the bottom plane
+    assert np.abs(gm.d1phi[:, :, -1]).max() == 0.0
+    assert np.abs(gm.d2phi[:, :, -1]).max() == 0.0
 
 
 def test_degenerate_map_rejected():
@@ -101,6 +107,15 @@ def test_degenerate_map_rejected():
     steep = (1.05 / np.abs(cut.chi_prime).max()) * np.cos(X1s)
     with pytest.raises(DegenerateMapError):
         build_graphmap(steep, np.zeros_like(steep), cut, g)
+
+
+def test_nan_surface_is_named():
+    g = make_grid(8, 8, 9, 1.0)
+    psi = np.full((8, 8), 1e-3)
+    psi[3, 5] = np.nan
+    cut = make_cutoff(g, 0.1, 1e-3, strict=False)
+    with pytest.raises(NonFiniteStateError, match="psi is not finite"):
+        build_graphmap(psi, np.zeros_like(psi), cut, g)
 
 
 # -- twisted operators -------------------------------------------------------

@@ -1,11 +1,10 @@
 import pytest
 
 from capelast import ConfigError
-from capelast.evolve import RunConfig, run
+from capelast.evolve import RunConfig
 from capelast.recipes import StreamRecipe
-from capelast.sigma_sweep import limit_compare, run_distance, sweep_sigma
+from capelast.sigma_sweep import run_distance, sweep_sigma
 from capelast.state import InitSpec
-from dataclasses import replace
 
 
 def small_config(sigma=0.01, amp=0.15, rt_c0=0.0):
@@ -58,23 +57,37 @@ def test_rt_violation_withholds_verdict():
     assert "withheld" in rep.verdict
 
 
-def test_limit_compare_and_errors():
+def test_zero_member_limit_distances():
     cfg = small_config(amp=0.2, rt_c0=0.0)
-    rep = sweep_sigma(cfg, [1e-1, 1e-2, 1e-3])
-    zero = run(replace(cfg, init=replace(cfg.init, sigma=0.0)))
-    rep = limit_compare(rep, zero)
+    rep = sweep_sigma(cfg, [1e-1, 1e-2, 1e-3, 0.0])
     ds = [d for (_, d) in rep.limit_distances]
     assert len(ds) == 3
     assert ds[0] > ds[1] > ds[2] > 0.0
     assert rep.verdict == "monotone decreasing"
     # the zero run against itself has zero distance
+    zero = rep.members[-1].result
     assert run_distance(zero, zero) == 0.0
-    with pytest.raises(ConfigError):
-        limit_compare(rep, None)
-    with pytest.raises(ConfigError):
-        limit_compare(rep, rep.members[0].result)  # sigma != 0
 
     rows = rep.csv_rows()
     assert rows[0].startswith("sigma_i,sigma_j")
     assert len(rows) == 1 + 2 + 3
     assert "monotone decreasing" in rep.summary()
+
+
+def test_zero_member_is_gated():
+    # the sigma = 0 member alone dips below c0 (rt_min 0.2062, 0.2010 and
+    # 0.1997 for sigma = 0.5, 0.1 and 0)
+    cfg = RunConfig(
+        init=InitSpec(nx=8, ny=8, nz=9, b=1.0, sigma=0.5,
+                      psi_modes=((1, 0, 1e-2, 0.0),),
+                      v_recipe=StreamRecipe(amp=0.4, k=1, profile="sinh"),
+                      F_recipes=(StreamRecipe(amp=0.1, k=1,
+                                              profile="confined"),
+                                 None, None)),
+        t_final=0.09, dt=0.015, snapshot_every=3, solver_tol=1e-11,
+        rt_c0=0.2)
+    rep = sweep_sigma(cfg, [0.5, 0.1, 0.0])
+    assert [m.rt_min >= 0.2 for m in rep.members] == [True, True, False]
+    assert [s for (s, _) in rep.limit_distances] == [0.5, 0.1]
+    assert not rep.rt_ok
+    assert "withheld" in rep.verdict
