@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import __version__
-from .config import config_to_text, load_config
+from .config import config_to_text, float_list, load_config, parse_value
 from .diagnostics import CSV_COLUMNS
 from .errors import CapelastError, ConfigError, InsufficientHistoryError
 from .evolve import run
@@ -152,7 +152,7 @@ def cmd_sweep_sigma(args) -> int:
     cfg, sweep_opts = load_config(args.config)
     cfg = _apply_overrides(cfg, args)
     if args.sigmas:
-        sigmas = [float(s) for s in args.sigmas.split(",")]
+        sigmas = parse_value(args.sigmas, float_list, "--sigmas")
     elif "sigmas" in sweep_opts:
         sigmas = sweep_opts["sigmas"]
     else:

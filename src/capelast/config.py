@@ -71,6 +71,47 @@ def config_to_text(cfg: RunConfig, sweep: dict | None = None) -> str:
     return buf.getvalue()
 
 
+def float_list(raw: str) -> list[float]:
+    """Comma-separated floats, such as a sigma list."""
+    return [float(s) for s in raw.split(",")]
+
+
+def _surface_modes(raw: str) -> tuple:
+    """``kx ky amp phase`` entries separated by ``;``, or ``none``."""
+    if raw.lower() in ("", "none"):
+        return ()
+    modes = []
+    for chunk in raw.split(";"):
+        parts = chunk.split()
+        if len(parts) != 4:
+            raise ValueError(f"bad surface mode entry {chunk!r}")
+        modes.append((int(parts[0]), int(parts[1]),
+                      float(parts[2]), float(parts[3])))
+    return tuple(modes)
+
+
+def _auto_or_float(raw: str) -> float | None:
+    return None if raw == "auto" else float(raw)
+
+
+def parse_value(raw: str, cast, what: str):
+    """``cast(raw)``; a malformed value raises ConfigError naming ``what``."""
+    raw = raw.strip()
+    if cast is bool:
+        if raw.lower() in ("true", "yes", "on", "1"):
+            return True
+        if raw.lower() in ("false", "no", "off", "0"):
+            return False
+        raise ConfigError(f"bad boolean for {what}: {raw!r}")
+    try:
+        return cast(raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {what}: {raw!r}") from exc
+
+
+_REQUIRED = object()
+
+
 def parse_config_text(text: str):
     """Returns (RunConfig, sweep_options dict)."""
     cp = configparser.ConfigParser()
@@ -81,36 +122,13 @@ def parse_config_text(text: str):
 
     read = set()
 
-    def get(section, key, cast, default=None):
+    def get(section, key, cast, default=_REQUIRED):
         read.add((section, key))
         if not cp.has_option(section, key):
-            if default is None:
+            if default is _REQUIRED:
                 raise ConfigError(f"missing [{section}] {key}")
             return default
-        raw = cp.get(section, key).strip()
-        if cast is bool:
-            if raw.lower() in ("true", "yes", "on", "1"):
-                return True
-            if raw.lower() in ("false", "no", "off", "0"):
-                return False
-            raise ConfigError(f"bad boolean for [{section}] {key}: {raw!r}")
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") \
-                from exc
-
-    modes = []
-    raw_modes = get("surface", "modes", str, "none")
-    if raw_modes.strip().lower() not in ("", "none"):
-        for chunk in raw_modes.split(";"):
-            parts = chunk.split()
-            if len(parts) != 4:
-                raise ConfigError(f"bad surface mode entry {chunk!r}")
-            modes.append((int(parts[0]), int(parts[1]),
-                          float(parts[2]), float(parts[3])))
-    delta0_raw = get("surface", "delta0", str, "auto")
-    delta0 = None if delta0_raw == "auto" else float(delta0_raw)
+        return parse_value(cp.get(section, key), cast, f"[{section}] {key}")
 
     init = InitSpec(
         nx=get("grid", "nx", int),
@@ -118,8 +136,8 @@ def parse_config_text(text: str):
         nz=get("grid", "nz", int),
         b=get("grid", "b", float),
         dealias=get("grid", "dealias", bool, True),
-        psi_modes=tuple(modes),
-        delta0=delta0,
+        psi_modes=get("surface", "modes", _surface_modes, ()),
+        delta0=get("surface", "delta0", _auto_or_float, None),
         strict_cutoff=get("surface", "strict_cutoff", bool, False),
         v_recipe=parse_recipe(get("fields", "v", str, "none")),
         F_recipes=(parse_recipe(get("fields", "f1", str, "none")),
@@ -141,8 +159,7 @@ def parse_config_text(text: str):
         rt_c0=get("output", "rt_c0", float, 0.0),
     )
     sweep = {}
-    floats = lambda raw: [float(s) for s in raw.split(",")]
-    for key, cast in (("sigmas", floats), ("rt_c0", float)):
+    for key, cast in (("sigmas", float_list), ("rt_c0", float)):
         read.add(("sweep", key))
         if cp.has_option("sweep", key):
             sweep[key] = get("sweep", key, cast)

@@ -65,9 +65,11 @@ class _FlatSolver:
     def solve(self, B: np.ndarray) -> np.ndarray:
         """B carries (interior rhs; top Dirichlet; bottom Neumann) stacked."""
         g = self.grid
-        Bh = rfft2(B, axes=(0, 1)).reshape(-1, g.nz)
-        Wh = np.einsum("mij,mj->mi", self.inv, Bh)
-        Wh = Wh.reshape(g.nx, self.nyr, g.nz)
+        # one real product per mode: the C-contiguous spectrum viewed as
+        # (mode, nz, [re, im]) pairs
+        Bh = rfft2(B, axes=(0, 1))
+        Wh = np.matmul(self.inv, Bh.view(float).reshape(-1, g.nz, 2))
+        Wh = Wh.view(complex).reshape(g.nx, self.nyr, g.nz)
         return irfft2(Wh, s=(g.nx, g.ny), axes=(0, 1))
 
 

@@ -44,7 +44,7 @@ from .elliptic import (
 )
 from .errors import CapelastError, CFLError, NonFiniteStateError
 from .graphmap import Cutoff, GraphMap, advection_speed, grad_phi_stack, mean_curvature
-from .grid import Grid
+from .grid import Grid, multiplier_matrix
 from .state import History, InitSpec, State, build_initial_data, constraint_residuals
 
 log = logging.getLogger(__name__)
@@ -230,12 +230,18 @@ class RunResult:
         return self.history.newest
 
 
-def _exp_damping(grid: Grid) -> np.ndarray:
-    """Exponential filter exp(-36 |k/k_max|^36) per tangential axis, in the
-    rfft2 layout that ``Grid.tan_multiply`` takes."""
-    kx = np.abs(grid.k1) / (grid.nx / 2)
+def _exp_damping(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Exponential filter exp(-36 |k/k_max|^36) as one matrix per
+    tangential axis, for ``Grid.apply_tangential``."""
+    kx = np.abs(grid.k1[: grid.nx // 2 + 1]) / (grid.nx / 2)
     ky = grid.k2 / max(grid.k2.max(), 1.0)
-    return np.exp(-36.0 * kx[:, None] ** 36) * np.exp(-36.0 * ky[None, :] ** 36)
+    return (multiplier_matrix(np.exp(-36.0 * kx ** 36), grid.nx),
+            multiplier_matrix(np.exp(-36.0 * ky ** 36), grid.ny))
+
+
+def _filter(f: np.ndarray, damp, grid: Grid) -> np.ndarray:
+    return grid.apply_tangential(grid.apply_tangential(f, damp[0], 1),
+                                 damp[1], 2)
 
 
 def _check_finite(state: State):
@@ -291,9 +297,9 @@ def run(config: RunConfig) -> RunResult:
             log.warning("run aborted at t=%.6g: %s", hist.newest.t, aborted)
             break
         if damp is not None:
-            state.psi = grid.tan_multiply(state.psi, damp)
-            state.v = grid.tan_multiply(state.v, damp)
-            state.F = grid.tan_multiply(state.F, damp)
+            state.psi = _filter(state.psi, damp, grid)
+            state.v = _filter(state.v, damp, grid)
+            state.F = _filter(state.F, damp, grid)
             gm = state.graphmap(cutoff, grid)
         hist.push(state)
         diags.append(_record(state, gm, hist, grid, dt, config.kmax))

@@ -12,7 +12,8 @@ A sweep takes at least two members.  A sigma = 0 entry, which a
 non-increasing list holds last, runs and is gated like any other member;
 the verdict then reads the distances d(sigma_i, 0) of the positive members
 to it, which is the zero-surface-tension limit, and otherwise the
-distances between consecutive members.
+distances between consecutive members.  Fewer than two such distances
+compare nothing, and the verdict is then trivial.
 """
 
 from __future__ import annotations
@@ -141,15 +142,17 @@ def sweep_sigma(base: RunConfig, sigmas) -> SweepReport:
 
     rt_ok = all(m.rt_min >= base.rt_c0 for m in members)
     strict = all(s1 > s2 for s1, s2 in zip(sigmas, sigmas[1:]))
+    ds = ([d for (_, d) in limit] if zero is not None
+          else [d for (_, _, d) in pair])
     if aborted:
         verdict, monotone = "void (member aborted)", None
     elif not rt_ok:
         verdict, monotone = "withheld (sign condition violated)", None
     elif not strict:
         verdict, monotone = "trivial (non-strict sigma list)", None
+    elif len(ds) < 2:
+        verdict, monotone = "trivial (fewer than two distances)", None
     else:
-        ds = ([d for (_, d) in limit] if zero is not None
-              else [d for (_, _, d) in pair])
         monotone = all(d1 > d2 for d1, d2 in zip(ds, ds[1:]))
         verdict = "monotone decreasing" if monotone else "not monotone"
     return SweepReport(members=members, pair_distances=pair,

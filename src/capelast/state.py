@@ -207,12 +207,6 @@ class History:
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self._dq])
 
-    @property
-    def dt(self) -> float:
-        if len(self._dq) < 2:
-            raise InsufficientHistoryError("need two slices for a spacing")
-        return self._dq[1].t - self._dq[0].t
-
     def require(self, nslices: int, what: str = "operation"):
         if len(self._dq) < nslices:
             raise InsufficientHistoryError(

@@ -100,6 +100,24 @@ def test_unknown_config_entry_exits_2(tmp_path, capsys, old, new, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("old, new, sigmas, message", [
+    ("modes = none", "modes = 1 x 1e-3 0", "0.1,0",
+     "bad value for [surface] modes"),
+    ("delta0 = auto", "delta0 = abc", "0.1,0",
+     "bad value for [surface] delta0"),
+    ("", "", "0.1,x", "bad value for --sigmas"),
+])
+def test_malformed_number_exits_2(tmp_path, capsys, old, new, sigmas,
+                                  message):
+    cfgpath = _write(tmp_path, REST_CONFIG.replace(old, new))
+    out = tmp_path / "out"
+    code = main(["sweep-sigma", "--config", cfgpath, "--out", str(out),
+                 "--sigmas", sigmas])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_package_all_resolves():
     missing = [name for name in capelast.__all__
                if not hasattr(capelast, name)]
@@ -218,12 +236,12 @@ def test_sweep_sigma_from_config_section(tmp_path):
     text = REST_CONFIG.replace(
         "modes = none", "modes = 1 0 0.005 0").replace(
         "v = none", "v = stream: amp=0.2, k=1, profile=sinh")
-    text += "\n[sweep]\nsigmas = 0.1, 0.01\nrt_c0 = 0.0\n"
+    text += "\n[sweep]\nsigmas = 0.1, 0.01, 0.001\nrt_c0 = 0.0\n"
     cfgpath = _write(tmp_path, text)
     out = tmp_path / "sweep2"
     code = main(["sweep-sigma", "--config", cfgpath, "--out", str(out)])
     assert code == 0
-    assert "monotone" in (out / "summary.txt").read_text()
+    assert "verdict: monotone decreasing" in (out / "summary.txt").read_text()
 
 
 @pytest.mark.parametrize("sigmas", [[], [0.1], [0.0]])

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft
 
 from capelast import GridError, make_grid
+from capelast.evolve import _exp_damping, _filter
 
 
 @pytest.fixture(scope="module")
@@ -175,3 +177,45 @@ def test_dealias_keeps_band_edge_and_drops_next_mode():
             out = g.dealias_tangential(f_kept + f_dropped)
             assert out.shape == f_kept.shape
             assert np.abs(out - f_kept).max() <= 1e-13
+
+
+def _fft_reference(f, mult, axes):
+    """rfft along ``axes``, times ``mult`` in that spectrum's layout, and
+    back: the transform-based form of a tangential multiplier."""
+    n = [f.shape[a] for a in axes]
+    shape = [1] * f.ndim
+    for a, m in zip(axes, mult.shape):
+        shape[a] = m
+    fh = fft.rfftn(f, axes=axes) * mult.reshape(shape)
+    return fft.irfftn(fh, s=n, axes=axes)
+
+
+@pytest.mark.parametrize("shape", ["surface", "volume", "stack3", "stack33",
+                                   "view"])
+def test_tangential_matrices_match_fft_reference(shape):
+    # random data excite every mode, Nyquist included; distinct nx and ny
+    # catch swapped axes
+    g = make_grid(12, 18, 7, 1.0)
+    rng = np.random.default_rng(3)
+    vol = (g.nx, g.ny, g.nz)
+    f = {"surface": lambda: rng.standard_normal((g.nx, g.ny)),
+         "volume": lambda: rng.standard_normal(vol),
+         "stack3": lambda: rng.standard_normal((3,) + vol),
+         "stack33": lambda: rng.standard_normal((3, 3) + vol),
+         "view": lambda: rng.standard_normal((3, 3) + vol)[:, 2]}[shape]()
+    ax1 = 0 if f.ndim == 2 else f.ndim - 3
+    k1, k2 = g.k1, g.k2
+    keep = (np.abs(k1) <= g.nx // 3)[:, None] & (k2 <= g.ny // 3)[None, :]
+    damp = (np.exp(-36.0 * (np.abs(k1) / (g.nx / 2)) ** 36)[:, None]
+            * np.exp(-36.0 * (k2 / k2.max()) ** 36)[None, :])
+    cases = (
+        (g.d_tan(f, 1), _fft_reference(f, g._ik1, (ax1,))),
+        (g.d_tan(f, 2), _fft_reference(f, g._ik2, (ax1 + 1,))),
+        (g.dealias_tangential(f),
+         _fft_reference(f, keep.astype(float), (ax1, ax1 + 1))),
+        (_filter(f, _exp_damping(g), g),
+         _fft_reference(f, damp, (ax1, ax1 + 1))),
+    )
+    for out, ref in cases:
+        assert out.shape == f.shape
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()

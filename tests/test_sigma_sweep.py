@@ -29,6 +29,18 @@ def test_rest_data_all_zero():
     assert all(d == 0.0 for (_, _, d) in rep.pair_distances)
 
 
+@pytest.mark.parametrize("sigmas, verdict", [
+    ([1e-1, 0.0], "trivial (fewer than two distances)"),
+    ([1e-1, 1e-2], "trivial (fewer than two distances)"),
+    ([5e-1, 1e-1, 0.0], "not monotone"),
+])
+def test_verdict_compares_two_distances(sigmas, verdict):
+    # rest data: every distance is 0, so one distance shows no decrease
+    cfg = RunConfig(init=InitSpec(nx=8, ny=8, nz=9, b=1.0, sigma=0.1),
+                    t_final=0.04, dt=0.01, snapshot_every=2)
+    assert sweep_sigma(cfg, sigmas).verdict == verdict
+
+
 def test_sigma_list_validation():
     with pytest.raises(ConfigError):
         sweep_sigma(small_config(), [1e-3, 1e-2])

@@ -97,7 +97,6 @@ def test_history_contract():
                      v=np.zeros((3, 8, 8, 9)), F=np.zeros((3, 3, 8, 8, 9)),
                      q=np.zeros((8, 8, 9)), sigma=0.0))
     assert len(h) == 5
-    assert abs(h.dt - 0.1) <= 1e-12
     assert h.newest.t == pytest.approx(0.6)
     bad = State(t=0.65, psi=np.zeros((8, 8)), v=np.zeros((3, 8, 8, 9)),
                 F=np.zeros((3, 3, 8, 8, 9)), q=np.zeros((8, 8, 9)), sigma=0.0)
