@@ -50,30 +50,29 @@ def conserved_energy(state: State, gm: GraphMap) -> float:
 def higher_energy(hist: History, gm: GraphMap, kmax: int = 1) -> float:
     """Truncated graded energy: sum over k <= kmax of the (4-k)-norms of
     dt^k of F, v, and sqrt(sigma) grad(psi), plus the pressure norms for
-    k <= min(kmax, 3)."""
+    k <= min(kmax, 3).
+
+    dt^k at the newest slice is one Fornberg-weighted sum of the stored
+    slices; k = 0 reads the newest slice itself.
+    """
     hist.require(kmax + 1, f"higher energy with {kmax} time derivatives")
     grid = gm.grid
-    calc = Calculus(hist, gm.cutoff, grid)
-    sigma = hist.newest.sigma
+    newest = hist.newest
+    v, F, q, psi = newest.v, newest.F, newest.q, newest.psi
     total = 0.0
-    Sv = [calc.series(f"v{i+1}") for i in range(3)]
-    SF = [[calc.series(f"f{i+1}{j+1}") for i in range(3)] for j in range(3)]
-    Sq = calc.series("q")
-    Spsi = calc.series("psi")
     for k in range(kmax + 1):
+        if k:
+            w = fornberg_weights(hist.times[-1], hist.times, k)
+            v, F, q, psi = (sum(wj * getattr(sl, name)
+                                for wj, sl in zip(w, hist))
+                            for name in ("v", "F", "q", "psi"))
         s = 4 - k
-        total += math.sqrt(sum(
-            grid.sobolev_norm_fast(calc.dt(Sv[i], k)[-1], s) ** 2
-            for i in range(3)))
-        total += math.sqrt(sum(
-            grid.sobolev_norm_fast(calc.dt(SF[j][i], k)[-1], s) ** 2
-            for i in range(3) for j in range(3)))
-        psik = calc.dt(Spsi, k)[-1]
-        total += math.sqrt(sigma) * math.sqrt(
-            grid.sobolev_norm_fast(grid.d_tan(psik, 1), s) ** 2
-            + grid.sobolev_norm_fast(grid.d_tan(psik, 2), s) ** 2)
+        total += grid.sobolev_norm(v, s) + grid.sobolev_norm(F, s)
+        total += math.sqrt(newest.sigma) * math.sqrt(
+            grid.sobolev_norm(grid.d_tan(psi, 1), s) ** 2
+            + grid.sobolev_norm(grid.d_tan(psi, 2), s) ** 2)
         if k <= 3:
-            total += grid.sobolev_norm_fast(calc.dt(Sq, k)[-1], s)
+            total += grid.sobolev_norm(q, s)
     return float(total)
 
 

@@ -379,8 +379,7 @@ def curl_commutator_residuals(calc: Calculus):
     for i, a, b2, sgn in _LEVI:
         for k in range(3):
             rhs1[i] += sgn * Dv[a][k] * Dv[k][b2]
-    r1 = grid.vector_sobolev_norm(
-        curl_phi(Dt_v, gmn) - Dt_curl - rhs1, 0)
+    r1 = grid.sobolev_norm(curl_phi(Dt_v, gmn) - Dt_curl - rhs1, 0)
 
     # r2 -- purely spatial at the newest slice
     F = state.F
@@ -399,5 +398,5 @@ def curl_commutator_residuals(calc: Calculus):
         for i, a, b2, sgn in _LEVI:
             for l in range(3):
                 rhs2[i] += sgn * DFk[a][l] * DFk[l][b2]
-    r2 = grid.vector_sobolev_norm(curl_phi(G, gmn) - adv_curlF - rhs2, 0)
+    r2 = grid.sobolev_norm(curl_phi(G, gmn) - adv_curlF - rhs2, 0)
     return {"r1": r1, "r2": r2}

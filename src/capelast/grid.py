@@ -22,8 +22,7 @@ At the lengths used here a matrix product beats an FFT pair: a derivative
 of one 64 x 64 x 33 field takes about 0.4 ms against 1.2-2.5 ms (one
 OpenBLAS 0.3.31 thread on a 2-vCPU x86 VM), and the two are about even
 near n = 256.  FFTs remain where a modal basis is the algorithm: the flat
-Poisson solve's per-mode matrices and ``sobolev_norm_fast``'s Parseval
-sums.
+Poisson solve's per-mode matrices and ``sobolev_norm``'s Parseval sums.
 """
 
 from __future__ import annotations
@@ -213,52 +212,20 @@ class Grid:
     def sobolev_norm(self, f: np.ndarray, s: int) -> float:
         """H^s norm sqrt(sum_{|m|<=s} ||D^m f||_0^2) over plain derivatives.
 
-        Tangential factors are spectral; vertical factors use d_vert.
-        Surface fields (ndim 2) take tangential derivatives only.
+        Surface fields (ndim 2) take tangential derivatives only; anything
+        with more dimensions is a volume field, or a stack of them with
+        trailing (nx, ny, nz), and a stack returns sqrt(sum_c ||f_c||_s^2).
+        By Parseval the tangential sum over multi-indices (m1, m2) with
+        m1 + m2 = j is the homogeneous weight sum_{p+q=j} (k1^2)^p (k2^2)^q
+        on the half spectrum; only the vertical ladder stays in physical
+        space.  A stack is transformed one component at a time, which keeps
+        each transform in cache (about 20% faster than one transform of a
+        3 x 3 stack at 64 x 64 x 33, one FFT worker on a 2-vCPU x86 VM),
+        and a zero component is skipped.
         """
         if s not in (0, 1, 2, 3, 4):
             raise GridError(f"sobolev order must be in 0..4, got {s}")
-        total = 0.0
-        if f.ndim == 3:
-            # cache the vertical derivative ladder, then walk tangential orders
-            vert = [f]
-            for _ in range(s):
-                vert.append(self.d_vert(vert[-1]))
-            for m3 in range(s + 1):
-                total += self._tangential_sq_sum(vert[m3], s - m3)
-        else:
-            total += self._tangential_sq_sum(f, s)
-        return float(np.sqrt(max(total, 0.0)))
-
-    def _tangential_sq_sum(self, g: np.ndarray, smax: int) -> float:
-        """sum over m1+m2 <= smax of ||d1^m1 d2^m2 g||_0^2."""
-        total = self.norm0(g) ** 2
-        ladder1 = [g]
-        for m1 in range(smax + 1):
-            if m1 > 0:
-                ladder1.append(self.d_tan(ladder1[-1], 1))
-                total += self.norm0(ladder1[-1]) ** 2
-            h = ladder1[m1]
-            for _ in range(smax - m1):
-                h = self.d_tan(h, 2)
-                total += self.norm0(h) ** 2
-        return total
-
-    def vector_sobolev_norm(self, X: np.ndarray, s: int) -> float:
-        """Component-wise H^s norm of a stacked vector field."""
-        return float(np.sqrt(sum(self.sobolev_norm(c, s) ** 2 for c in X)))
-
-    def sobolev_norm_fast(self, f: np.ndarray, s: int) -> float:
-        """Same value as sobolev_norm via tangential Parseval sums.
-
-        The tangential sum over multi-indices (m1, m2) with m1 + m2 = j
-        becomes the homogeneous weight sum_{p+q=j} (k1^2)^p (k2^2)^q on the
-        half spectrum; only the vertical ladder stays in physical space.
-        """
-        if s not in (0, 1, 2, 3, 4):
-            raise GridError(f"sobolev order must be in 0..4, got {s}")
-        if not f.any():
-            return 0.0
+        surface = f.ndim == 2
         k1sq = np.imag(self._ik1_full) ** 2            # (nx,)
         k2sq = np.imag(self._ik2) ** 2                 # (nyr,)
         nyr = k2sq.size
@@ -267,27 +234,25 @@ class Grid:
         if self.ny % 2 == 0:
             count[-1] = 1.0
         norm = 4.0 * np.pi**2 / (self.nx * self.ny) ** 2
+        # W[J] = sum over j <= J of the homogeneous weights of order j
+        h = np.ones((self.nx, nyr))
+        W = [h]
+        b_pow = np.ones(nyr)
+        for _ in range(s):
+            b_pow = b_pow * k2sq
+            h = k1sq[:, None] * h + b_pow
+            W.append(W[-1] + h)
         total = 0.0
-        g = f
-        for m3 in range(s + 1):
-            if f.ndim == 2 and m3 > 0:
-                break
-            gh = rfft2(g, axes=(0, 1))
-            if f.ndim == 3:
-                P = np.tensordot(np.abs(gh) ** 2, self.wz, axes=([2], [0]))
-            else:
-                P = np.abs(gh) ** 2
-            J = s - m3
-            h = np.ones((self.nx, nyr))
-            W = np.ones((self.nx, nyr))
-            b_pow = np.ones(nyr)
-            for j in range(1, J + 1):
-                b_pow = b_pow * k2sq
-                h = k1sq[:, None] * h + b_pow[None, :]
-                W += h
-            total += norm * float(np.sum(count[None, :] * W * P))
-            if f.ndim == 3 and m3 < s:
-                g = self.d_vert(g)
+        for g in (f,) if surface else f.reshape(-1, *f.shape[-3:]):
+            if not g.any():
+                continue
+            for m3 in range(1 if surface else s + 1):
+                if m3:
+                    g = self.d_vert(g)
+                P = np.abs(rfft2(g, axes=(0, 1))) ** 2
+                if not surface:
+                    P = P @ self.wz
+                total += norm * float(np.sum(count * W[s - m3] * P))
         return float(np.sqrt(max(total, 0.0)))
 
     # -- tangential matrices ------------------------------------------------

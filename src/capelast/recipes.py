@@ -18,19 +18,24 @@ from .graphmap import GraphMap, dphi
 from .grid import Grid
 
 
+# vertical profiles mu(x3) on [-b, 0], by name
+_PROFILES = {
+    "one": lambda x3, b: np.ones_like(x3),
+    "linear": lambda x3, b: (x3 + b) / b,
+    "sinh": lambda x3, b: np.sinh(x3 + b) / np.sinh(b),
+    # vanishes at both planes, peak 1 mid-depth
+    "confined": lambda x3, b: -4.0 * x3 * (x3 + b) / (b * b),
+}
+
+
 def _zprofile(name: str, grid: Grid) -> np.ndarray:
-    x3 = grid.x3
-    b = grid.b
-    if name == "one":
-        return np.ones_like(x3)
-    if name == "linear":
-        return (x3 + b) / b
-    if name == "sinh":
-        return np.sinh(x3 + b) / np.sinh(b)
-    if name == "confined":
-        # vanishes at both planes, peak 1 mid-depth
-        return -4.0 * x3 * (x3 + b) / (b * b)
-    raise ConfigError(f"unknown vertical profile {name!r}")
+    return _PROFILES[name](grid.x3, grid.b)
+
+
+def _require(ok: bool, recipe, what: str):
+    """Reject a recipe argument outside its domain with a ConfigError."""
+    if not ok:
+        raise ConfigError(f"bad {type(recipe).__name__} argument: {what}")
 
 
 @dataclass
@@ -43,6 +48,14 @@ class ShearRecipe:
     amp: float = 0.1
     phase: float = 0.0
     profile: str = "one"
+
+    def __post_init__(self):
+        _require(self.comp in (1, 2, 3), self,
+                 f"comp must be 1, 2 or 3, got {self.comp!r}")
+        _require(self.dep_axis in (1, 2), self,
+                 f"dep_axis must be 1 or 2, got {self.dep_axis!r}")
+        _require(self.profile in _PROFILES, self,
+                 f"unknown vertical profile {self.profile!r}")
 
     def build(self, grid: Grid, gm: GraphMap) -> np.ndarray:
         X1, X2, _ = grid.mesh_volume()
@@ -68,6 +81,12 @@ class StreamRecipe:
     profile: str = "sinh"
     plane: str = "xz"
 
+    def __post_init__(self):
+        _require(self.plane in ("xz", "yz"), self,
+                 f"plane must be xz or yz, got {self.plane!r}")
+        _require(self.profile in _PROFILES, self,
+                 f"unknown vertical profile {self.profile!r}")
+
     def build(self, grid: Grid, gm: GraphMap) -> np.ndarray:
         X1, X2, _ = grid.mesh_volume()
         tan_axis = 1 if self.plane == "xz" else 2
@@ -88,6 +107,12 @@ class RandomRecipe:
     kmax: int = 2
     seed: int = 0
     profile: str = "confined"
+
+    def __post_init__(self):
+        _require(self.kmax >= 0, self, f"kmax must be >= 0, got {self.kmax}")
+        _require(self.seed >= 0, self, f"seed must be >= 0, got {self.seed}")
+        _require(self.profile in _PROFILES, self,
+                 f"unknown vertical profile {self.profile!r}")
 
     def build(self, grid: Grid, gm: GraphMap) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -125,12 +150,13 @@ def parse_recipe(text: str):
         key, _, val = piece.partition("=")
         key = key.strip()
         val = val.strip()
-        if key in ("comp", "dep_axis", "k", "kmax", "seed"):
-            kwargs[key] = int(val)
-        elif key in ("amp", "phase"):
-            kwargs[key] = float(val)
-        else:
-            kwargs[key] = val
+        cast = {"comp": int, "dep_axis": int, "k": int, "kmax": int,
+                "seed": int, "amp": float, "phase": float}.get(key, str)
+        try:
+            kwargs[key] = cast(val)
+        except ValueError as exc:
+            raise ConfigError(
+                f"bad value for recipe argument {key!r}: {val!r}") from exc
     try:
         if name == "shear":
             return ShearRecipe(**kwargs)

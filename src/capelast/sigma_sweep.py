@@ -21,8 +21,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import ConfigError
 from .evolve import RunConfig, RunResult, run
 from .grid import Grid
@@ -33,14 +31,9 @@ log = logging.getLogger(__name__)
 
 def state_distance(a: State, b: State, grid: Grid) -> float:
     """|psi_a - psi_b|_{H2(Sigma)} + ||v_a - v_b||_{H2} + sum_j ||dF_j||_{H2}."""
-    d = grid.sobolev_norm_fast(a.psi - b.psi, 2)
-    d += float(np.sqrt(sum(
-        grid.sobolev_norm_fast(a.v[i] - b.v[i], 2) ** 2 for i in range(3))))
-    for j in range(3):
-        d += float(np.sqrt(sum(
-            grid.sobolev_norm_fast(a.F[j][i] - b.F[j][i], 2) ** 2
-            for i in range(3))))
-    return d
+    n = grid.sobolev_norm
+    return (n(a.psi - b.psi, 2) + n(a.v - b.v, 2)
+            + sum(n(a.F[j] - b.F[j], 2) for j in range(3)))
 
 
 def run_distance(r1: RunResult, r2: RunResult) -> float:

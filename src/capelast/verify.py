@@ -176,10 +176,19 @@ def operators_battery(nx=32, ny=32, nz=17, b=1.0) -> list[VerifyRow]:
               + grid.quad_volume(g2 * grid.d_tan(g1, 1)))
     rows.append(VerifyRow("operators", "tangential adjointness", res,
                           adj / (1 + abs(grid.quad_volume(g1 * g2))), 1e-10))
-    rows.append(VerifyRow("operators", "sobolev fast-path agreement", res,
-                          abs(grid.sobolev_norm(g2, 2)
-                              - grid.sobolev_norm_fast(g2, 2))
-                          / grid.sobolev_norm(g2, 2), 1e-12))
+    # closed form: for f = cos(3 x1 + 2 x2) p(x3), ||f||_2^2 is 2 pi^2 times
+    # sum_{m3 <= 2} int_{-b}^0 (p^(m3))^2 dx3 sum_{m1+m2 <= 2-m3} 9^m1 4^m2
+    p = np.polynomial.Polynomial((1.0, 0.5, -0.8, 0.3))
+    exact_sq = 0.0
+    for m3 in range(3):
+        sq = (p.deriv(m3) ** 2).integ()
+        exact_sq += (sq(0.0) - sq(-b)) * sum(
+            9**m1 * 4**m2 for m1 in range(3 - m3) for m2 in range(3 - m3 - m1))
+    exact = np.sqrt(2 * np.pi**2 * exact_sq)
+    rows.append(VerifyRow("operators", "sobolev closed form", res,
+                          abs(grid.sobolev_norm(
+                              np.cos(3 * X1 + 2 * X2) * p(X3), 2) - exact)
+                          / exact, 1e-12))
 
     # pullback consistency on a wavy chart
     psi = battery_surface(grid)
@@ -278,10 +287,10 @@ def elliptic_battery(tol=1e-11) -> list[VerifyRow]:
     Y = np.stack([np.cos(X2) * (1 + X3), np.sin(X1), X3 * (1 + X3)])
     Y1 = project_divfree(Y, gm, grid, tol=tol)
     Y2 = project_divfree(Y1, gm, grid, tol=tol)
-    scale = 1 + grid.vector_sobolev_norm(Y, 1)
+    scale = 1 + grid.sobolev_norm(Y, 1)
     rows.append(VerifyRow("elliptic", "projection idempotence",
                           _res_label(grid),
-                          grid.vector_sobolev_norm(Y2 - Y1, 0) / scale, 1e-8))
+                          grid.sobolev_norm(Y2 - Y1, 0) / scale, 1e-8))
 
     f = np.sin(X1) * X3 * (X3 + 1.0) ** 2
     h = np.cos(X2) * X3 * (X3 + 1.0) ** 2

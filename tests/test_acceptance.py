@@ -143,10 +143,10 @@ def test_criterion_6_capillary_dispersion():
     expected = 2.0 * np.pi / np.sqrt(np.tanh(1.0))  # sigma |k|^3 tanh(|k| b)
     rel = abs(period - expected) / expected
     elapsed = time.time() - t0
-    ok = len(crossings) >= 3 and rel <= 0.01
+    ok = len(crossings) >= 3 and rel <= 1e-5
     _report(6, "linear capillary dispersion against the analytic rate", ok,
             f"period {period:.4f} vs {expected:.4f}, rel err {rel:.2e}"
-            " <= 1e-2", elapsed, 120)
+            " <= 1e-5", elapsed, 120)
 
 
 def sweep_config():

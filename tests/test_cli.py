@@ -100,6 +100,26 @@ def test_unknown_config_entry_exits_2(tmp_path, capsys, old, new, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("recipe, message", [
+    ("random: seed=x", "bad value for recipe argument 'seed': 'x'"),
+    ("shear: comp=1, dep_axis=2, amp=x",
+     "bad value for recipe argument 'amp': 'x'"),
+    ("stream: plane=zz", "plane must be xz or yz, got 'zz'"),
+    ("shear: comp=0, dep_axis=2", "comp must be 1, 2 or 3, got 0"),
+    ("shear: comp=1, dep_axis=3", "dep_axis must be 1 or 2, got 3"),
+    ("shear: comp=1, dep_axis=2, profile=foo",
+     "unknown vertical profile 'foo'"),
+])
+def test_malformed_recipe_exits_2(tmp_path, capsys, recipe, message):
+    cfgpath = _write(tmp_path, REST_CONFIG.replace("v = none",
+                                                   f"v = {recipe}"))
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", cfgpath, "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("old, new, sigmas, message", [
     ("modes = none", "modes = 1 x 1e-3 0", "0.1,0",
      "bad value for [surface] modes"),

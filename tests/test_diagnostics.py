@@ -11,6 +11,7 @@ from capelast.diagnostics import (
     rt_monitor,
     transport_residual,
 )
+from capelast.evolve import RunConfig, run
 from capelast.good_unknowns import Calculus
 from capelast.graphmap import build_graphmap, dphi, flat_graphmap, make_cutoff
 from capelast.recipes import ShearRecipe
@@ -99,6 +100,22 @@ def test_higher_energy_cases():
         for k in range(3):
             short.push(hist[k])
         higher_energy(short, gm, kmax=4)
+
+
+@pytest.mark.parametrize("kmax, finite", [(0, True), (1, False)])
+def test_first_record_energy_needs_kmax_plus_one_slices(kmax, finite):
+    # the t = 0 record holds one slice: enough for kmax = 0, and kmax = 1
+    # raises InsufficientHistoryError, which the record writes as NaN
+    cfg = RunConfig(init=InitSpec(nx=8, ny=8, nz=9, b=1.0, sigma=0.2,
+                                  psi_modes=((1, 0, 1e-3, 0.0),)),
+                    t_final=0.04, dt=0.02, kmax=kmax)
+    res = run(cfg)
+    assert np.isfinite(res.diagnostics[0].E_high) == finite
+    assert all(np.isfinite(d.E_high) for d in res.diagnostics[kmax:])
+    one = History()
+    one.push(res.history[0])
+    with pytest.raises(InsufficientHistoryError):
+        higher_energy(one, one.newest.graphmap(res.cutoff, res.grid), kmax=1)
 
 
 def test_rt_monitor_exact_fixtures():

@@ -119,6 +119,66 @@ def test_sobolev_norm_rejects_bad_order(g889):
         g889.sobolev_norm(np.zeros((8, 8, 9)), 5)
 
 
+# Closed form of the H^s norm: for distinct nonzero wavevectors k (no two
+# equal up to sign) and polynomial profiles p, the field
+# sum_k cos(k . x + phase) p_k(x3) has ||f||_s^2 = 2 pi^2 sum_k
+# sum_{m3 <= s} int_{-b}^0 (p_k^(m3))^2 dx3 sum_{m1+m2 <= s-m3} k1^2m1 k2^2m2.
+# Each field holds a mode with k2 = 0, which the half spectrum counts once.
+_ORACLE_TERMS = (
+    (((3, 2, 0.4), (1.0, 0.5, -0.8, 0.3)),
+     ((1, 0, 1.1), (0.2, 0.0, 1.5, 0.0, -0.7)),
+     ((-2, 5, 2.0), (0.0, 1.0))),
+    (((0, 1, 0.0), (1.0, -1.0, 0.0, 0.25)),
+     ((4, 0, 0.3), (0.5, 0.5, 0.5))),
+    (((2, -3, 1.7), (0.0, 0.0, 0.0, 0.0, 1.0)),
+     ((5, 0, 0.9), (-0.3, 0.2))),
+)
+
+
+def _oracle_field(grid, terms, surface=False):
+    """The field of ``terms`` and its squared H^0..H^4 norms."""
+    X1, X2 = grid.mesh_surface()
+    X3 = grid.x3
+    f = 0.0
+    sq = np.zeros(5)
+    for (k1, k2, phase), coef in terms:
+        p = np.polynomial.Polynomial(coef)
+        wave = np.cos(k1 * X1 + k2 * X2 + phase)
+        f = f + (wave * p(0.0) if surface
+                 else wave[:, :, None] * p(X3)[None, None, :])
+        for s in range(5):
+            for m3 in range(1 if surface else s + 1):
+                if surface:
+                    vert = p(0.0) ** 2
+                else:
+                    prim = (p.deriv(m3) ** 2).integ()
+                    vert = prim(0.0) - prim(-grid.b)
+                tan = sum(float(k1) ** (2 * m1) * float(k2) ** (2 * m2)
+                          for m1 in range(s - m3 + 1)
+                          for m2 in range(s - m3 - m1 + 1))
+                sq[s] += 2 * np.pi**2 * vert * tan
+    return f, sq
+
+
+@pytest.mark.parametrize("shape", ["volume", "surface", "stack3", "stack33"])
+def test_sobolev_norm_closed_form(shape):
+    g = make_grid(16, 16, 9, 1.0)
+    if shape == "stack33":
+        parts = [[_oracle_field(g, _ORACLE_TERMS[(i + j) % 3][: 3 - j])
+                  for i in range(3)] for j in range(3)]
+        f = np.array([[fp for fp, _ in row] for row in parts])
+        sq = sum(sp for row in parts for _, sp in row)
+    elif shape == "stack3":
+        parts = [_oracle_field(g, terms) for terms in _ORACLE_TERMS]
+        f = np.array([fp for fp, _ in parts])
+        sq = sum(sp for _, sp in parts)
+    else:
+        f, sq = _oracle_field(g, _ORACLE_TERMS[0], surface=shape == "surface")
+    for s in range(5):
+        exact = np.sqrt(sq[s])
+        assert abs(g.sobolev_norm(f, s) - exact) <= 1e-12 * exact
+
+
 def _random_trig(grid, seed, kmax):
     rng = np.random.default_rng(seed)
     X1, X2, X3 = grid.mesh_volume()
