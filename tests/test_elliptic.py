@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
 
-from capelast import elliptic, make_grid
+import capelast.evolve
+import capelast.state
+from capelast import SolverConvergenceError, elliptic, make_grid
 from capelast.elliptic import (
     _apply_bc_operator,
     pressure_rhs,
@@ -8,14 +11,18 @@ from capelast.elliptic import (
     solve_poisson_phi,
     stage_fields,
 )
+from capelast.evolve import RunConfig, run
 from capelast.graphmap import (
     build_graphmap,
     div_phi,
+    dphi,
     flat_graphmap,
     grad_phi_stack,
     laplace_phi,
     make_cutoff,
 )
+from capelast.recipes import StreamRecipe
+from capelast.state import InitSpec
 
 
 def wavy_gm(grid, amp=0.05, kx=1, ky=1):
@@ -51,7 +58,6 @@ def test_operator_consistent_manufactured_wavy():
     X1, X2, X3 = g.mesh_volume()
     Wstar = np.cos(X1 + X2) * (1.0 + X3) ** 2 + 0.3 * np.sin(X2) * X3
     rhs = -laplace_phi(Wstar, gm)
-    from capelast.graphmap import dphi
     W = solve_poisson_phi(rhs, Wstar[:, :, 0],
                           dphi(Wstar, 3, gm)[:, :, -1], gm, g, tol=1e-11)
     assert g.norm0(W - Wstar) <= 1e-8
@@ -147,6 +153,112 @@ def test_warm_started_solve_applies_no_operator(monkeypatch):
     W = solve_poisson_phi(rhs, zero, zero, gm, g, tol=1e-11)
     assert calls == {"matvec": 0, "flat": 1}   # the warm start only
     assert np.abs(W[:, :, 0]).max() == 0.0
+
+
+def residuals_over_target(W, rhs, dir_top, neu_bottom, gm, tol):
+    """Interior and bottom-flux residuals of a returned field, computed
+    without the solver's code, as fractions of the solver's target."""
+    g = gm.grid
+    target = tol * (1.0 + g.norm0(rhs))
+    res = -laplace_phi(W, gm) - rhs
+    res[:, :, 0] = 0.0
+    res[:, :, -1] = 0.0
+    flux = dphi(W, 3, gm)[:, :, -1] - neu_bottom
+    assert np.array_equal(W[:, :, 0], np.broadcast_to(dir_top, W.shape[:2]))
+    return g.norm0(res) / target, g.norm0(flux) / target
+
+
+def krylov_problem():
+    """A curved 16x16x9 problem that the flat warm start does not settle."""
+    g = make_grid(16, 16, 9, 1.0)
+    gm = wavy_gm(g, amp=0.05)
+    X1, X2, X3 = g.mesh_volume()
+    rhs = np.cos(X1) * np.sin(X2) * (1 + X3)
+    return rhs, 0.1 * np.cos(X2[:, :, 0]), 0.2 * np.sin(X1[:, :, 0]), gm, g
+
+
+def test_each_krylov_iteration_applies_each_operator_once(monkeypatch):
+    # the warm start's residual takes one laplace_phi, each iteration one
+    # operator and one flat solve, and the cycle's end one of each
+    calls = {"laplace": 0, "flat": 0}
+    lap = elliptic.laplace_phi
+    flat_solve = elliptic._FlatSolver.solve
+
+    def counted_lap(f, gm):
+        calls["laplace"] += 1
+        return lap(f, gm)
+
+    def counted_flat(self, B):
+        calls["flat"] += 1
+        return flat_solve(self, B)
+
+    monkeypatch.setattr(elliptic, "laplace_phi", counted_lap)
+    monkeypatch.setattr(elliptic._FlatSolver, "solve", counted_flat)
+    rhs, dir_top, neu, gm, g = krylov_problem()
+    W = solve_poisson_phi(rhs, dir_top, neu, gm, g, tol=1e-11)
+    assert calls["flat"] >= 3          # the solve made Krylov iterations
+    assert calls["laplace"] == calls["flat"]
+    interior, bottom = residuals_over_target(W, rhs, dir_top, neu, gm, 1e-11)
+    assert interior <= 1.0 and bottom <= 1.0
+
+
+def test_target_below_rounding_raises_with_bounded_iterations():
+    rhs, dir_top, neu, gm, g = krylov_problem()
+    with pytest.raises(SolverConvergenceError) as exc:
+        solve_poisson_phi(rhs, dir_top, neu, gm, g, tol=1e-30)
+    assert 1 <= exc.value.iterations <= elliptic.MAX_ITER
+
+
+def test_solve_returns_the_verified_field(monkeypatch):
+    # oblique-type data at 32x32x17 over two steps: every pressure and
+    # projection solve returns a field whose own residuals meet the target
+    ratios = []
+    solve = elliptic.solve_poisson_phi
+
+    def checked(rhs, dir_top, neu_bottom, gm, grid, tol=elliptic.DEFAULT_TOL):
+        W = solve(rhs, dir_top, neu_bottom, gm, grid, tol=tol)
+        ratios.append(residuals_over_target(W, rhs, dir_top, neu_bottom, gm,
+                                            tol))
+        return W
+
+    for module in (elliptic, capelast.evolve, capelast.state):
+        monkeypatch.setattr(module, "solve_poisson_phi", checked)
+    init = InitSpec(
+        nx=32, ny=32, nz=17, b=1.0, sigma=0.1,
+        psi_modes=((1, 0, 1e-2, 0.0), (1, 1, 5e-3, 0.3), (0, 2, 4e-3, 1.1)),
+        v_recipe=StreamRecipe(amp=0.3, k=1, profile="sinh", plane="yz"),
+        F_recipes=(StreamRecipe(amp=0.1, k=1, profile="confined", plane="xz"),
+                   StreamRecipe(amp=0.1, k=2, profile="confined", plane="yz"),
+                   None))
+    res = run(RunConfig(init=init, t_final=0.02, dt=0.01, kmax=0))
+    assert res.aborted is None and len(res.diagnostics) == 3
+    assert len(ratios) >= 10
+    assert max(r[0] for r in ratios) <= 1.0
+    assert max(r[1] for r in ratios) <= 1.0
+
+
+def test_solve_meets_the_bottom_flux_row():
+    # a linear cutoff leaves d3 phi != 1 on the bottom, where the flat
+    # preconditioner's Neumann row is the plain d3: only the solve's own
+    # bottom-flux row can carry the datum
+    spec = InitSpec(nx=32, ny=32, nz=17, b=1.2, delta0=0.1,
+                    strict_cutoff=True,
+                    psi_modes=((1, 0, 0.02, 0.0), (1, 1, 0.01, 0.5)))
+    g = spec.make_grid()
+    psi = spec.build_psi0(g)
+    cut = make_cutoff(g, spec.delta0, float(np.abs(psi).max()), strict=True)
+    assert cut.profile == "linear"
+    gm = build_graphmap(psi, np.zeros_like(psi), cut, g)
+    bottom_d3phi = gm.d3phi[:, :, -1]
+    assert 0.975 <= bottom_d3phi.min() and bottom_d3phi.max() <= 1.025
+    assert np.ptp(bottom_d3phi) > 0.02
+    X1, X2, X3 = g.mesh_volume()
+    rhs = np.sin(X1 + X2) * (1 + X3)
+    dir_top = 0.1 * np.cos(X1[:, :, 0])
+    neu = np.cos(X2[:, :, -1]) + 0.5
+    W = solve_poisson_phi(rhs, dir_top, neu, gm, g, tol=1e-11)
+    interior, bottom = residuals_over_target(W, rhs, dir_top, neu, gm, 1e-11)
+    assert interior <= 1.0 and bottom <= 1.0
 
 
 def test_pressure_rhs_vanishing_cases():
