@@ -42,7 +42,7 @@ from .elliptic import (
     solve_poisson_phi,
     stage_fields,
 )
-from .errors import CapelastError, CFLError, NonFiniteStateError
+from .errors import CapelastError, CFLError, ConfigError, NonFiniteStateError
 from .graphmap import Cutoff, GraphMap, advection_speed, grad_phi_stack, mean_curvature
 from .grid import Grid, multiplier_matrix
 from .state import History, InitSpec, State, build_initial_data, constraint_residuals
@@ -212,6 +212,20 @@ class RunConfig:
     rt_c0: float = 0.0
     spectral_filter: bool = False
     probe: object = None     # optional callable(state, grid) -> float
+
+    def __post_init__(self):
+        """Reject settings no run can use, before any output is written."""
+        if not self.t_final >= 0:
+            raise ConfigError(f"t_final must be >= 0, got {self.t_final}")
+        if not self.dt > 0:
+            raise ConfigError(f"dt must be positive, got {self.dt}")
+        if self.snapshot_every < 1:
+            raise ConfigError(
+                f"snapshot_every must be >= 1, got {self.snapshot_every}")
+        # E_high sums H^(4-k) norms of dt^k for k <= kmax
+        if not 0 <= self.kmax <= 4:
+            raise ConfigError(f"kmax must be in 0..4, got {self.kmax}")
+        History.check_length(self.history_len)
 
 
 @dataclass

@@ -5,7 +5,16 @@ History with spectral tangential derivatives.  Applying D^alpha to a
 twisted derivative of f produces the same twisted derivative of the good
 unknown  D^alpha f - D^alpha(phi) d3^phi f  plus a remainder built from
 commutator brackets; this module assembles both sides of those identities
-so their residuals can be measured.
+so their residuals can be measured.  For i = 1, 2, 3,
+
+    D^alpha d_i^phi f = d_i^phi(D^alpha f - D^alpha(phi) d3^phi f) + C_i(f),
+    C_i(f) = D^alpha(phi) d_i^phi d3^phi f + [D^alpha, N_i U, d3 f]
+             + d3 f [D^alpha, N_i, U] - N_i d3 f B,
+
+with N = (-d1 phi, -d2 phi, 1), U = 1/d3(phi) and B the unit splitting of
+[D^alpha, U U] d3(phi).  One formula serves every i; at i = 3 the bracket
+[D^alpha, 1, U] is zero up to rounding.  The material-derivative identity
+has its own remainder D(f).
 
 Conventions.  [D, a] b = D(ab) - a D(b) and [D, a, b] = D(ab) - D(a) b
 - a D(b).  Time derivatives differentiate the polynomial interpolant of
@@ -35,6 +44,8 @@ from .graphmap import (
     advection_speed,
     curl_phi,
     dphi,
+    grad_phi_stack,
+    levi_civita,
     material_derivative,
 )
 from .grid import Grid
@@ -42,8 +53,7 @@ from .state import History
 
 _GEOMETRY = ("phi", "d1phi", "d2phi", "d3phi", "inv_d3phi")
 
-_LEVI = [(0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
-         (0, 2, 1, -1.0), (2, 1, 0, -1.0), (1, 0, 2, -1.0)]
+_AXES = {"tau1": 1, "tau2": 2, "d3": 3}   # identity name -> d_i^phi
 
 
 @dataclass(frozen=True)
@@ -130,9 +140,9 @@ class Calculus:
     def series(self, field) -> np.ndarray:
         """Stack a callable(state, gm) or a named field over the slices.
 
-        Names are psi, q, v1..v3, f11..f33 (F_ij), and the map fields phi,
-        d1phi, d2phi, d3phi and inv_d3phi.  A named series is stacked once
-        and returned read-only.
+        Names are those of ``State.field`` (psi, q, v1..v3, f11..f33) and
+        the map fields phi, d1phi, d2phi, d3phi and inv_d3phi.  A named
+        series is stacked once and returned read-only.
         """
         if callable(field):
             return np.stack([field(s, g)
@@ -147,17 +157,7 @@ class Calculus:
     def _slices(self, name: str) -> list[np.ndarray]:
         if name in _GEOMETRY:
             return [getattr(g, name) for g in self.gms]
-        if name == "psi":
-            return [s.psi for s in self.hist]
-        if name == "q":
-            return [s.q for s in self.hist]
-        if name.startswith("v") and len(name) == 2:
-            i = int(name[1]) - 1
-            return [s.v[i] for s in self.hist]
-        if name.startswith("f") and len(name) == 3:
-            i, j = int(name[1]) - 1, int(name[2]) - 1
-            return [s.F[j][i] for s in self.hist]
-        raise KeyError(f"unknown field name {name!r}")
+        return [s.field(name) for s in self.hist]
 
     def dt(self, S: np.ndarray, order: int = 1) -> np.ndarray:
         """Time-differentiate a series at every node."""
@@ -255,43 +255,36 @@ def good_unknown(calc: Calculus, fieldname, alpha: MultiIndex) -> np.ndarray:
             - calc.D_alpha(Phi, alpha) * dphi(S[-1], 3, calc.gm))
 
 
-def remainder_Ctau(calc: Calculus, fieldname, alpha: MultiIndex,
-                   tau: int) -> np.ndarray:
-    """C_tau(f) for the tangential-derivative identity, tau in {1, 2}."""
-    if tau not in (1, 2):
-        raise ValueError("tau must be 1 or 2")
-    U, D3Phi = calc.series("inv_d3phi"), calc.series("d3phi")
-    B = calc.unit_split_bracket(U * U, D3Phi, alpha)
+def _exchange_series(calc: Calculus, fieldname, alpha: MultiIndex):
+    """What C_i and D share: the series of f, U = 1/d3phi, the unit split
+    B = [D^alpha, U U] d3phi, and the d3 f series."""
+    U = calc.series("inv_d3phi")
+    B = calc.unit_split_bracket(U * U, calc.series("d3phi"), alpha)
     S = calc.series(fieldname)
     D3f = calc.op_series(S, lambda f, g: calc.grid.d_vert(f))
-    Ptau = calc.series(f"d{tau}phi")
-    Cp = (-calc.bracket3(Ptau * U, D3f, alpha)
-          - D3f[-1] * calc.bracket3(Ptau, U, alpha)
-          + D3f[-1] * Ptau[-1] * B)
-    lead = calc.D_alpha(calc.series("phi"), alpha) * dphi(
-        dphi(S[-1], 3, calc.gm), tau, calc.gm)
-    return lead + Cp
+    return S, U, B, D3f
 
 
-def remainder_C3(calc: Calculus, fieldname, alpha: MultiIndex) -> np.ndarray:
-    """C_3(f) for the vertical-derivative identity."""
-    U, D3Phi = calc.series("inv_d3phi"), calc.series("d3phi")
-    B = calc.unit_split_bracket(U * U, D3Phi, alpha)
-    S = calc.series(fieldname)
-    D3f = calc.op_series(S, lambda f, g: calc.grid.d_vert(f))
-    Cp = calc.bracket3(U, D3f, alpha) - D3f[-1] * B
+def remainder_C(calc: Calculus, fieldname, alpha: MultiIndex,
+                i: int) -> np.ndarray:
+    """C_i(f) for the derivative-exchange identity along d_i^phi, i in
+    {1, 2, 3}; see ``alinhac_residual``."""
+    if i not in (1, 2, 3):
+        raise ValueError(f"i must be 1, 2 or 3, got {i}")
+    S, U, B, D3f = _exchange_series(calc, fieldname, alpha)
+    N = -calc.series(f"d{i}phi") if i < 3 else np.ones_like(U)
+    C = (calc.bracket3(N * U, D3f, alpha)
+         + D3f[-1] * calc.bracket3(N, U, alpha)
+         - N[-1] * D3f[-1] * B)
     lead = calc.D_alpha(calc.series("phi"), alpha) * dphi(
-        dphi(S[-1], 3, calc.gm), 3, calc.gm)
-    return lead + Cp
+        dphi(S[-1], 3, calc.gm), i, calc.gm)
+    return lead + C
 
 
 def remainder_D(calc: Calculus, fieldname, alpha: MultiIndex) -> np.ndarray:
     """D(f) for the material-derivative identity, transported by the
     newest velocity."""
-    U, D3Phi = calc.series("inv_d3phi"), calc.series("d3phi")
-    B = calc.unit_split_bracket(U * U, D3Phi, alpha)
-    S = calc.series(fieldname)
-    D3f = calc.op_series(S, lambda f, g: calc.grid.d_vert(f))
+    S, U, B, D3f = _exchange_series(calc, fieldname, alpha)
     v = calc.hist.newest.v
     Vs = [calc.series(f"v{i+1}") for i in range(3)]
     Wsp = calc.series(lambda state, g: advection_speed(state.v, g))
@@ -331,17 +324,12 @@ def alinhac_residual(calc: Calculus, fieldname, alpha: MultiIndex,
     S = calc.series(fieldname)
     agu_new = good_unknown(calc, fieldname, alpha)
 
-    if which in ("tau1", "tau2"):
-        tau = 1 if which == "tau1" else 2
-        lhs = calc.D_alpha(
-            calc.op_series(S, lambda f, g, t=tau: dphi(f, t, g)), alpha)
-        rhs = (dphi(agu_new, tau, calc.gm)
-               + remainder_Ctau(calc, fieldname, alpha, tau))
-    elif which == "d3":
-        lhs = calc.D_alpha(
-            calc.op_series(S, lambda f, g: dphi(f, 3, g)), alpha)
-        rhs = (dphi(agu_new, 3, calc.gm)
-               + remainder_C3(calc, fieldname, alpha))
+    if which in _AXES:
+        i = _AXES[which]
+        lhs = calc.D_alpha(calc.op_series(S, lambda f, g: dphi(f, i, g)),
+                           alpha)
+        rhs = dphi(agu_new, i, calc.gm) + remainder_C(calc, fieldname,
+                                                      alpha, i)
     elif which == "dt":
         lhs = calc.D_alpha(calc.material_series(S), alpha)
         # the good unknown as a series: the outer operator is D_t^phi
@@ -360,43 +348,42 @@ def curl_commutator_residuals(calc: Calculus):
 
     r1: [curl^phi, D_t^phi] v = eps^{iab} d_a^phi v_k d_k^phi v_b
     r2: [curl^phi, (F_k . grad^phi)] F_k = eps^{iab} ((d_a^phi F_k) . grad^phi) F_bk
+
+    Each right side is eps contracted with the product G G of a twisted
+    gradient stack G[a, b] = d_a^phi X_b with itself.
     """
     grid = calc.grid
     gmn = calc.gm
     state = calc.hist.newest
-    v = state.v
 
     # r1 -- needs the time derivative of v and of curl v
     Vs = np.stack([calc.series(f"v{i+1}") for i in range(3)], axis=1)
     Dt_v = np.stack([calc.material_at(Vs[:, i]) for i in range(3)])
-    curl_series = np.stack([
-        curl_phi(np.stack([s.v[0], s.v[1], s.v[2]]), g)
-        for s, g in zip(calc.hist, calc.gms)])
+    curl_series = np.stack([curl_phi(s.v, g)
+                            for s, g in zip(calc.hist, calc.gms)])
     Dt_curl = np.stack([calc.material_at(curl_series[:, i])
                         for i in range(3)])
-    Dv = [[dphi(v[k], a, gmn) for k in range(3)] for a in (1, 2, 3)]
-    rhs1 = np.zeros_like(v)
-    for i, a, b2, sgn in _LEVI:
-        for k in range(3):
-            rhs1[i] += sgn * Dv[a][k] * Dv[k][b2]
+    rhs1 = _eps_square(grad_phi_stack(state.v, gmn))
     r1 = grid.sobolev_norm(curl_phi(Dt_v, gmn) - Dt_curl - rhs1, 0)
 
     # r2 -- purely spatial at the newest slice
-    F = state.F
-    G = np.zeros_like(v)
-    adv_curlF = np.zeros_like(v)
-    rhs2 = np.zeros_like(v)
-    for k in range(3):
-        Fk = F[k]
-        DFk = [[dphi(Fk[l], a, gmn) for l in range(3)] for a in (1, 2, 3)]
-        stretch = np.stack([sum(Fk[l] * DFk[l][i] for l in range(3))
-                            for i in range(3)])
-        G += stretch
-        cF = curl_phi(Fk, gmn)
-        adv_curlF += np.stack([sum(Fk[l] * dphi(cF[i], l + 1, gmn)
-                                   for l in range(3)) for i in range(3)])
-        for i, a, b2, sgn in _LEVI:
-            for l in range(3):
-                rhs2[i] += sgn * DFk[a][l] * DFk[l][b2]
+    G = np.zeros_like(state.v)
+    adv_curlF = np.zeros_like(state.v)
+    rhs2 = np.zeros_like(state.v)
+    for Fk in state.F:
+        DFk = grad_phi_stack(Fk, gmn)
+        G += _along(Fk, DFk)
+        adv_curlF += _along(Fk, grad_phi_stack(levi_civita(DFk), gmn))
+        rhs2 += _eps_square(DFk)
     r2 = grid.sobolev_norm(curl_phi(G, gmn) - adv_curlF - rhs2, 0)
     return {"r1": r1, "r2": r2}
+
+
+def _along(X: np.ndarray, DY: np.ndarray) -> np.ndarray:
+    """(X . grad^phi) Y from the gradient stack DY[l, i] = d_l^phi Y_i."""
+    return np.einsum("l...,li...->i...", X, DY)
+
+
+def _eps_square(DX: np.ndarray) -> np.ndarray:
+    """eps^{iab} DX[a, k] DX[k, b] for a gradient stack DX."""
+    return levi_civita(np.einsum("ak...,kb...->ab...", DX, DX))

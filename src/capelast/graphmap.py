@@ -188,15 +188,14 @@ def div_phi(X: np.ndarray, gm: GraphMap) -> np.ndarray:
             + gm.a33 * g.d_vert(X[2]))
 
 
+def levi_civita(M: np.ndarray) -> np.ndarray:
+    """eps_{iab} M[a, b] of a (3, 3, ...) stack; a vector stack (3, ...)."""
+    return np.stack([M[1, 2] - M[2, 1], M[2, 0] - M[0, 2], M[0, 1] - M[1, 0]])
+
+
 def curl_phi(X: np.ndarray, gm: GraphMap) -> np.ndarray:
     """Twisted curl, (curl X)_i = eps_{i a b} d_a^phi X_b."""
-    d2X2 = dphi(X[2], 2, gm)
-    d3X1 = dphi(X[1], 3, gm)
-    d3X0 = dphi(X[0], 3, gm)
-    d1X2 = dphi(X[2], 1, gm)
-    d1X1 = dphi(X[1], 1, gm)
-    d2X0 = dphi(X[0], 2, gm)
-    return np.stack([d2X2 - d3X1, d3X0 - d1X2, d1X1 - d2X0])
+    return levi_civita(grad_phi_stack(X, gm))
 
 
 def laplace_phi(f: np.ndarray, gm: GraphMap) -> np.ndarray:

@@ -28,7 +28,6 @@ Poisson solve's per-mode matrices and ``sobolev_norm``'s Parseval sums.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,25 +35,21 @@ from scipy import fft as _fft
 
 from .errors import GridError
 
-_WORKERS = min(4, os.cpu_count() or 1)
-
 
 def rfft(f, axis):
-    return _fft.rfft(f, axis=axis, workers=_WORKERS if f.ndim > 3 else 1)
+    return _fft.rfft(f, axis=axis)
 
 
 def irfft(f, n, axis):
-    return _fft.irfft(f, n=n, axis=axis,
-                      workers=_WORKERS if f.ndim > 3 else 1)
+    return _fft.irfft(f, n=n, axis=axis)
 
 
 def rfft2(f, axes):
-    return _fft.rfft2(f, axes=axes, workers=_WORKERS if f.ndim > 3 else 1)
+    return _fft.rfft2(f, axes=axes)
 
 
 def irfft2(f, s, axes):
-    return _fft.irfft2(f, s=s, axes=axes,
-                       workers=_WORKERS if f.ndim > 3 else 1)
+    return _fft.irfft2(f, s=s, axes=axes)
 
 
 def multiplier_matrix(mult: np.ndarray, n: int) -> np.ndarray:
@@ -284,8 +279,9 @@ class Grid:
         return self.dealias_tangential(f) if self.dealias else f
 
 
-def make_grid(nx: int, ny: int, nz: int, b: float, dealias: bool = True) -> Grid:
-    """Validated grid constructor."""
+def check_dims(nx: int, ny: int, nz: int, b: float):
+    """Raise GridError unless nx and ny are even and >= 4, nz >= 5 and
+    b > 0."""
     for name, n in (("nx", nx), ("ny", ny)):
         if n < 4 or n % 2 != 0:
             raise GridError(f"{name} must be even and >= 4, got {n}")
@@ -293,4 +289,9 @@ def make_grid(nx: int, ny: int, nz: int, b: float, dealias: bool = True) -> Grid
         raise GridError(f"nz must be >= 5, got {nz}")
     if not (b > 0):
         raise GridError(f"depth b must be positive, got {b}")
+
+
+def make_grid(nx: int, ny: int, nz: int, b: float, dealias: bool = True) -> Grid:
+    """Validated grid constructor."""
+    check_dims(nx, ny, nz, b)
     return Grid(int(nx), int(ny), int(nz), float(b), dealias=dealias)

@@ -22,7 +22,7 @@ from .elliptic import (
     solve_poisson_phi,
     stage_fields,
 )
-from .errors import ConfigError, InsufficientHistoryError
+from .errors import ConfigError, GridError, InsufficientHistoryError
 from .graphmap import (
     Cutoff,
     GraphMap,
@@ -31,7 +31,16 @@ from .graphmap import (
     make_cutoff,
     mean_curvature,
 )
-from .grid import Grid, make_grid
+from .grid import Grid, check_dims, make_grid
+
+# Named fields: attribute and index of each in a State.  F_ij is F[j][i],
+# the i-th component of column j.
+FIELDS = {
+    "psi": ("psi",),
+    "q": ("q",),
+    **{f"v{i+1}": ("v", i) for i in range(3)},
+    **{f"f{i+1}{j+1}": ("F", j, i) for i in range(3) for j in range(3)},
+}
 
 
 @dataclass
@@ -48,6 +57,14 @@ class State:
         return State(t=self.t, psi=self.psi.copy(), v=self.v.copy(),
                      F=self.F.copy(), q=self.q.copy(), sigma=self.sigma,
                      psi_t=None if self.psi_t is None else self.psi_t.copy())
+
+    def field(self, name: str) -> np.ndarray:
+        """A view of the named field: psi, q, v1..v3, or f11..f33, where
+        F_ij = F[j][i]."""
+        if name not in FIELDS:
+            raise KeyError(f"unknown field name {name!r}")
+        attr, *index = FIELDS[name]
+        return getattr(self, attr)[tuple(index)]
 
     def surface_velocity(self, grid: Grid) -> np.ndarray:
         """dt(psi): the explicit override if present, else v . N on Sigma."""
@@ -118,6 +135,12 @@ class InitSpec:
     strict_cutoff: bool = False
     project: bool = True
 
+    def __post_init__(self):
+        try:
+            check_dims(self.nx, self.ny, self.nz, self.b)
+        except GridError as exc:
+            raise ConfigError(str(exc)) from exc
+
     def make_grid(self) -> Grid:
         return make_grid(self.nx, self.ny, self.nz, self.b,
                          dealias=self.dealias)
@@ -175,9 +198,14 @@ class History:
     """Ring buffer of recent states at uniform spacing, oldest first."""
 
     def __init__(self, maxlen: int = 5):
+        History.check_length(maxlen)
+        self._dq: deque[State] = deque(maxlen=maxlen)
+
+    @staticmethod
+    def check_length(maxlen: int):
+        """Raise ConfigError for a ring shorter than five slices."""
         if maxlen < 5:
             raise ConfigError(f"history length must be >= 5, got {maxlen}")
-        self._dq: deque[State] = deque(maxlen=maxlen)
 
     def push(self, state: State):
         if len(self._dq) >= 1:
@@ -215,51 +243,42 @@ class History:
 
 # -- serialization ------------------------------------------------------------
 
-_FIELD_FILES = {
-    "psi": ("psi.fld", 2),
-    "q": ("q.fld", 3),
-    **{f"v{i+1}": (f"v{i+1}.fld", 3) for i in range(3)},
-    **{f"f{i+1}{j+1}": (f"f{i+1}{j+1}.fld", 3)
-       for i in range(3) for j in range(3)},
-}
-
-
 def save_state(state: State, grid: Grid, out_dir: str):
     """One dump file per field plus a JSON manifest."""
     os.makedirs(out_dir, exist_ok=True)
     dims = (grid.nx, grid.ny, grid.nz, grid.b)
-    fieldio.write_field(os.path.join(out_dir, "psi.fld"), state.psi, *dims)
-    fieldio.write_field(os.path.join(out_dir, "q.fld"), state.q, *dims)
-    for i in range(3):
-        fieldio.write_field(os.path.join(out_dir, f"v{i+1}.fld"),
-                            state.v[i], *dims)
-        for j in range(3):
-            fieldio.write_field(os.path.join(out_dir, f"f{i+1}{j+1}.fld"),
-                                state.F[j][i], *dims)
+    for name in FIELDS:
+        fieldio.write_field(os.path.join(out_dir, f"{name}.fld"),
+                            state.field(name), *dims)
     fieldio.write_manifest(os.path.join(out_dir, "manifest.json"), {
         "t": state.t, "sigma": state.sigma,
         "b": grid.b, "nx": grid.nx, "ny": grid.ny, "nz": grid.nz,
         "dealias": grid.dealias,
-        "fields": sorted(_FIELD_FILES),
+        "fields": sorted(FIELDS),
     })
 
 
 def load_state(in_dir: str):
-    """Returns (state, grid) reconstructed from a dump directory."""
+    """Returns (state, grid) reconstructed from a dump directory.
+
+    Raises ConfigError when a dump's header names another grid or kind
+    than the manifest implies.
+    """
     manifest = fieldio.read_manifest(os.path.join(in_dir, "manifest.json"))
     # manifests written before the key existed reload with the default
     grid = make_grid(manifest["nx"], manifest["ny"], manifest["nz"],
                      manifest["b"],
                      dealias=bool(manifest.get("dealias", True)))
-    psi, _ = fieldio.read_field(os.path.join(in_dir, "psi.fld"))
-    q, _ = fieldio.read_field(os.path.join(in_dir, "q.fld"))
-    v = np.stack([fieldio.read_field(os.path.join(in_dir, f"v{i+1}.fld"))[0]
-                  for i in range(3)])
-    F = np.empty((3, 3, grid.nx, grid.ny, grid.nz))
-    for i in range(3):
-        for j in range(3):
-            F[j, i] = fieldio.read_field(
-                os.path.join(in_dir, f"f{i+1}{j+1}.fld"))[0]
-    state = State(t=float(manifest["t"]), psi=psi, v=v, F=F, q=q,
-                  sigma=float(manifest["sigma"]))
+    state = zero_state(grid, float(manifest["sigma"]))
+    state.t = float(manifest["t"])
+    for name in FIELDS:
+        path = os.path.join(in_dir, f"{name}.fld")
+        data, meta = fieldio.read_field(path)
+        target = state.field(name)
+        expect = {"nx": grid.nx, "ny": grid.ny, "nz": grid.nz, "b": grid.b,
+                  "kind": "surface" if target.ndim == 2 else "volume"}
+        if meta != expect:
+            raise ConfigError(f"{path} holds {meta}, but the manifest "
+                              f"implies {expect}")
+        target[...] = data
     return state, grid

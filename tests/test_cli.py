@@ -90,6 +90,17 @@ def test_missing_config_exits_2(tmp_path, capsys):
     ("[solver]", "[solvr]", "unknown section [solvr]"),
     ("[output]", "[sweep]\nsigmas = 0.1, x\n\n[output]",
      "bad value for [sweep] sigmas"),
+    # out-of-range settings are rejected before anything is written
+    ("kmax = 1", "kmax = -1", "kmax must be in 0..4, got -1"),
+    ("kmax = 1", "kmax = 5", "kmax must be in 0..4, got 5"),
+    ("snapshot_every = 2", "snapshot_every = 0",
+     "snapshot_every must be >= 1, got 0"),
+    ("dt = 0.01", "dt = 0", "dt must be positive, got 0.0"),
+    ("dt = 0.01", "dt = -0.01", "dt must be positive, got -0.01"),
+    ("t_final = 0.04", "t_final = -0.04", "t_final must be >= 0, got -0.04"),
+    ("nx = 8", "nx = 7", "nx must be even and >= 4, got 7"),
+    ("history_len = 5", "history_len = 4",
+     "history length must be >= 5, got 4"),
 ])
 def test_unknown_config_entry_exits_2(tmp_path, capsys, old, new, message):
     cfgpath = _write(tmp_path, REST_CONFIG.replace(old, new))

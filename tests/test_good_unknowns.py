@@ -10,11 +10,10 @@ from capelast.good_unknowns import (
     curl_commutator_residuals,
     fornberg_weights,
     good_unknown,
-    remainder_C3,
-    remainder_Ctau,
+    remainder_C,
     remainder_D,
 )
-from capelast.graphmap import make_cutoff
+from capelast.graphmap import dphi, make_cutoff
 from capelast.state import History, State
 
 
@@ -168,14 +167,64 @@ def test_remainders_collapse_flat_static():
     calc = Calculus(hist, cut, g)
     for alpha in (MultiIndex(0, 1, 0), MultiIndex(1, 0, 0),
                   MultiIndex(0, 1, 1)):
-        assert np.abs(remainder_Ctau(calc, "q", alpha, 1)).max() <= 1e-11
-        assert np.abs(remainder_C3(calc, "q", alpha)).max() <= 1e-11
+        assert np.abs(remainder_C(calc, "q", alpha, 1)).max() <= 1e-11
+        assert np.abs(remainder_C(calc, "q", alpha, 3)).max() <= 1e-11
         assert np.abs(remainder_D(calc, "q", alpha)).max() <= 1e-9
         for which in ("tau1", "tau2", "d3", "dt"):
             assert alinhac_residual(calc, "q", alpha, which) <= 1e-9
 
     with pytest.raises(ValueError):
-        remainder_C3(calc, "q", MultiIndex(0, 0, 0))
+        remainder_C(calc, "q", MultiIndex(0, 0, 0), 3)
+
+
+def _reference_terms(calc, alpha):
+    S = calc.series("q")
+    U = calc.series("inv_d3phi")
+    B = calc.unit_split_bracket(U * U, calc.series("d3phi"), alpha)
+    D3f = calc.op_series(S, lambda f, g: calc.grid.d_vert(f))
+    return S, U, B, D3f
+
+
+def reference_Ctau(calc, alpha, tau):
+    """C_tau written with P_tau = d_tau phi = -N_tau, tau in {1, 2}."""
+    S, U, B, D3f = _reference_terms(calc, alpha)
+    Ptau = calc.series(f"d{tau}phi")
+    Cp = (-calc.bracket3(Ptau * U, D3f, alpha)
+          - D3f[-1] * calc.bracket3(Ptau, U, alpha)
+          + D3f[-1] * Ptau[-1] * B)
+    lead = calc.D_alpha(calc.series("phi"), alpha) * dphi(
+        dphi(S[-1], 3, calc.gm), tau, calc.gm)
+    return lead + Cp
+
+
+def reference_C3(calc, alpha):
+    """C_3 with the bracket [D^alpha, 1, U] dropped."""
+    S, U, B, D3f = _reference_terms(calc, alpha)
+    Cp = calc.bracket3(U, D3f, alpha) - D3f[-1] * B
+    lead = calc.D_alpha(calc.series("phi"), alpha) * dphi(
+        dphi(S[-1], 3, calc.gm), 3, calc.gm)
+    return lead + Cp
+
+
+@pytest.mark.parametrize("moving", [False, True])
+def test_remainder_C_matches_the_separate_formulas(moving):
+    # one formula with N = (-d1 phi, -d2 phi, 1): C_1 and C_2 are the
+    # tangential formula bit for bit, and C_3 differs from the vertical one
+    # only by d3 f [D^alpha, 1, U], zero up to rounding
+    g = make_grid(32, 32, 17, 1.0, dealias=False)
+    cut = make_cutoff(g, 0.125, 0.1, strict=False)
+    psi_fn, v_fn, f_fn = wavy_setup(g, moving=moving)
+    calc = Calculus(make_history(g, cut, 6, 0.05, psi_fn, v_fn, f_fn), cut, g)
+    for alpha in (MultiIndex(0, 1, 0), MultiIndex(1, 0, 1),
+                  MultiIndex(0, 2, 0), MultiIndex(1, 1, 1)):
+        for tau in (1, 2):
+            assert np.array_equal(remainder_C(calc, "q", alpha, tau),
+                                  reference_Ctau(calc, alpha, tau))
+        ref = reference_C3(calc, alpha)
+        got = remainder_C(calc, "q", alpha, 3)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), alpha
+    with pytest.raises(ValueError):
+        remainder_C(calc, "q", MultiIndex(0, 1, 0), 4)
 
 
 def test_order_one_triple_brackets_vanish():

@@ -140,6 +140,19 @@ def test_curl_of_gradient_vanishes(battery):
     assert max(g.norm0(c) for c in resid) <= 1e-8
 
 
+def test_curl_matches_component_definition(battery):
+    # (curl X)_i = eps_{iab} d_a^phi X_b, one twisted derivative at a time
+    g, gm = battery
+    X1, X2, X3 = g.mesh_volume()
+    X = np.stack([np.sin(X2) * X3 * (1 + X3), np.cos(X1 + X2) * np.exp(X3),
+                  np.cos(X1) * (1 + X3) ** 2])
+    expect = np.zeros_like(X)
+    for i, a, b in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        expect[i] = dphi(X[b], a + 1, gm) - dphi(X[a], b + 1, gm)
+    got = curl_phi(X, gm)
+    assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+
+
 def test_pullback_chain_rule_oracle():
     # F(x) = w(xbar, phi(x)): twisted derivatives equal physical derivatives
     g = make_grid(16, 16, 17, 1.0, dealias=False)

@@ -139,6 +139,30 @@ def test_load_state_without_dealias_key_dealiases(tmp_path):
     assert grid.dealias is True
 
 
+@pytest.mark.parametrize("name, shape, dims, message", [
+    ("q", (16, 8, 9), (16, 8, 9, 1.0), "'nx': 16"),    # another grid
+    ("v2", (8, 8, 9), (8, 8, 9, 2.0), "'b': 2.0"),     # another depth
+    ("psi", (8, 8, 9), (8, 8, 9, 1.0), "'kind': 'volume'"),
+])
+def test_load_state_rejects_a_dump_from_another_grid(tmp_path, name, shape,
+                                                     dims, message):
+    from capelast import fieldio
+    grid = make_grid(8, 8, 9, 1.0)
+    save_state(zero_state(grid, sigma=0.1), grid, tmp_path)
+    fieldio.write_field(tmp_path / f"{name}.fld", np.ones(shape), *dims)
+    with pytest.raises(ConfigError, match=message):
+        load_state(tmp_path)
+
+
+def test_state_field_names():
+    state = zero_state(make_grid(8, 8, 9, 1.0), sigma=0.1)
+    state.F[2, 0] = 1.0    # F_13: component 1 of column 3
+    assert (state.field("f13") == 1).all() and not state.field("f31").any()
+    assert np.shares_memory(state.field("v3"), state.v)
+    with pytest.raises(KeyError):
+        state.field("f14")
+
+
 def test_fieldio_header_and_order(tmp_path):
     from capelast import fieldio
     f = np.arange(24.0).reshape(2, 3, 4)  # not a valid grid, io only
