@@ -1,0 +1,8 @@
+"""``python -m capelast``: the same entry point as the ``capelast`` command."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,14 +20,31 @@ import sys
 from . import __version__
 from .config import config_to_text, float_list, load_config, parse_value
 from .diagnostics import CSV_COLUMNS
-from .errors import CapelastError, ConfigError, InsufficientHistoryError
+from .errors import (
+    CapelastError,
+    ConfigError,
+    GridError,
+    InsufficientHistoryError,
+)
 from .evolve import run
+from .grid import check_dims
 from .recipes import RandomRecipe
 from .sigma_sweep import sweep_sigma
 from .state import save_state
 from .verify import CSV_HEADER, run_battery
 
 log = logging.getLogger(__name__)
+
+
+# The grid and history options of ``verify`` and the suites that read them;
+# the elliptic battery runs its own fixed grids.
+_VERIFY_DEFAULTS = {"nx": 32, "ny": 32, "nz": 17, "hist": 6}
+_VERIFY_OPTIONS = {
+    "operators": ("nx", "ny", "nz"),
+    "lemmas": ("nx", "ny", "nz"),
+    "alinhac": ("nx", "ny", "nz", "hist"),
+    "elliptic": (),
+}
 
 
 def _build_parser():
@@ -45,14 +62,11 @@ def _build_parser():
     _common_overrides(sim)
 
     ver = sub.add_parser("verify", help="run a residual battery")
-    ver.add_argument("--suite", required=True,
-                     choices=["operators", "lemmas", "alinhac", "elliptic"])
+    ver.add_argument("--suite", required=True, choices=list(_VERIFY_OPTIONS))
     ver.add_argument("--out", default=None)
-    ver.add_argument("--nx", type=int, default=32)
-    ver.add_argument("--ny", type=int, default=32)
-    ver.add_argument("--nz", type=int, default=17)
-    ver.add_argument("--hist", type=int, default=6,
-                     help="history length for time-derivative identities")
+    for opt, default in _VERIFY_DEFAULTS.items():
+        ver.add_argument(f"--{opt}", type=int, default=None,
+                         help=f"default {default}")
 
     sw = sub.add_parser("sweep-sigma", help="surface-tension sweep")
     sw.add_argument("--config", required=True)
@@ -125,14 +139,30 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _verify_kwargs(args) -> dict:
+    """The battery's keyword arguments; raises ConfigError for an option
+    the suite does not read or a grid ``make_grid`` would reject."""
+    taken = _VERIFY_OPTIONS[args.suite]
+    vals = {}
+    for opt, default in _VERIFY_DEFAULTS.items():
+        val = getattr(args, opt)
+        if opt in taken:
+            vals[opt] = default if val is None else val
+        elif val is not None:
+            raise ConfigError(f"--{opt} does not apply to the "
+                              f"{args.suite} suite")
+    if taken:
+        try:
+            check_dims(vals["nx"], vals["ny"], vals["nz"], 1.0)
+        except GridError as exc:
+            raise ConfigError(str(exc)) from exc
+    if "hist" in vals:
+        vals["hist_len"] = vals.pop("hist")
+    return vals
+
+
 def cmd_verify(args) -> int:
-    kwargs = {}
-    if args.suite in ("operators", "lemmas"):
-        kwargs = dict(nx=args.nx, ny=args.ny, nz=args.nz)
-    elif args.suite == "alinhac":
-        kwargs = dict(nx=args.nx, ny=args.ny, nz=args.nz,
-                      hist_len=args.hist)
-    rows = run_battery(args.suite, **kwargs)
+    rows = run_battery(args.suite, **_verify_kwargs(args))
     lines = [CSV_HEADER] + [r.csv() for r in rows]
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -28,6 +28,15 @@ map of each slice once, on first use; it also stacks each named series
 once and hands it out read-only.  Every identity below takes the caller's
 ``Calculus`` instead of building its own, so a battery that checks many
 identities on one history builds one ``Calculus`` and passes it to each.
+The identities share their terms through it as well (``Calculus.shared``):
+the series of d3 f, of d_i^phi f (i = 1, 2, 3), of D_t^phi f and of d1 f
+and d2 f, and d_i^phi d3^phi f at the newest slice, are built once per
+field; the advection-speed and v . N series once per ``Calculus``; and
+D^alpha(phi), the unit split B and the good unknown once per alpha, for
+all four identities of that alpha.  Shared terms are read-only, so a row's
+bits do not depend on which rows ran before it.  Without a time order
+D^alpha reads the newest slice alone, and the brackets multiply only that
+slice.
 """
 
 from __future__ import annotations
@@ -125,6 +134,7 @@ class Calculus:
             W[i] = fornberg_weights(self.times[i], self.times, 1)
         self._W = W
         self._named: dict[str, np.ndarray] = {}
+        self._terms: dict[tuple, np.ndarray] = {}
 
     @functools.cached_property
     def gms(self) -> list[GraphMap]:
@@ -153,6 +163,16 @@ class Calculus:
             S.flags.writeable = False
             self._named[field] = S
         return S
+
+    def shared(self, key: tuple, build) -> np.ndarray:
+        """The term under ``key`` = (term, field name, i, alpha), built by
+        ``build()`` on first use and returned read-only, like ``series``."""
+        T = self._terms.get(key)
+        if T is None:
+            T = build()
+            T.flags.writeable = False
+            self._terms[key] = T
+        return T
 
     def _slices(self, name: str) -> list[np.ndarray]:
         if name in _GEOMETRY:
@@ -193,14 +213,24 @@ class Calculus:
 
     # -- commutator brackets (evaluated at the newest slice) -----------------
 
+    @staticmethod
+    def window(alpha: MultiIndex) -> slice:
+        """The slices D_alpha reads: all of them, or without a time order
+        the newest only; products formed for D_alpha need no others."""
+        return slice(None) if alpha.a0 else slice(-1, None)
+
     def commutator(self, A: np.ndarray, B: np.ndarray,
                    alpha: MultiIndex) -> np.ndarray:
         """[D^alpha, a] b = D^alpha(ab) - a D^alpha(b)."""
+        w = self.window(alpha)
+        A, B = A[w], B[w]
         return self.D_alpha(A * B, alpha) - A[-1] * self.D_alpha(B, alpha)
 
     def bracket3(self, A: np.ndarray, B: np.ndarray,
                  alpha: MultiIndex) -> np.ndarray:
         """[D^alpha, a, b] = D^alpha(ab) - D^alpha(a) b - a D^alpha(b)."""
+        w = self.window(alpha)
+        A, B = A[w], B[w]
         return (self.D_alpha(A * B, alpha)
                 - self.D_alpha(A, alpha) * B[-1]
                 - A[-1] * self.D_alpha(B, alpha))
@@ -215,6 +245,7 @@ class Calculus:
             raise ValueError("unit splitting needs |alpha| >= 1")
         out = 0.0
         counts = (alpha.a0, alpha.a1, alpha.a2)
+        H = H[self.window(alpha)]
         for direction, count in enumerate(counts):
             if count == 0:
                 continue
@@ -245,24 +276,47 @@ class Calculus:
         return material_derivative(St[-1], S[-1], self.hist.newest.v, self.gm)
 
 
+# -- shared terms -------------------------------------------------------------
+
+def _d3_series(calc: Calculus, fieldname) -> np.ndarray:
+    """The d3 f series (plain vertical derivative)."""
+    return calc.shared(("d3", fieldname, None, None), lambda: calc.op_series(
+        calc.series(fieldname), lambda f, g: calc.grid.d_vert(f)))
+
+
+def _dphi_series(calc: Calculus, fieldname, i: int) -> np.ndarray:
+    """The d_i^phi f series."""
+    return calc.shared(("dphi", fieldname, i, None), lambda: calc.op_series(
+        calc.series(fieldname), lambda f, g: dphi(f, i, g)))
+
+
+def _dtan_series(calc: Calculus, fieldname, t: int) -> np.ndarray:
+    """The d_t f series, t in {1, 2}."""
+    return calc.shared(("d_tan", fieldname, t, None), lambda: calc.op_series(
+        calc.series(fieldname), lambda f, g: calc.grid.d_tan(f, t)))
+
+
+def _D_alpha_phi(calc: Calculus, alpha: MultiIndex) -> np.ndarray:
+    """D^alpha(phi) at the newest slice."""
+    return calc.shared(("D^alpha", "phi", None, alpha),
+                       lambda: calc.D_alpha(calc.series("phi"), alpha))
+
+
+def _unit_split(calc: Calculus, alpha: MultiIndex) -> np.ndarray:
+    """B = [D^alpha, U U] d3phi split over unit indices, U = 1/d3phi."""
+    def build():
+        U = calc.series("inv_d3phi")
+        return calc.unit_split_bracket(U * U, calc.series("d3phi"), alpha)
+    return calc.shared(("B", None, None, alpha), build)
+
+
 # -- public operations --------------------------------------------------------
 
 def good_unknown(calc: Calculus, fieldname, alpha: MultiIndex) -> np.ndarray:
-    """D^alpha f - D^alpha(phi) d3^phi f at the newest time."""
-    S = calc.series(fieldname)
-    Phi = calc.series("phi")
-    return (calc.D_alpha(S, alpha)
-            - calc.D_alpha(Phi, alpha) * dphi(S[-1], 3, calc.gm))
-
-
-def _exchange_series(calc: Calculus, fieldname, alpha: MultiIndex):
-    """What C_i and D share: the series of f, U = 1/d3phi, the unit split
-    B = [D^alpha, U U] d3phi, and the d3 f series."""
-    U = calc.series("inv_d3phi")
-    B = calc.unit_split_bracket(U * U, calc.series("d3phi"), alpha)
-    S = calc.series(fieldname)
-    D3f = calc.op_series(S, lambda f, g: calc.grid.d_vert(f))
-    return S, U, B, D3f
+    """D^alpha f - D^alpha(phi) d3^phi f at the newest time (read-only)."""
+    return calc.shared(("good unknown", fieldname, None, alpha), lambda: (
+        calc.D_alpha(calc.series(fieldname), alpha)
+        - _D_alpha_phi(calc, alpha) * _dphi_series(calc, fieldname, 3)[-1]))
 
 
 def remainder_C(calc: Calculus, fieldname, alpha: MultiIndex,
@@ -271,36 +325,44 @@ def remainder_C(calc: Calculus, fieldname, alpha: MultiIndex,
     {1, 2, 3}; see ``alinhac_residual``."""
     if i not in (1, 2, 3):
         raise ValueError(f"i must be 1, 2 or 3, got {i}")
-    S, U, B, D3f = _exchange_series(calc, fieldname, alpha)
-    N = -calc.series(f"d{i}phi") if i < 3 else np.ones_like(U)
+    B = _unit_split(calc, alpha)
+    w = calc.window(alpha)
+    U = calc.series("inv_d3phi")[w]
+    D3f = _d3_series(calc, fieldname)[w]
+    N = -calc.series(f"d{i}phi")[w] if i < 3 else np.ones_like(U)
     C = (calc.bracket3(N * U, D3f, alpha)
          + D3f[-1] * calc.bracket3(N, U, alpha)
          - N[-1] * D3f[-1] * B)
-    lead = calc.D_alpha(calc.series("phi"), alpha) * dphi(
-        dphi(S[-1], 3, calc.gm), i, calc.gm)
-    return lead + C
+    didj = calc.shared(("d_i d3^phi", fieldname, i, None), lambda: dphi(
+        _dphi_series(calc, fieldname, 3)[-1], i, calc.gm))
+    return _D_alpha_phi(calc, alpha) * didj + C
 
 
 def remainder_D(calc: Calculus, fieldname, alpha: MultiIndex) -> np.ndarray:
     """D(f) for the material-derivative identity, transported by the
     newest velocity."""
-    S, U, B, D3f = _exchange_series(calc, fieldname, alpha)
+    B = _unit_split(calc, alpha)
+    w = calc.window(alpha)
+    U = calc.series("inv_d3phi")[w]
+    D3f = _d3_series(calc, fieldname)[w]
     v = calc.hist.newest.v
-    Vs = [calc.series(f"v{i+1}") for i in range(3)]
-    Wsp = calc.series(lambda state, g: advection_speed(state.v, g))
+    Wsp = calc.shared(("advection speed", None, None, None),
+                      lambda: calc.series(
+                          lambda state, g: advection_speed(state.v, g)))[w]
 
     # [D^alpha, vbar] . dbar f
     comm_adv = 0.0
     for taud in (1, 2):
-        Dtf = calc.op_series(S, lambda f, g, t=taud: calc.grid.d_tan(f, t))
-        comm_adv = comm_adv + calc.commutator(Vs[taud - 1], Dtf, alpha)
+        comm_adv = comm_adv + calc.commutator(
+            calc.series(f"v{taud}"), _dtan_series(calc, fieldname, taud),
+            alpha)
 
     # [D^alpha, v] . Nb = D^alpha(v . Nb) - v . D^alpha(Nb), where
     # D^alpha(Nb) = (-d1 D^alpha phi, -d2 D^alpha phi, 0)
-    vN = np.stack([
+    vN = calc.shared(("v.N", None, None, None), lambda: np.stack([
         state.v[2] - state.v[0] * g.d1phi - state.v[1] * g.d2phi
-        for state, g in zip(calc.hist, calc.gms)])
-    DPhi = calc.D_alpha(calc.series("phi"), alpha)
+        for state, g in zip(calc.hist, calc.gms)]))
+    DPhi = _D_alpha_phi(calc, alpha)
     comm_vN = (calc.D_alpha(vN, alpha)
                + v[0] * calc.grid.d_tan(DPhi, 1)
                + v[1] * calc.grid.d_tan(DPhi, 2))
@@ -310,8 +372,7 @@ def remainder_D(calc: Calculus, fieldname, alpha: MultiIndex) -> np.ndarray:
           + calc.bracket3(U, Wsp, alpha) * D3f[-1]
           - Wsp[-1] * D3f[-1] * B
           + U[-1] * D3f[-1] * comm_vN)
-    g3 = calc.op_series(S, lambda f, g: dphi(f, 3, g))
-    lead = DPhi * calc.material_at(g3)
+    lead = DPhi * calc.material_at(_dphi_series(calc, fieldname, 3))
     return lead + Dp
 
 
@@ -326,16 +387,17 @@ def alinhac_residual(calc: Calculus, fieldname, alpha: MultiIndex,
 
     if which in _AXES:
         i = _AXES[which]
-        lhs = calc.D_alpha(calc.op_series(S, lambda f, g: dphi(f, i, g)),
-                           alpha)
+        lhs = calc.D_alpha(_dphi_series(calc, fieldname, i), alpha)
         rhs = dphi(agu_new, i, calc.gm) + remainder_C(calc, fieldname,
                                                       alpha, i)
     elif which == "dt":
-        lhs = calc.D_alpha(calc.material_series(S), alpha)
+        Dtf = calc.shared(("D_t^phi", fieldname, None, None),
+                          lambda: calc.material_series(S))
+        lhs = calc.D_alpha(Dtf, alpha)
         # the good unknown as a series: the outer operator is D_t^phi
         agu_series = (calc.D_alpha_series(S, alpha)
                       - calc.D_alpha_series(calc.series("phi"), alpha)
-                      * calc.op_series(S, lambda f, g: dphi(f, 3, g)))
+                      * _dphi_series(calc, fieldname, 3))
         rhs = (calc.material_at(agu_series)
                + remainder_D(calc, fieldname, alpha))
     else:

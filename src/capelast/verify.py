@@ -8,7 +8,7 @@ exercise one code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -101,6 +101,13 @@ def moving_history(grid, cutoff, nslices=6, dt=0.05, freq=3.0, t0=0.3):
     X1, X2, X3 = grid.mesh_volume()
     base = 0.06 * (np.cos(X1s) + 0.6 * np.sin(X2s))
     w1, w2, w3 = 1.3 * freq, 0.7 * freq, 0.9 * freq
+    # the spatial profiles do not depend on t
+    V = np.stack([
+        np.cos(X2) * (1.0 + X3) ** 2,
+        np.sin(X1) * (1.0 + 0.5 * X3),
+        np.sin(X1 + X2) * X3 * (X3 + 1.0)])
+    Q = (np.cos(X1) * np.cos(X2) * (1.0 + X3) ** 3
+         + 0.2 * np.sin(X2) * (1 + X3))
     hist = History(maxlen=nslices)
     for k in range(nslices):
         t = t0 + k * dt
@@ -108,27 +115,25 @@ def moving_history(grid, cutoff, nslices=6, dt=0.05, freq=3.0, t0=0.3):
         psi = base * gt
         psi_t = base * 0.4 * w1 * np.cos(w1 * t + 0.2)
         ht = 1.0 + 0.3 * np.cos(w2 * t)
-        v = 0.2 * ht * np.stack([
-            np.cos(X2) * (1.0 + X3) ** 2,
-            np.sin(X1) * (1.0 + 0.5 * X3),
-            np.sin(X1 + X2) * X3 * (X3 + 1.0)])
-        f = ((1.0 + 0.3 * np.sin(w3 * t))
-             * (np.cos(X1) * np.cos(X2) * (1.0 + X3) ** 3
-                + 0.2 * np.sin(X2) * (1 + X3)))
+        v = 0.2 * ht * V
+        f = (1.0 + 0.3 * np.sin(w3 * t)) * Q
         hist.push(State(t=t, psi=psi, v=v, F=np.zeros((3, 3) + f.shape),
                         q=f, sigma=0.0, psi_t=psi_t))
     return hist
 
 
 def static_history(grid, cutoff, nslices=6, dt=0.05):
-    hist = moving_history(grid, cutoff, nslices, dt, freq=0.0)
+    """The first slice of ``moving_history`` frozen for ``nslices`` slices.
+
+    Every slice shares that one slice's arrays, which are made read-only so
+    that a stray in-place write fails instead of changing all slices."""
+    first = moving_history(grid, cutoff, nslices, dt, freq=0.0)[0]
+    psi_t = np.zeros_like(first.psi)
+    for a in (first.psi, first.v, first.F, first.q, psi_t):
+        a.flags.writeable = False
     frozen = History(maxlen=nslices)
-    first = hist[0]
     for k in range(nslices):
-        s = first.copy()
-        s.t = first.t + k * dt
-        s.psi_t = np.zeros_like(first.psi)
-        frozen.push(s)
+        frozen.push(replace(first, t=first.t + k * dt, psi_t=psi_t))
     return frozen
 
 

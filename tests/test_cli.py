@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import capelast
+import capelast.cli
 import capelast.evolve
 from capelast import ConfigError
 from capelast.cli import main
@@ -305,3 +310,39 @@ def test_run_adjusts_dt_to_land_on_t_final(tmp_path):
     assert main(["simulate", "--config", cfgpath, "--out", str(out)]) == 0
     lines = (out / "diagnostics.csv").read_text().strip().splitlines()
     assert abs(float(lines[-1].split(",")[0]) - 0.05) <= 1e-12
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--suite", "operators", "--nx", "7"], "nx must be even and >= 4, got 7"),
+    (["--suite", "lemmas", "--ny", "2"], "ny must be even and >= 4, got 2"),
+    (["--suite", "alinhac", "--nz", "4"], "nz must be >= 5, got 4"),
+    (["--suite", "elliptic", "--nx", "7"],
+     "--nx does not apply to the elliptic suite"),
+    (["--suite", "elliptic", "--nz", "17"],
+     "--nz does not apply to the elliptic suite"),
+    (["--suite", "elliptic", "--hist", "6"],
+     "--hist does not apply to the elliptic suite"),
+    (["--suite", "operators", "--hist", "6"],
+     "--hist does not apply to the operators suite"),
+])
+def test_verify_rejects_bad_options_before_running(monkeypatch, capsys,
+                                                   args, message):
+    ran = []
+    monkeypatch.setattr(capelast.cli, "run_battery",
+                        lambda *a, **k: ran.append(a) or [])
+    code = main(["verify"] + args)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not ran
+
+
+def test_python_dash_m_capelast_help():
+    src = os.path.dirname(os.path.dirname(capelast.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "capelast", "--help"],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: capelast" in proc.stdout

@@ -331,3 +331,81 @@ def test_alinhac_battery_builds_each_map_once(monkeypatch):
     rows = verify.alinhac_battery(16, 16, 9)
     assert len(rows) == 23  # 20 identity rows, dt order, two curl rows
     assert len(builds) == 30
+
+
+BATTERY_ALPHAS = (MultiIndex(0, 1, 0), MultiIndex(0, 0, 1),
+                  MultiIndex(0, 1, 1), MultiIndex(0, 2, 0),
+                  MultiIndex(0, 0, 2))
+
+
+def battery_setup():
+    g = make_grid(16, 16, 9, 1.0, dealias=False)
+    return g, make_cutoff(g, 0.125, 0.06 * 1.6 * 1.4, strict=False)
+
+
+@pytest.mark.parametrize("history", ["static", "moving"])
+def test_shared_terms_change_no_bits(history):
+    # one Calculus for every row gives the bits of a fresh one per row; the
+    # second field interleaved with q catches a term shared across fields
+    g, cut = battery_setup()
+    hist = getattr(verify, f"{history}_history")(g, cut)
+    shared = Calculus(hist, cut, g)
+    for alpha in BATTERY_ALPHAS + (MultiIndex(1, 0, 0),):
+        for which in ("tau1", "tau2", "d3", "dt"):
+            for name in ("q", "v1"):
+                got = alinhac_residual(shared, name, alpha, which)
+                fresh = alinhac_residual(Calculus(hist, cut, g), name,
+                                         alpha, which)
+                assert got.hex() == fresh.hex(), (name, alpha, which)
+
+
+def test_alinhac_battery_builds_shared_terms_once(monkeypatch):
+    # on the static history (the first Calculus of the battery) the unit
+    # split runs once per alpha and the d3 f series is stacked once
+    splits, stacks = [], []
+    split, op_series = Calculus.unit_split_bracket, Calculus.op_series
+
+    def counting_split(self, *args):
+        splits.append(self)
+        return split(self, *args)
+
+    def recording_op_series(self, *args):
+        out = op_series(self, *args)
+        stacks.append((self, out))
+        return out
+
+    monkeypatch.setattr(Calculus, "unit_split_bracket", counting_split)
+    monkeypatch.setattr(Calculus, "op_series", recording_op_series)
+    verify.alinhac_battery(16, 16, 9)
+    static = splits[0]
+    g = static.grid
+    d3q = np.stack([g.d_vert(s.q) for s in static.hist])
+    assert sum(c is static for c in splits) == 5
+    assert sum(c is static and np.array_equal(out, d3q)
+               for c, out in stacks) == 1
+
+
+def test_static_history_shares_read_only_slices():
+    g, cut = battery_setup()
+    hist = verify.static_history(g, cut)
+    first = hist[0]
+    assert np.allclose(np.diff(hist.times), 0.05)
+    for s in hist:
+        for name in ("psi", "psi_t", "v", "F", "q"):
+            a = getattr(s, name)
+            assert np.shares_memory(a, getattr(first, name)), name
+            assert not a.flags.writeable, name
+    with pytest.raises(ValueError):
+        hist[3].q[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        hist[-1].v += 1.0
+
+    calc = Calculus(hist, cut, g)
+    for alpha in BATTERY_ALPHAS:
+        for which in ("tau1", "tau2", "d3", "dt"):
+            alinhac_residual(calc, "q", alpha, which)
+    # at least D^alpha(phi), B and the good unknown of every alpha
+    assert len(calc._terms) >= 3 * len(BATTERY_ALPHAS)
+    for key, term in calc._terms.items():
+        with pytest.raises(ValueError):
+            term.flat[0] = 0.0
