@@ -30,7 +30,7 @@ from .evolve import run
 from .grid import check_dims
 from .recipes import RandomRecipe
 from .sigma_sweep import sweep_sigma
-from .state import save_state
+from .state import History, save_state
 from .verify import CSV_HEADER, run_battery
 
 log = logging.getLogger(__name__)
@@ -45,6 +45,10 @@ _VERIFY_OPTIONS = {
     "alinhac": ("nx", "ny", "nz", "hist"),
     "elliptic": (),
 }
+# The smallest (nx, ny, nz) on which each grid-taking battery passes, per
+# axis (measured; a coarser axis leaves some rows above tolerance).
+_VERIFY_LEAST_GRID = {"operators": (8, 6, 12), "lemmas": (16, 14, 15),
+                      "alinhac": (16, 14, 15)}
 
 
 def _build_parser():
@@ -141,7 +145,8 @@ def cmd_simulate(args) -> int:
 
 def _verify_kwargs(args) -> dict:
     """The battery's keyword arguments; raises ConfigError for an option
-    the suite does not read or a grid ``make_grid`` would reject."""
+    the suite does not read, a history shorter than five slices, a grid
+    ``make_grid`` would reject, or one the battery cannot resolve."""
     taken = _VERIFY_OPTIONS[args.suite]
     vals = {}
     for opt, default in _VERIFY_DEFAULTS.items():
@@ -151,13 +156,22 @@ def _verify_kwargs(args) -> dict:
         elif val is not None:
             raise ConfigError(f"--{opt} does not apply to the "
                               f"{args.suite} suite")
+    if "hist" in vals:
+        History.check_length(vals["hist"])
+        vals["hist_len"] = vals.pop("hist")
     if taken:
+        dims = (vals["nx"], vals["ny"], vals["nz"])
         try:
-            check_dims(vals["nx"], vals["ny"], vals["nz"], 1.0)
+            check_dims(*dims, 1.0)
         except GridError as exc:
             raise ConfigError(str(exc)) from exc
-    if "hist" in vals:
-        vals["hist_len"] = vals.pop("hist")
+        least = _VERIFY_LEAST_GRID[args.suite]
+        if any(n < m for n, m in zip(dims, least)):
+            raise ConfigError(
+                f"the {args.suite} suite cannot resolve "
+                f"{'x'.join(map(str, dims))}: it needs nx >= {least[0]}, "
+                f"ny >= {least[1]} and nz >= {least[2]} (smallest accepted "
+                f"grid {'x'.join(map(str, least))})")
     return vals
 
 

@@ -124,11 +124,10 @@ def transport_residual(calc: Calculus, fieldkey="q",
     if node is None:
         node = len(hist) // 2  # interior node: most accurate differencing
     S = calc.series(fieldkey)
-    integrals = np.array([
-        grid.quad_volume(S[k] * calc.gms[k].d3phi) for k in range(len(hist))])
-    w = fornberg_weights(calc.times[node], calc.times, 1)
-    dIdt = float(w @ integrals)
-    Dt = calc.material_series(S)[node]
+    integrals = np.array([grid.quad_volume(f * g.d3phi)
+                          for f, g in zip(S, calc.gms)])
+    dIdt = float(calc.dt(integrals, 1, at=node))
+    Dt = calc.material(S, at=node)
     corr = S[node] * div_phi(hist[node].v, calc.gms[node])
     rhs = grid.quad_volume((Dt + corr) * calc.gms[node].d3phi)
     return abs(dIdt - rhs) / (1.0 + abs(dIdt) + abs(rhs))

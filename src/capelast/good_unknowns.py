@@ -19,24 +19,26 @@ has its own remainder D(f).
 Conventions.  [D, a] b = D(ab) - a D(b) and [D, a, b] = D(ab) - D(a) b
 - a D(b).  Time derivatives differentiate the polynomial interpolant of
 the stored slices exactly (Fornberg weights), so their order equals the
-number of slices minus the derivative order.  The unit-index splitting of
-D^alpha(1/d3phi) is averaged over the directions present in alpha with
-weights alpha_i/|alpha|; each choice agrees up to discretization error.
+number of slices minus the derivative order.  ``Calculus.dt`` (the one
+time derivative), ``D_alpha`` and ``material`` (D_t^phi) evaluate at any
+one slice with a weight vector, or at every slice with a weight matrix.
+The unit-index splitting of D^alpha(1/d3phi) is averaged over the
+directions present in alpha with weights alpha_i/|alpha|; each choice
+agrees up to discretization error.
 
 Graph maps.  A ``Calculus`` is bound to one History and builds the graph
-map of each slice once, on first use; it also stacks each named series
-once and hands it out read-only.  Every identity below takes the caller's
-``Calculus`` instead of building its own, so a battery that checks many
-identities on one history builds one ``Calculus`` and passes it to each.
-The identities share their terms through it as well (``Calculus.shared``):
-the series of d3 f, of d_i^phi f (i = 1, 2, 3), of D_t^phi f and of d1 f
-and d2 f, and d_i^phi d3^phi f at the newest slice, are built once per
-field; the advection-speed and v . N series once per ``Calculus``; and
-D^alpha(phi), the unit split B and the good unknown once per alpha, for
-all four identities of that alpha.  Shared terms are read-only, so a row's
-bits do not depend on which rows ran before it.  Without a time order
-D^alpha reads the newest slice alone, and the brackets multiply only that
-slice.
+map of each slice once, on first use.  Every identity below takes the
+caller's ``Calculus`` instead of building its own, so a battery that
+checks many identities on one history builds one ``Calculus`` and passes
+it to each.  The identities share their terms through it as well
+(``Calculus.shared``): each named series is stacked once; the series of
+d3 f, of d_i^phi f (i = 1, 2, 3), of D_t^phi f and of d1 f and d2 f, and
+d_i^phi d3^phi f at the newest slice, are built once per field; the
+advection-speed and v . N series once per ``Calculus``; and D^alpha(phi),
+the unit split B and the good unknown once per alpha, for all four
+identities of that alpha.  Shared terms are read-only, so a row's bits do
+not depend on which rows ran before it.  Without a time order D^alpha
+reads the newest slice alone, and the brackets multiply only that slice.
 """
 
 from __future__ import annotations
@@ -128,12 +130,6 @@ class Calculus:
         self.grid = grid
         self.cutoff = cutoff
         self.times = hist.times
-        n = len(self.times)
-        W = np.empty((n, n))
-        for i in range(n):
-            W[i] = fornberg_weights(self.times[i], self.times, 1)
-        self._W = W
-        self._named: dict[str, np.ndarray] = {}
         self._terms: dict[tuple, np.ndarray] = {}
 
     @functools.cached_property
@@ -152,21 +148,18 @@ class Calculus:
 
         Names are those of ``State.field`` (psi, q, v1..v3, f11..f33) and
         the map fields phi, d1phi, d2phi, d3phi and inv_d3phi.  A named
-        series is stacked once and returned read-only.
+        series is a shared term, ("series", name, None, None): stacked
+        once and returned read-only.
         """
         if callable(field):
             return np.stack([field(s, g)
                              for s, g in zip(self.hist, self.gms)])
-        S = self._named.get(field)
-        if S is None:
-            S = np.stack(self._slices(field))
-            S.flags.writeable = False
-            self._named[field] = S
-        return S
+        return self.shared(("series", field, None, None),
+                           lambda: np.stack(self._slices(field)))
 
     def shared(self, key: tuple, build) -> np.ndarray:
         """The term under ``key`` = (term, field name, i, alpha), built by
-        ``build()`` on first use and returned read-only, like ``series``."""
+        ``build()`` on first use and returned read-only."""
         T = self._terms.get(key)
         if T is None:
             T = build()
@@ -179,37 +172,40 @@ class Calculus:
             return [getattr(g, name) for g in self.gms]
         return [s.field(name) for s in self.hist]
 
-    def dt(self, S: np.ndarray, order: int = 1) -> np.ndarray:
-        """Time-differentiate a series at every node."""
-        if order >= len(self.times):
-            raise InsufficientHistoryError(
-                f"dt^{order} needs more than {len(self.times)} slices")
-        out = S
-        for _ in range(order):
-            out = np.tensordot(self._W, out, axes=([1], [0]))
-        return out
+    def dt(self, S: np.ndarray, order: int = 1,
+           at: int | None = None) -> np.ndarray:
+        """dt^order of a series at slice ``at``, or at every slice when
+        ``at`` is None: one row, or the matrix, of Fornberg weights."""
+        if at is not None:
+            w = fornberg_weights(self.times[at], self.times, order)
+            return np.tensordot(w, S, axes=([0], [0]))
+        W = np.stack([fornberg_weights(t, self.times, order)
+                      for t in self.times])
+        return np.tensordot(W, S, axes=([1], [0]))
 
-    def D_alpha_series(self, S: np.ndarray, alpha: MultiIndex) -> np.ndarray:
-        out = self.dt(S, alpha.a0) if alpha.a0 else S
-        if alpha.a1 or alpha.a2:
-            out = np.stack([self._tan(f, alpha.a1, alpha.a2) for f in out])
-        return out
-
-    def D_alpha(self, S: np.ndarray, alpha: MultiIndex) -> np.ndarray:
-        """D^alpha of a series, evaluated at the newest slice."""
+    def D_alpha(self, S: np.ndarray, alpha: MultiIndex,
+                at: int | None = -1) -> np.ndarray:
+        """D^alpha of a series at slice ``at`` (the newest by default), or
+        at every slice when ``at`` is None."""
         if alpha.a0:
-            w = fornberg_weights(self.times[-1], self.times, alpha.a0)
-            f = np.tensordot(w, S, axes=([0], [0]))
+            f = self.dt(S, alpha.a0, at)
         else:
-            f = S[-1]
-        return self._tan(f, alpha.a1, alpha.a2)
-
-    def _tan(self, f: np.ndarray, a1: int, a2: int) -> np.ndarray:
-        for _ in range(a1):
+            f = S if at is None else S[at]
+        for _ in range(alpha.a1):
             f = self.grid.d_tan(f, 1)
-        for _ in range(a2):
+        for _ in range(alpha.a2):
             f = self.grid.d_tan(f, 2)
         return f
+
+    def material(self, S: np.ndarray, at: int | None = None) -> np.ndarray:
+        """D_t^phi of a series (interpolant time derivative) at slice
+        ``at``, or at every slice when ``at`` is None."""
+        St = self.dt(S, 1, at)
+        if at is not None:
+            return material_derivative(St, S[at], self.hist[at].v,
+                                       self.gms[at])
+        return np.stack([material_derivative(ft, f, s.v, g) for ft, f, s, g
+                         in zip(St, S, self.hist, self.gms)])
 
     # -- commutator brackets (evaluated at the newest slice) -----------------
 
@@ -251,7 +247,7 @@ class Calculus:
                 continue
             beta = MultiIndex(*(1 if d == direction else 0
                                 for d in range(3)))
-            Hb = self.D_alpha_series(H, beta)
+            Hb = self.D_alpha(H, beta, at=None)
             rest = alpha.drop(direction)
             out = out + (count / alpha.total) * self.commutator(G, Hb, rest)
         return out
@@ -261,19 +257,6 @@ class Calculus:
     def op_series(self, S: np.ndarray, op) -> np.ndarray:
         """Apply op(field, gm) at each slice of a series."""
         return np.stack([op(f, g) for f, g in zip(S, self.gms)])
-
-    def material_series(self, S: np.ndarray) -> np.ndarray:
-        """D_t^phi applied at every slice (interpolant time derivative)."""
-        St = self.dt(S, 1)
-        out = np.empty_like(S)
-        for k, (state, gmk) in enumerate(zip(self.hist, self.gms)):
-            out[k] = material_derivative(St[k], S[k], state.v, gmk)
-        return out
-
-    def material_at(self, S: np.ndarray) -> np.ndarray:
-        """D_t^phi at the newest slice only."""
-        St = self.dt(S, 1)
-        return material_derivative(St[-1], S[-1], self.hist.newest.v, self.gm)
 
 
 # -- shared terms -------------------------------------------------------------
@@ -359,9 +342,9 @@ def remainder_D(calc: Calculus, fieldname, alpha: MultiIndex) -> np.ndarray:
 
     # [D^alpha, v] . Nb = D^alpha(v . Nb) - v . D^alpha(Nb), where
     # D^alpha(Nb) = (-d1 D^alpha phi, -d2 D^alpha phi, 0)
-    vN = calc.shared(("v.N", None, None, None), lambda: np.stack([
-        state.v[2] - state.v[0] * g.d1phi - state.v[1] * g.d2phi
-        for state, g in zip(calc.hist, calc.gms)]))
+    vN = calc.shared(("v.N", None, None, None), lambda: calc.series(
+        lambda state, g: state.v[2] - state.v[0] * g.d1phi
+        - state.v[1] * g.d2phi))
     DPhi = _D_alpha_phi(calc, alpha)
     comm_vN = (calc.D_alpha(vN, alpha)
                + v[0] * calc.grid.d_tan(DPhi, 1)
@@ -372,7 +355,7 @@ def remainder_D(calc: Calculus, fieldname, alpha: MultiIndex) -> np.ndarray:
           + calc.bracket3(U, Wsp, alpha) * D3f[-1]
           - Wsp[-1] * D3f[-1] * B
           + U[-1] * D3f[-1] * comm_vN)
-    lead = DPhi * calc.material_at(_dphi_series(calc, fieldname, 3))
+    lead = DPhi * calc.material(_dphi_series(calc, fieldname, 3), at=-1)
     return lead + Dp
 
 
@@ -392,13 +375,13 @@ def alinhac_residual(calc: Calculus, fieldname, alpha: MultiIndex,
                                                       alpha, i)
     elif which == "dt":
         Dtf = calc.shared(("D_t^phi", fieldname, None, None),
-                          lambda: calc.material_series(S))
+                          lambda: calc.material(S))
         lhs = calc.D_alpha(Dtf, alpha)
         # the good unknown as a series: the outer operator is D_t^phi
-        agu_series = (calc.D_alpha_series(S, alpha)
-                      - calc.D_alpha_series(calc.series("phi"), alpha)
+        agu_series = (calc.D_alpha(S, alpha, at=None)
+                      - calc.D_alpha(calc.series("phi"), alpha, at=None)
                       * _dphi_series(calc, fieldname, 3))
-        rhs = (calc.material_at(agu_series)
+        rhs = (calc.material(agu_series, at=-1)
                + remainder_D(calc, fieldname, alpha))
     else:
         raise ValueError(f"unknown identity {which!r}")
@@ -419,11 +402,10 @@ def curl_commutator_residuals(calc: Calculus):
     state = calc.hist.newest
 
     # r1 -- needs the time derivative of v and of curl v
-    Vs = np.stack([calc.series(f"v{i+1}") for i in range(3)], axis=1)
-    Dt_v = np.stack([calc.material_at(Vs[:, i]) for i in range(3)])
-    curl_series = np.stack([curl_phi(s.v, g)
-                            for s, g in zip(calc.hist, calc.gms)])
-    Dt_curl = np.stack([calc.material_at(curl_series[:, i])
+    Dt_v = np.stack([calc.material(calc.series(f"v{i+1}"), at=-1)
+                     for i in range(3)])
+    curl_series = calc.series(lambda s, g: curl_phi(s.v, g))
+    Dt_curl = np.stack([calc.material(curl_series[:, i], at=-1)
                         for i in range(3)])
     rhs1 = _eps_square(grad_phi_stack(state.v, gmn))
     r1 = grid.sobolev_norm(curl_phi(Dt_v, gmn) - Dt_curl - rhs1, 0)

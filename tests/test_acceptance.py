@@ -7,6 +7,7 @@ criteria execute.  Tolerances are fixed here, not tuned at runtime.
 import time
 
 import numpy as np
+import pytest
 
 from capelast.diagnostics import rt_monitor
 from capelast.evolve import RunConfig, run
@@ -16,6 +17,8 @@ from capelast.recipes import ShearRecipe, StreamRecipe
 from capelast.sigma_sweep import sweep_sigma
 from capelast.state import InitSpec
 from capelast.verify import alinhac_battery, elliptic_battery, lemmas_battery
+
+pytestmark = pytest.mark.acceptance
 
 _runs = {}
 
