@@ -1,23 +1,29 @@
 """Time integration: tendency assembly, RK4 stepping, and the run loop.
 
 Graph maps.  ``step_rk4(state, gm, dt)`` takes ``gm``, the map of
-``state``, and uses it for the CFL check and stage k1.  It builds one map
-for each of stages k2 to k4, one for the projection of the updated
-velocity, and one for the projected state; it returns that last map with
-the new state, and the new pressure is solved on it.  ``run`` starts from
-the map ``build_initial_data`` returns, records each step with the map the
-step returned and hands it to the next step; it builds a map itself only
-after the spectral filter has changed psi or v.
+``state``, and uses it for the CFL check and the first stage.  It builds
+one map for each of the other three stages, one for the projection of the
+updated velocity, and one for the projected state; it returns that last
+map with the new state, and the new pressure is solved on it.  ``run``
+starts from the map ``build_initial_data`` returns, records each step with
+the map the step returned and hands it to the next step; it builds a map
+itself only after the spectral filter has changed psi, v and F, and then
+solves the filtered state's pressure on it.
 
-Each RK4 stage dealiases v and F and takes their twisted gradients once,
-and feeds that one bundle to both the pressure source and the tendencies.
-Every q-independent term is formed before the pressure solve, which runs
-with the capillary Dirichlet datum; each tendency is then truncated once,
-as a sum.  After the combined update the velocity is projected back to
-divergence-free and the bottom conditions v3 = F_3j = 0 are re-imposed on
-the bottom collocation plane; the kinematic surface equation is evolved,
-never overwritten.  ``run`` stops with a named reason when a stepped state
-is no longer finite.
+Stages.  The first stage reuses the state's pressure.  The other three
+are one loop over (c, w) = (1/2, 2), (1/2, 2), (1, 1): build the stage
+state y + c dt k from the previous stage's tendencies k, drop k, evaluate
+the stage on its own map and add w k into the sum k1 + 2 k2 + 2 k3 + k4,
+so one stage's ``Tendencies`` is alive at a time.  Each stage dealiases v
+and F and takes their twisted gradients once, and feeds that one bundle to
+both the pressure source and the tendencies.  Every q-independent term is
+formed before the pressure solve, which runs with the capillary Dirichlet
+datum; each tendency is then truncated once, as a sum.  After the combined
+update the velocity is projected back to divergence-free,
+``State.enforce_bottom`` re-imposes v3 = F_3j = 0 on the bottom plane and
+``State.pressure`` solves the new pressure; the kinematic surface equation
+is evolved, never overwritten.  ``run`` stops with a named reason when a
+stepped state is no longer finite.
 
 The step is guarded by dt <= 0.5 * min(advective, capillary, vertical)
 bounds.  The vertical bound compares the transport speed w = v.Nb - dt(phi)
@@ -64,6 +70,8 @@ def tendencies(state: State, gm: GraphMap, solver_tol: float = 1e-11,
 
     ``q`` short-circuits the pressure solve when the caller already holds
     the pressure consistent with this state (e.g. the first RK stage).
+    Without it the pressure is solved as in ``State.pressure``, from the
+    bundle the tendencies read too, and that bundle is dropped first.
 
     The pressure source and every tendency term read one ``StageFields``
     bundle, so v and F are dealiased and differentiated once per stage.
@@ -132,12 +140,6 @@ def cfl_limit(state: State, gm: GraphMap, grid: Grid) -> float:
     return 0.5 * float(np.min(terms))
 
 
-def _enforce_bottom(state: State):
-    state.v[2][:, :, -1] = 0.0
-    for j in range(3):
-        state.F[j][2][:, :, -1] = 0.0
-
-
 def step_rk4(state: State, gm: GraphMap, dt: float,
              solver_tol: float = 1e-11, check_cfl: bool = True,
              project: bool = True) -> tuple[State, GraphMap]:
@@ -157,45 +159,31 @@ def step_rk4(state: State, gm: GraphMap, dt: float,
                 f"dt = {dt:g} exceeds the stability bound {bound:g}",
                 suggested_dt=bound)
 
-    def eval_stage(psi, v, F, q=None, gm=None):
-        probe = State(t=state.t, psi=psi, v=v, F=F,
-                      q=state.q if q is None else q, sigma=state.sigma)
-        if gm is None:
-            gm = probe.graphmap(cutoff, grid)
-        return tendencies(probe, gm, solver_tol=solver_tol, q=q)
-
-    k1 = eval_stage(state.psi, state.v, state.F, q=state.q, gm=gm)
-    k2 = eval_stage(state.psi + 0.5 * dt * k1.psi_dot,
-                    state.v + 0.5 * dt * k1.v_dot,
-                    state.F + 0.5 * dt * k1.F_dot)
-    k3 = eval_stage(state.psi + 0.5 * dt * k2.psi_dot,
-                    state.v + 0.5 * dt * k2.v_dot,
-                    state.F + 0.5 * dt * k2.F_dot)
-    k4 = eval_stage(state.psi + dt * k3.psi_dot,
-                    state.v + dt * k3.v_dot,
-                    state.F + dt * k3.F_dot)
+    k = tendencies(state, gm, solver_tol=solver_tol, q=state.q)
+    total = (k.psi_dot, k.v_dot, k.F_dot)   # ((k1 + 2 k2) + 2 k3) + k4
+    for c, w in ((0.5, 2), (0.5, 2), (1.0, 1)):
+        h = c * dt
+        stage = State(t=state.t + h, psi=state.psi + h * k.psi_dot,
+                      v=state.v + h * k.v_dot, F=state.F + h * k.F_dot,
+                      q=state.q, sigma=state.sigma)
+        del k   # one stage's tendencies alive at a time
+        k = tendencies(stage, stage.graphmap(cutoff, grid),
+                       solver_tol=solver_tol)
+        total = tuple(acc + w * dot for acc, dot in
+                      zip(total, (k.psi_dot, k.v_dot, k.F_dot)))
+    del k, stage
 
     sixth = dt / 6.0
-    new = State(
-        t=state.t + dt,
-        psi=state.psi + sixth * (k1.psi_dot + 2 * k2.psi_dot
-                                 + 2 * k3.psi_dot + k4.psi_dot),
-        v=state.v + sixth * (k1.v_dot + 2 * k2.v_dot + 2 * k3.v_dot
-                             + k4.v_dot),
-        F=state.F + sixth * (k1.F_dot + 2 * k2.F_dot + 2 * k3.F_dot
-                             + k4.F_dot),
-        q=state.q, sigma=state.sigma)
-
+    new = State(t=state.t + dt, psi=state.psi + sixth * total[0],
+                v=state.v + sixth * total[1], F=state.F + sixth * total[2],
+                q=state.q, sigma=state.sigma)
+    del total
     if project:
         new.v = project_divfree(new.v, new.graphmap(cutoff, grid), grid,
                                 tol=solver_tol)
-    _enforce_bottom(new)
-
+    new.enforce_bottom()
     gm_new = new.graphmap(cutoff, grid)
-    pr = pressure_rhs(stage_fields(new.v, new.F, gm_new))
-    dir_top = -new.sigma * mean_curvature(new.psi, grid)
-    new.q = solve_poisson_phi(pr.rhs, dir_top, pr.neu_bottom, gm_new, grid,
-                              tol=solver_tol)
+    new.q = new.pressure(gm_new, solver_tol)
     return new, gm_new
 
 
@@ -315,6 +303,7 @@ def run(config: RunConfig) -> RunResult:
             state.v = _filter(state.v, damp, grid)
             state.F = _filter(state.F, damp, grid)
             gm = state.graphmap(cutoff, grid)
+            state.q = state.pressure(gm, config.solver_tol)
         hist.push(state)
         diags.append(_record(state, gm, hist, grid, dt, config.kmax))
         if config.probe is not None:

@@ -79,6 +79,20 @@ class State:
         return build_graphmap(self.psi, self.surface_velocity(grid),
                               cutoff, grid)
 
+    def pressure(self, gm: GraphMap, tol: float) -> np.ndarray:
+        """The pressure of this state on its map ``gm``, to ``tol``: the
+        momentum-balance source and bottom Neumann datum, and the capillary
+        Dirichlet datum -sigma kappa on top."""
+        pr = pressure_rhs(stage_fields(self.v, self.F, gm))
+        dir_top = -self.sigma * mean_curvature(self.psi, gm.grid)
+        return solve_poisson_phi(pr.rhs, dir_top, pr.neu_bottom, gm, gm.grid,
+                                 tol=tol)
+
+    def enforce_bottom(self):
+        """Impose v3 = F_3j = 0 on the bottom collocation plane, in place."""
+        self.v[2][:, :, -1] = 0.0
+        self.F[:, 2, :, :, -1] = 0.0
+
 
 def zero_state(grid: Grid, sigma: float) -> State:
     n = (grid.nx, grid.ny, grid.nz)
@@ -157,10 +171,8 @@ def build_initial_data(spec: InitSpec, tol: float = 1e-11):
     """Construct (state, gm, cutoff) satisfying the compatibility constraints.
 
     Recipes are projected to divergence-free fields, the bottom conditions
-    v3 = F_3j = 0 are imposed on the bottom plane, and the initial pressure
-    solves the elliptic problem with the capillary Dirichlet datum on top
-    and the Neumann datum from the momentum balance below.  The projection
-    and the pressure solve run to the solver tolerance ``tol``.
+    are imposed and the initial pressure is ``State.pressure``.  The
+    projection and the pressure solve run to the solver tolerance ``tol``.
     """
     grid = spec.make_grid()
     psi0 = spec.build_psi0(grid)
@@ -176,19 +188,14 @@ def build_initial_data(spec: InitSpec, tol: float = 1e-11):
         field = recipe.build(grid, gm0)
         if spec.project:
             field = project_divfree(field, gm0, grid, tol=tol)
-        field[2][:, :, -1] = 0.0
         return field
 
-    v = realize(spec.v_recipe)
-    F = np.stack([realize(r) for r in spec.F_recipes])
-
-    state = State(t=0.0, psi=psi0, v=v, F=F,
+    state = State(t=0.0, psi=psi0, v=realize(spec.v_recipe),
+                  F=np.stack([realize(r) for r in spec.F_recipes]),
                   q=np.zeros((grid.nx, grid.ny, grid.nz)), sigma=spec.sigma)
+    state.enforce_bottom()
     gm = state.graphmap(cutoff, grid)
-    pr = pressure_rhs(stage_fields(v, F, gm))
-    dir_top = -spec.sigma * mean_curvature(psi0, grid)
-    state.q = solve_poisson_phi(pr.rhs, dir_top, pr.neu_bottom, gm, grid,
-                                tol=tol)
+    state.q = state.pressure(gm, tol)
     return state, gm, cutoff
 
 

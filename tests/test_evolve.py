@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from capelast import CFLError, Grid, NonFiniteStateError, SolverConvergenceError
 from capelast.elliptic import pressure_rhs, stage_fields
 from capelast.evolve import RunConfig, cfl_limit, run, step_rk4, tendencies
 from capelast.graphmap import grad_phi_stack, material_derivative
-from capelast.recipes import ShearRecipe, StreamRecipe
+from capelast.recipes import RandomRecipe, ShearRecipe, StreamRecipe
 from capelast.state import InitSpec, build_initial_data
 
 
@@ -308,3 +310,39 @@ def test_run_builds_each_step_map_once(monkeypatch, spectral_filter,
                         spectral_filter=spectral_filter))
     assert res.aborted is None and len(res.diagnostics) == 4
     assert len(builds) == per_step * 3 + 2
+
+
+@pytest.mark.parametrize("spectral_filter", [False, True])
+def test_run_records_the_pressure_of_its_final_state(spectral_filter):
+    # the filter changes psi, v and F after the step solved q, so the
+    # pressure is solved again for the filtered state
+    init = InitSpec(nx=16, ny=16, nz=9, b=1.0, sigma=0.1,
+                    psi_modes=((1, 0, 5e-3, 0.0), (6, 5, 1e-4, 0.0)),
+                    v_recipe=RandomRecipe(amp=0.02, kmax=1, seed=3))
+    cfg = RunConfig(init=init, t_final=0.06, dt=0.02,
+                    spectral_filter=spectral_filter)
+    res = run(cfg)
+    assert res.aborted is None
+    final = res.final
+    q = final.pressure(final.graphmap(res.cutoff, res.grid), cfg.solver_tol)
+    assert np.array_equal(final.q, q)
+
+
+def test_no_stage_outlives_the_next(monkeypatch):
+    # a step holds one stage's tendencies at a time: when a stage is
+    # evaluated, every earlier stage of the step is gone
+    state, gm, _ = build_initial_data(oblique_spec())
+    original = capelast.evolve.tendencies
+    refs = []
+
+    def tracked(*args, **kwargs):
+        assert all(ref() is None for ref in refs)
+        out = original(*args, **kwargs)
+        refs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(capelast.evolve, "tendencies", tracked)
+    for _ in range(2):
+        refs.clear()
+        state, gm = step_rk4(state, gm, 0.01)
+        assert len(refs) == 4
