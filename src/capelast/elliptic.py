@@ -5,7 +5,10 @@ the solver preconditions a Krylov loop on the full variable-coefficient
 operator with the exactly-solvable flat (psi = 0) operator, which is
 diagonal over tangential Fourier modes.  For the small surface amplitudes
 the chart tolerates, the flat operator is within O(|psi|) of the full one
-and the loop converges in a handful of iterations.
+and the loop converges in a handful of iterations.  The flat operator is
+also separable, so it is factored once per grid in an eigenbasis of its
+vertical rows: a flat solve is one real nz x nz product on each side of a
+diagonal scaling of the tangential spectrum, with no per-mode matrices.
 
 Unknowns live on the full grid; the top plane carries a Dirichlet row, the
 bottom plane the twisted Neumann row d3^phi W.  The Krylov operator is
@@ -43,7 +46,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import LinearOperator
 
-from .errors import SolverConvergenceError
+from .errors import CapelastError, SolverConvergenceError
 from .graphmap import GraphMap, div_phi, grad_phi_stack, laplace_phi
 from .grid import Grid, irfft2, rfft2
 
@@ -54,29 +57,40 @@ RESTART = 40
 
 
 class _FlatSolver:
-    """Pre-factorized constant-coefficient solves, one matrix per mode."""
+    """The flat solve by fast diagonalisation in a vertical eigenbasis.
+
+    Mode k of the flat operator is the pencil A_k = Q + k^2 P, where Q is
+    the k = 0 operator (Dirichlet row e_0, interior rows -D^2, Neumann row
+    Dz[-1]) and P = diag(0, 1, ..., 1, 0).  With Q^-1 P = V Lam V^-1 factored
+    once, A_k^-1 = V (I + k^2 Lam)^-1 V^-1 Q^-1, so a solve is one real
+    nz x nz product on each side of a diagonal scaling of the tangential
+    spectrum (Lynch, Rice and Thomas, 1964; Haidvogel and Zang, 1979).
+    """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         nz = grid.nz
         D = grid.Dz
-        D2 = D @ D
+        Q = -(D @ D)
+        Q[0, :] = 0.0
+        Q[0, 0] = 1.0              # Dirichlet on the top plane
+        Q[-1, :] = D[-1, :]        # Neumann on the bottom plane
+        P = np.eye(nz)
+        P[[0, -1], [0, -1]] = 0.0
+        Qinv = np.linalg.inv(Q)
+        lam, V = np.linalg.eig(Qinv @ P)
+        if np.iscomplexobj(lam) or lam.min() < 0.0:
+            raise CapelastError(
+                f"flat Poisson operator at nz={nz}, b={grid.b} has no real "
+                "non-negative vertical eigenbasis")
+        self.lam = lam
+        self.V = V
+        self.L = np.linalg.solve(V, Qinv)
         # the d_tan multipliers (Nyquist zeroed) in the rfft2 layout, so the
         # flat case preconditions exactly
-        ky_r = np.imag(grid._ik2)
-        k2 = np.imag(grid._ik1_full)[:, None] ** 2 + ky_r[None, :] ** 2
-        nk = k2.size
-        eye = np.eye(nz)
-        mats = np.empty((nk, nz, nz))
-        flat_k2 = k2.ravel()
-        for m in range(nk):
-            A = flat_k2[m] * eye - D2
-            A[0, :] = 0.0
-            A[0, 0] = 1.0          # Dirichlet on the top plane
-            A[-1, :] = D[-1, :]    # Neumann on the bottom plane
-            mats[m] = A
-        self.inv = np.linalg.inv(mats)
-        self.nyr = ky_r.size
+        k2 = (np.imag(grid._ik1_full)[:, None] ** 2
+              + np.imag(grid._ik2)[None, :] ** 2)
+        self.S = 1.0 / (1.0 + k2[:, :, None] * lam)
         # per-plane residual weights: sqrt of the norm0 quadrature weight on
         # interior planes, of the surface weight on the bottom plane; the
         # top row's residual is exactly zero
@@ -87,12 +101,9 @@ class _FlatSolver:
     def solve(self, B: np.ndarray) -> np.ndarray:
         """B carries (interior rhs; top Dirichlet; bottom Neumann) stacked."""
         g = self.grid
-        # one real product per mode: the C-contiguous spectrum viewed as
-        # (mode, nz, [re, im]) pairs
-        Bh = rfft2(B, axes=(0, 1))
-        Wh = np.matmul(self.inv, Bh.view(float).reshape(-1, g.nz, 2))
-        Wh = Wh.view(complex).reshape(g.nx, self.nyr, g.nz)
-        W = irfft2(Wh, s=(g.nx, g.ny), axes=(0, 1))
+        Bh = rfft2(B @ self.L.T, axes=(0, 1))
+        Bh *= self.S
+        W = irfft2(Bh, s=(g.nx, g.ny), axes=(0, 1)) @ self.V.T
         W[:, :, 0] = B[:, :, 0]    # the Dirichlet row is the identity
         return W
 

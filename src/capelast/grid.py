@@ -22,7 +22,8 @@ At the lengths used here a matrix product beats an FFT pair: a derivative
 of one 64 x 64 x 33 field takes about 0.4 ms against 1.2-2.5 ms (one
 OpenBLAS 0.3.31 thread on a 2-vCPU x86 VM), and the two are about even
 near n = 256.  FFTs remain where a modal basis is the algorithm: the flat
-Poisson solve's per-mode matrices and ``sobolev_norm``'s Parseval sums.
+Poisson solve's diagonal scaling of the tangential spectrum and
+``sobolev_norm``'s Parseval sums.
 """
 
 from __future__ import annotations

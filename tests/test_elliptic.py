@@ -3,7 +3,7 @@ import pytest
 
 import capelast.evolve
 import capelast.state
-from capelast import SolverConvergenceError, elliptic, make_grid
+from capelast import CapelastError, SolverConvergenceError, elliptic, make_grid
 from capelast.elliptic import (
     _apply_bc_operator,
     pressure_rhs,
@@ -126,6 +126,62 @@ def test_flat_solve_inverts_flat_operator():
     W = elliptic._flat_solver(g).solve(B)
     err = np.abs(_apply_bc_operator(W, gm) - B).max()
     assert err <= 1e-12 * np.abs(B).max()
+
+
+@pytest.mark.parametrize("b", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("nz", [5, 9, 17, 33, 65, 129])
+def test_flat_eigenbasis_is_real_and_well_conditioned(nz, b):
+    # measured: Lam real, its two zeros exact, cond(V) <= 6.7 up to nz 129
+    flat = elliptic._FlatSolver(make_grid(4, 4, nz, b))
+    assert flat.lam.dtype == np.float64 and flat.V.dtype == np.float64
+    assert flat.lam.min() >= 0.0
+    assert np.linalg.cond(flat.V) <= 10.0
+
+
+@pytest.mark.parametrize("lam", [[0.0, 1.0 + 1e-3j], [-1e-3, 1.0]])
+def test_flat_factorisation_rejects_a_non_real_eigenbasis(monkeypatch, lam):
+    lam = np.array(lam + [1.0] * 7)
+    monkeypatch.setattr(np.linalg, "eig", lambda a: (lam, np.eye(9, dtype=lam.dtype)))
+    with pytest.raises(CapelastError, match=r"nz=9, b=2\.0"):
+        elliptic._FlatSolver(make_grid(4, 4, 9, 2.0))
+
+
+def dense_flat_solve(g, B):
+    """The flat solve mode by mode: k^2 I - D^2 with the Dirichlet row on
+    top and the Neumann row on the bottom, solved densely."""
+    D = g.Dz
+    Bh = np.fft.rfft2(B, axes=(0, 1))
+    Wh = np.empty_like(Bh)
+    for i, k1 in enumerate(np.imag(g._ik1_full)):
+        for j, k2 in enumerate(np.imag(g._ik2)):
+            A = (k1**2 + k2**2) * np.eye(g.nz) - D @ D
+            A[0, :] = 0.0
+            A[0, 0] = 1.0
+            A[-1, :] = D[-1, :]
+            Wh[i, j] = np.linalg.solve(A, Bh[i, j])
+    W = np.fft.irfft2(Wh, s=B.shape[:2], axes=(0, 1))
+    W[:, :, 0] = B[:, :, 0]
+    return W
+
+
+@pytest.mark.parametrize("nz", [7, 17, 33])
+def test_flat_solve_matches_dense_reference(nz):
+    # measured over ten seeds and b in {0.5, 1, 3}: at most 8e-15, 8e-14
+    # and 3.2e-13 relative at nz 7, 17 and 33
+    g = make_grid(12, 18, nz, 1.0)
+    B = np.random.default_rng(nz).standard_normal((12, 18, nz))
+    W_ref = dense_flat_solve(g, B)
+    err = np.abs(elliptic._flat_solver(g).solve(B) - W_ref).max()
+    assert err <= 1e-12 * np.abs(W_ref).max()
+
+
+def test_flat_solver_holds_no_per_mode_table():
+    # a per-mode nz x nz inverse would hold about nz / 2 volume fields
+    g = make_grid(32, 32, 17, 1.0)
+    flat = elliptic._flat_solver(g)
+    held = sum(a.nbytes for a in vars(flat).values()
+               if isinstance(a, np.ndarray))
+    assert held <= 8 * g.nx * g.ny * g.nz
 
 
 def test_warm_started_solve_applies_no_operator(monkeypatch):
