@@ -131,8 +131,7 @@ def cmd_simulate(args) -> int:
     result = run(cfg)
     _write_diagnostics(os.path.join(args.out, "diagnostics.csv"),
                        result.diagnostics)
-    for idx, (t, snap) in enumerate(zip(result.snapshot_times,
-                                        result.snapshots)):
+    for idx, snap in enumerate(result.snapshots):
         save_state(snap, result.grid, os.path.join(args.out,
                                                    f"snapshot_{idx:04d}"))
     if result.aborted:

@@ -86,11 +86,9 @@ class _FlatSolver:
         self.lam = lam
         self.V = V
         self.L = np.linalg.solve(V, Qinv)
-        # the d_tan multipliers (Nyquist zeroed) in the rfft2 layout, so the
-        # flat case preconditions exactly
-        k2 = (np.imag(grid._ik1_full)[:, None] ** 2
-              + np.imag(grid._ik2)[None, :] ** 2)
-        self.S = 1.0 / (1.0 + k2[:, :, None] * lam)
+        # the d_tan wavenumbers (Nyquist zeroed), so the flat case
+        # preconditions exactly
+        self.S = 1.0 / (1.0 + grid.ksq[:, :, None] * lam)
         # per-plane residual weights: sqrt of the norm0 quadrature weight on
         # interior planes, of the surface weight on the bottom plane; the
         # top row's residual is exactly zero
@@ -189,7 +187,7 @@ def _residual_norms(R: np.ndarray) -> tuple[float, float]:
 
 
 def solve_poisson_phi(rhs: np.ndarray, dir_top: np.ndarray,
-                      neu_bottom: np.ndarray, gm: GraphMap, grid: Grid,
+                      neu_bottom: np.ndarray, gm: GraphMap,
                       tol: float = DEFAULT_TOL) -> np.ndarray:
     """Solve -Lap^phi W = rhs with W = dir_top on Sigma and
     d3^phi W = neu_bottom on Sigma_b.
@@ -198,6 +196,7 @@ def solve_poisson_phi(rhs: np.ndarray, dir_top: np.ndarray,
     bottom-flux residuals are each at most tol * (1 + ||rhs||_0); a solve
     that cannot show this raises ``SolverConvergenceError``.
     """
+    grid = gm.grid
     flat = _flat_solver(grid)
     shape = rhs.shape
     weight = flat.row_weight
@@ -319,11 +318,11 @@ def pressure_rhs(sf: StageFields) -> PressureRHS:
                        advisory=advisory)
 
 
-def project_divfree(X: np.ndarray, gm: GraphMap, grid: Grid,
+def project_divfree(X: np.ndarray, gm: GraphMap,
                     tol: float = DEFAULT_TOL) -> np.ndarray:
     """Remove the twisted-gradient part: X' = X - grad^phi(theta) with
     -Lap^phi theta = -div^phi X, theta|_Sigma = 0, homogeneous bottom flux."""
     d = div_phi(X, gm)
-    zero = np.zeros((grid.nx, grid.ny))
-    theta = solve_poisson_phi(-d, zero, zero, gm, grid, tol=tol)
+    zero = np.zeros((gm.grid.nx, gm.grid.ny))
+    theta = solve_poisson_phi(-d, zero, zero, gm, tol=tol)
     return X - grad_phi_stack(theta, gm)

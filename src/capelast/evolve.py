@@ -50,7 +50,7 @@ from .elliptic import (
 )
 from .errors import CapelastError, CFLError, ConfigError, NonFiniteStateError
 from .graphmap import Cutoff, GraphMap, advection_speed, grad_phi_stack, mean_curvature
-from .grid import Grid, multiplier_matrix
+from .grid import Grid
 from .state import History, InitSpec, State, build_initial_data, constraint_residuals
 
 log = logging.getLogger(__name__)
@@ -89,7 +89,7 @@ def tendencies(state: State, gm: GraphMap, solver_tol: float = 1e-11,
     del sf  # no gradient stack stays alive during the pressure solve
     if q is None:
         dir_top = -state.sigma * mean_curvature(state.psi, g)
-        q = solve_poisson_phi(pr.rhs, dir_top, pr.neu_bottom, gm, g,
+        q = solve_poisson_phi(pr.rhs, dir_top, pr.neu_bottom, gm,
                               tol=solver_tol)
     v_dot -= grad_phi_stack(q, gm)
     # the graph map was built with psi_t = v . N
@@ -120,9 +120,10 @@ def _pressure_free_terms(sf: StageFields):
     return v_dot, gm.grid.truncate(F_dot)
 
 
-def cfl_limit(state: State, gm: GraphMap, grid: Grid) -> float:
+def cfl_limit(state: State, gm: GraphMap) -> float:
     """Largest admissible dt: 0.5 * min(advective, capillary, vertical);
     NaN when a speed is not finite."""
+    grid = gm.grid
     dx = min(2.0 * np.pi / grid.nx, 2.0 * np.pi / grid.ny)
     vbar = float(np.sqrt(state.v[0] ** 2 + state.v[1] ** 2).max())
     terms = []
@@ -151,7 +152,7 @@ def step_rk4(state: State, gm: GraphMap, dt: float,
     """
     grid, cutoff = gm.grid, gm.cutoff
     if check_cfl:
-        bound = cfl_limit(state, gm, grid)
+        bound = cfl_limit(state, gm)
         if math.isnan(bound):
             _check_finite(state)
         if dt > bound:
@@ -179,7 +180,7 @@ def step_rk4(state: State, gm: GraphMap, dt: float,
                 q=state.q, sigma=state.sigma)
     del total
     if project:
-        new.v = project_divfree(new.v, new.graphmap(cutoff, grid), grid,
+        new.v = project_divfree(new.v, new.graphmap(cutoff, grid),
                                 tol=solver_tol)
     new.enforce_bottom()
     gm_new = new.graphmap(cutoff, grid)
@@ -221,7 +222,6 @@ class RunResult:
     history: History
     diagnostics: list
     snapshots: list
-    snapshot_times: list
     grid: Grid
     cutoff: Cutoff
     aborted: str | None = None
@@ -231,19 +231,15 @@ class RunResult:
     def final(self) -> State:
         return self.history.newest
 
-
-def _exp_damping(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Exponential filter exp(-36 |k/k_max|^36) as one matrix per
-    tangential axis, for ``Grid.apply_tangential``."""
-    kx = np.abs(grid.k1[: grid.nx // 2 + 1]) / (grid.nx / 2)
-    ky = grid.k2 / max(grid.k2.max(), 1.0)
-    return (multiplier_matrix(np.exp(-36.0 * kx ** 36), grid.nx),
-            multiplier_matrix(np.exp(-36.0 * ky ** 36), grid.ny))
+    @property
+    def snapshot_times(self) -> list:
+        return [s.t for s in self.snapshots]
 
 
-def _filter(f: np.ndarray, damp, grid: Grid) -> np.ndarray:
-    return grid.apply_tangential(grid.apply_tangential(f, damp[0], 1),
-                                 damp[1], 2)
+def _exp_filter(k: np.ndarray, n: int) -> np.ndarray:
+    """The exponential filter exp(-36 |k / (n/2)|^36), for
+    ``Grid.separable``."""
+    return np.exp(-36.0 * (k / (n / 2)) ** 36)
 
 
 def _check_finite(state: State):
@@ -281,13 +277,12 @@ def run(config: RunConfig) -> RunResult:
     hist = History(maxlen=config.history_len)
     hist.push(state)
     diags = [_record(state, gm, hist, grid, dt, config.kmax)]
-    snapshots = [state.copy()]
-    snapshot_times = [state.t]
+    snapshots = [state]     # shared with hist: no pushed state is written again
     probes = []
     if config.probe is not None:
         probes.append((state.t, config.probe(state, grid)))
     aborted = None
-    damp = _exp_damping(grid) if config.spectral_filter else None
+    damp = grid.separable(_exp_filter) if config.spectral_filter else None
 
     for n in range(nsteps):
         try:
@@ -299,9 +294,9 @@ def run(config: RunConfig) -> RunResult:
             log.warning("run aborted at t=%.6g: %s", hist.newest.t, aborted)
             break
         if damp is not None:
-            state.psi = _filter(state.psi, damp, grid)
-            state.v = _filter(state.v, damp, grid)
-            state.F = _filter(state.F, damp, grid)
+            state.psi = grid.apply_separable(state.psi, damp)
+            state.v = grid.apply_separable(state.v, damp)
+            state.F = grid.apply_separable(state.F, damp)
             gm = state.graphmap(cutoff, grid)
             state.q = state.pressure(gm, config.solver_tol)
         hist.push(state)
@@ -309,9 +304,8 @@ def run(config: RunConfig) -> RunResult:
         if config.probe is not None:
             probes.append((state.t, config.probe(state, grid)))
         if (n + 1) % config.snapshot_every == 0 or n == nsteps - 1:
-            snapshots.append(state.copy())
-            snapshot_times.append(state.t)
+            snapshots.append(state)
 
     return RunResult(history=hist, diagnostics=diags, snapshots=snapshots,
-                     snapshot_times=snapshot_times, grid=grid, cutoff=cutoff,
-                     aborted=aborted, probe_series=probes)
+                     grid=grid, cutoff=cutoff, aborted=aborted,
+                     probe_series=probes)

@@ -88,12 +88,12 @@ class GraphMap:
     """Geometry bundle derived from one surface snapshot.
 
     Immutable after construction; rows 1 and 2 of the cofactor matrix are
-    the identity, so only row 3 (a31, a32, a33) is stored.
+    the identity, so only row 3 (a31, a32, a33) is stored, a33 as
+    ``inv_d3phi``.
     """
 
     grid: Grid
     cutoff: Cutoff
-    psi: np.ndarray
     psi_t: np.ndarray
     phi: np.ndarray
     d1phi: np.ndarray
@@ -103,7 +103,6 @@ class GraphMap:
     inv_d3phi: np.ndarray
     a31: np.ndarray
     a32: np.ndarray
-    a33: np.ndarray
     N: np.ndarray        # surface normal (-d1psi, -d2psi, 1) on Sigma
     c0: float
 
@@ -139,10 +138,10 @@ def build_graphmap(psi: np.ndarray, psi_t: np.ndarray, cutoff: Cutoff,
     inv = 1.0 / d3phi
 
     N = np.stack([-d1psi, -d2psi, np.ones_like(psi)])
-    return GraphMap(grid=grid, cutoff=cutoff, psi=psi, psi_t=psi_t,
+    return GraphMap(grid=grid, cutoff=cutoff, psi_t=psi_t,
                     phi=phi, d1phi=d1phi, d2phi=d2phi, d3phi=d3phi,
                     dtphi=dtphi, inv_d3phi=inv,
-                    a31=-d1phi * inv, a32=-d2phi * inv, a33=inv,
+                    a31=-d1phi * inv, a32=-d2phi * inv,
                     N=N, c0=c0)
 
 
@@ -176,7 +175,7 @@ def grad_phi_stack(f: np.ndarray, gm: GraphMap) -> np.ndarray:
     out[0] += g.d_tan(f, 1)
     np.multiply(gm.a32, d3f, out=out[1])
     out[1] += g.d_tan(f, 2)
-    np.multiply(gm.a33, d3f, out=out[2])
+    np.multiply(gm.inv_d3phi, d3f, out=out[2])
     return out
 
 
@@ -185,7 +184,7 @@ def div_phi(X: np.ndarray, gm: GraphMap) -> np.ndarray:
     g = gm.grid
     return (g.d_tan(X[0], 1) + gm.a31 * g.d_vert(X[0])
             + g.d_tan(X[1], 2) + gm.a32 * g.d_vert(X[1])
-            + gm.a33 * g.d_vert(X[2]))
+            + gm.inv_d3phi * g.d_vert(X[2]))
 
 
 def levi_civita(M: np.ndarray) -> np.ndarray:

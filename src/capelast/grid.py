@@ -12,18 +12,19 @@ Vertical node 0 sits exactly at x3 = 0 (the moving top Sigma) and node nz-1
 exactly at x3 = -b (the flat bottom Sigma_b).  No operation returns complex
 data.
 
-Tangential Fourier multipliers are dense real n x n matrices, one per
-tangential axis, applied with BLAS matrix products: the derivative
-(``d_tan``), the 2/3 rule (``dealias_tangential``) and any other separable
-multiplier built by ``multiplier_matrix``, such as the run's exponential
-filter.  Each matrix is the multiplier applied to the identity through
-``rfft``/``irfft``, so the wavenumber tables stay the one definition of it.
-At the lengths used here a matrix product beats an FFT pair: a derivative
-of one 64 x 64 x 33 field takes about 0.4 ms against 1.2-2.5 ms (one
-OpenBLAS 0.3.31 thread on a 2-vCPU x86 VM), and the two are about even
-near n = 256.  FFTs remain where a modal basis is the algorithm: the flat
-Poisson solve's diagonal scaling of the tangential spectrum and
-``sobolev_norm``'s Parseval sums.
+The grid owns the tangential spectrum.  A separable Fourier multiplier is a
+function ``mult(k, n)`` of the half-spectrum wavenumbers k = 0..n/2 of an
+axis of length n; ``Grid.separable`` makes it one dense real n x n matrix per
+axis by applying it to the identity through ``rfft``/``irfft``, and BLAS
+products apply the pair: the derivative (``d_tan``, Nyquist zeroed so that
+derivatives of real data stay real), the 2/3 rule (``dealias_tangential``)
+and the run's exponential filter.  At the lengths used here a matrix product
+beats an FFT pair: a derivative of one 64 x 64 x 33 field takes about 0.4 ms
+against 1.2-2.5 ms (one OpenBLAS 0.3.31 thread on a 2-vCPU x86 VM), and the
+two are about even near n = 256.  FFTs remain where a modal basis is the
+algorithm, the flat Poisson solve and ``sobolev_norm``'s Parseval sums, and
+both read ``Grid.ksq``, the derivative's squared wavenumbers on the rfft2
+layout.
 """
 
 from __future__ import annotations
@@ -53,11 +54,17 @@ def irfft2(f, s, axes):
     return _fft.irfft2(f, s=s, axes=axes)
 
 
-def multiplier_matrix(mult: np.ndarray, n: int) -> np.ndarray:
-    """Real n x n matrix of the Fourier multiplier ``mult`` on the rfft half
-    spectrum (length n // 2 + 1): ``M @ f`` equals
-    ``irfft(mult * rfft(f), n)`` for a real vector f."""
-    return irfft(rfft(np.eye(n), axis=0) * mult[:, None], n=n, axis=0)
+def _wavenumbers(n: int, size: int) -> np.ndarray:
+    """|k| in exact integers at the first ``size`` positions of the fft
+    layout of length n; size n // 2 + 1 is the rfft half spectrum."""
+    j = np.arange(size, dtype=float)
+    return np.minimum(j, n - j)
+
+
+def _no_nyquist(k: np.ndarray, n: int) -> np.ndarray:
+    """``k`` with the Nyquist mode n/2 of an even n set to 0: the
+    derivative's wavenumbers, so derivatives of real data stay real."""
+    return np.where(2 * k == n, 0.0, k)
 
 
 def chebyshev_nodes(n: int) -> np.ndarray:
@@ -123,6 +130,7 @@ class Grid:
     x3: np.ndarray = field(init=False, repr=False)
     wz: np.ndarray = field(init=False, repr=False)
     Dz: np.ndarray = field(init=False, repr=False)
+    ksq: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.x1 = 2.0 * np.pi * np.arange(self.nx) / self.nx
@@ -133,27 +141,14 @@ class Grid:
         self.x3[-1] = -self.b
         self.wz = clenshaw_curtis_weights(self.nz) * (self.b / 2.0)
         self.Dz = chebyshev_diff_matrix(self.nz) * (2.0 / self.b)
-        # integer wavenumbers in the rfft2 layout of the tangential pair:
-        # axis 0 full (Nyquist at -nx/2), axis 1 half (Nyquist kept)
-        self.k1 = np.fft.fftfreq(self.nx, d=1.0 / self.nx)
-        self.k2 = np.fft.rfftfreq(self.ny, d=1.0 / self.ny)
-        # derivative multipliers; Nyquist zeroed so derivatives stay real.
-        # _ik1_full is the rfft2 layout, _ik1 its half on axis 1 alone.
-        k1, k2 = self.k1.copy(), self.k2.copy()
-        if self.nx % 2 == 0:
-            k1[self.nx // 2] = 0.0
-        if self.ny % 2 == 0:
-            k2[-1] = 0.0
-        self._ik1_full = 1j * k1
-        self._ik1 = self._ik1_full[: self.nx // 2 + 1]
-        self._ik2 = 1j * k2
-        # per-axis matrices: the derivative, and the 2/3 rule's projection
-        # keeping |k| <= n/3 (the two factors of a separable keep-mask)
-        h1 = np.abs(self.k1[: self.nx // 2 + 1])
-        self._d1 = multiplier_matrix(self._ik1, self.nx)
-        self._d2 = multiplier_matrix(self._ik2, self.ny)
-        self._p1 = multiplier_matrix(h1 <= self.nx // 3, self.nx)
-        self._p2 = multiplier_matrix(self.k2 <= self.ny // 3, self.ny)
+        # the derivative's squared wavenumbers on the rfft2 layout of the
+        # tangential pair: axis 0 full, axis 1 half
+        k1 = _no_nyquist(_wavenumbers(self.nx, self.nx), self.nx)
+        k2 = _no_nyquist(_wavenumbers(self.ny, self.ny // 2 + 1), self.ny)
+        self.ksq = k1[:, None] ** 2 + k2[None, :] ** 2
+        self._d1, self._d2 = self.separable(
+            lambda k, n: 1j * _no_nyquist(k, n))
+        self._keep = self.separable(lambda k, n: k <= n // 3)   # 2/3 rule
 
     # -- geometry helpers -------------------------------------------------
 
@@ -223,8 +218,8 @@ class Grid:
         if s not in (0, 1, 2, 3, 4):
             raise GridError(f"sobolev order must be in 0..4, got {s}")
         surface = f.ndim == 2
-        k1sq = np.imag(self._ik1_full) ** 2            # (nx,)
-        k2sq = np.imag(self._ik2) ** 2                 # (nyr,)
+        k1sq = self.ksq[:, :1]                         # (nx, 1)
+        k2sq = self.ksq[0]                             # (nyr,)
         nyr = k2sq.size
         count = np.full(nyr, 2.0)
         count[0] = 1.0
@@ -237,7 +232,7 @@ class Grid:
         b_pow = np.ones(nyr)
         for _ in range(s):
             b_pow = b_pow * k2sq
-            h = k1sq[:, None] * h + b_pow
+            h = k1sq * h + b_pow
             W.append(W[-1] + h)
         total = 0.0
         for g in (f,) if surface else f.reshape(-1, *f.shape[-3:]):
@@ -254,6 +249,22 @@ class Grid:
         return float(np.sqrt(max(total, 0.0)))
 
     # -- tangential matrices ------------------------------------------------
+
+    def separable(self, mult) -> tuple[np.ndarray, np.ndarray]:
+        """The separable Fourier multiplier ``mult(k, n)``, given on the half
+        spectrum k = 0..n/2 of an axis of length n, as one real n x n matrix
+        per tangential axis: ``M @ f`` equals ``irfft(mult * rfft(f), n)``
+        for a real vector f."""
+        return tuple(
+            irfft(rfft(np.eye(n), axis=0)
+                  * mult(_wavenumbers(n, n // 2 + 1), n)[:, None],
+                  n=n, axis=0)
+            for n in (self.nx, self.ny))
+
+    def apply_separable(self, f: np.ndarray, pair) -> np.ndarray:
+        """A ``separable`` matrix pair applied along both tangential axes."""
+        return self.apply_tangential(self.apply_tangential(f, pair[0], 1),
+                                     pair[1], 2)
 
     def apply_tangential(self, f: np.ndarray, mat: np.ndarray,
                          axis: int) -> np.ndarray:
@@ -272,8 +283,7 @@ class Grid:
 
     def dealias_tangential(self, f: np.ndarray) -> np.ndarray:
         """Zero tangential modes with |k| above n/3 (the 2/3 rule)."""
-        return self.apply_tangential(self.apply_tangential(f, self._p1, 1),
-                                     self._p2, 2)
+        return self.apply_separable(f, self._keep)
 
     def truncate(self, f: np.ndarray) -> np.ndarray:
         """``f`` under the 2/3 rule when this grid dealiases, else ``f``."""

@@ -53,11 +53,6 @@ class State:
     sigma: float
     psi_t: np.ndarray | None = None
 
-    def copy(self) -> "State":
-        return State(t=self.t, psi=self.psi.copy(), v=self.v.copy(),
-                     F=self.F.copy(), q=self.q.copy(), sigma=self.sigma,
-                     psi_t=None if self.psi_t is None else self.psi_t.copy())
-
     def field(self, name: str) -> np.ndarray:
         """A view of the named field: psi, q, v1..v3, or f11..f33, where
         F_ij = F[j][i]."""
@@ -85,8 +80,7 @@ class State:
         Dirichlet datum -sigma kappa on top."""
         pr = pressure_rhs(stage_fields(self.v, self.F, gm))
         dir_top = -self.sigma * mean_curvature(self.psi, gm.grid)
-        return solve_poisson_phi(pr.rhs, dir_top, pr.neu_bottom, gm, gm.grid,
-                                 tol=tol)
+        return solve_poisson_phi(pr.rhs, dir_top, pr.neu_bottom, gm, tol=tol)
 
     def enforce_bottom(self):
         """Impose v3 = F_3j = 0 on the bottom collocation plane, in place."""
@@ -187,7 +181,7 @@ def build_initial_data(spec: InitSpec, tol: float = 1e-11):
             return np.zeros((3, grid.nx, grid.ny, grid.nz))
         field = recipe.build(grid, gm0)
         if spec.project:
-            field = project_divfree(field, gm0, grid, tol=tol)
+            field = project_divfree(field, gm0, tol=tol)
         return field
 
     state = State(t=0.0, psi=psi0, v=realize(spec.v_recipe),

@@ -57,7 +57,7 @@ def test_traced_matvecs_are_the_solver_operator_applications(monkeypatch):
         monkeypatch.setattr(elliptic, "_apply_bc_operator", counted_op)
         elliptic.solve_poisson_phi(np.cos(X1) * np.sin(X2) * (1 + X3),
                                    0.1 * np.cos(X2[:, :, 0]),
-                                   0.2 * np.sin(X1[:, :, 0]), gm, g, tol=1e-11)
+                                   0.2 * np.sin(X1[:, :, 0]), gm, tol=1e-11)
     finally:
         inst.uninstall()
     assert tracer.counts["elliptic.gmres.calls"] == 1

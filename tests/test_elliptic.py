@@ -36,7 +36,7 @@ def test_zero_problem():
     g = make_grid(8, 8, 9, 1.0)
     gm = flat_graphmap(g)
     zero = np.zeros((8, 8))
-    W = solve_poisson_phi(np.zeros((8, 8, 9)), zero, zero, gm, g)
+    W = solve_poisson_phi(np.zeros((8, 8, 9)), zero, zero, gm)
     assert np.abs(W).max() <= 1e-13
 
 
@@ -47,7 +47,7 @@ def test_flat_harmonic_manufactured():
     Wstar = np.cos(X1) * np.exp(X3)
     dir_top = Wstar[:, :, 0]
     neu_bottom = np.cos(X1[:, :, -1]) * np.exp(-1.0)
-    W = solve_poisson_phi(np.zeros_like(Wstar), dir_top, neu_bottom, gm, g,
+    W = solve_poisson_phi(np.zeros_like(Wstar), dir_top, neu_bottom, gm,
                           tol=1e-11)
     assert np.abs(W - Wstar).max() <= 1e-9
 
@@ -59,7 +59,7 @@ def test_operator_consistent_manufactured_wavy():
     Wstar = np.cos(X1 + X2) * (1.0 + X3) ** 2 + 0.3 * np.sin(X2) * X3
     rhs = -laplace_phi(Wstar, gm)
     W = solve_poisson_phi(rhs, Wstar[:, :, 0],
-                          dphi(Wstar, 3, gm)[:, :, -1], gm, g, tol=1e-11)
+                          dphi(Wstar, 3, gm)[:, :, -1], gm, tol=1e-11)
     assert g.norm0(W - Wstar) <= 1e-8
 
 
@@ -72,7 +72,7 @@ def test_pullback_manufactured_wavy():
     Wstar = np.cos(X1) * np.exp(gm.phi)
     dir_top = Wstar[:, :, 0]
     neu_bottom = (np.cos(X1) * np.exp(gm.phi))[:, :, -1]  # d/dy3 trace
-    W = solve_poisson_phi(np.zeros_like(Wstar), dir_top, neu_bottom, gm, g,
+    W = solve_poisson_phi(np.zeros_like(Wstar), dir_top, neu_bottom, gm,
                           tol=1e-11)
     assert g.norm0(W - Wstar) <= 1e-7
 
@@ -89,7 +89,7 @@ def test_manufactured_convergence_two_levels():
         rhs = (4.0 + 25.0) * Wstar
         dir_top = Wstar[:, :, 0]
         neu = (-5.0 * np.cos(2 * X1) * np.sin(5.0 * (X3 + 1.0)))[:, :, -1]
-        W = solve_poisson_phi(rhs, dir_top, neu, gm, g, tol=1e-11)
+        W = solve_poisson_phi(rhs, dir_top, neu, gm, tol=1e-11)
         errs.append(g.norm0(W - Wstar))
     assert errs[0] / max(errs[1], 1e-12) >= 100.0
 
@@ -113,7 +113,7 @@ def test_dense_oracle_small_grid():
     B[:, :, 0] = dir_top
     B[:, :, -1] = neu
     W_dense = np.linalg.solve(A, B.ravel()).reshape(8, 8, 9)
-    W_iter = solve_poisson_phi(rhs, dir_top, neu, gm, g, tol=1e-11)
+    W_iter = solve_poisson_phi(rhs, dir_top, neu, gm, tol=1e-11)
     assert g.norm0(W_iter - W_dense) <= 1e-8
 
 
@@ -152,8 +152,12 @@ def dense_flat_solve(g, B):
     D = g.Dz
     Bh = np.fft.rfft2(B, axes=(0, 1))
     Wh = np.empty_like(Bh)
-    for i, k1 in enumerate(np.imag(g._ik1_full)):
-        for j, k2 in enumerate(np.imag(g._ik2)):
+    # the derivative's wavenumbers: Nyquist zeroed, as d_tan has it
+    kx = np.fft.fftfreq(g.nx, 1.0 / g.nx)
+    ky = np.fft.rfftfreq(g.ny, 1.0 / g.ny)
+    kx[g.nx // 2] = ky[-1] = 0.0
+    for i, k1 in enumerate(kx):
+        for j, k2 in enumerate(ky):
             A = (k1**2 + k2**2) * np.eye(g.nz) - D @ D
             A[0, :] = 0.0
             A[0, 0] = 1.0
@@ -206,7 +210,7 @@ def test_warm_started_solve_applies_no_operator(monkeypatch):
     X1, X2, X3 = g.mesh_volume()
     rhs = np.cos(X1) * np.sin(X2) * (1 + X3)
     zero = np.zeros((8, 8))
-    W = solve_poisson_phi(rhs, zero, zero, gm, g, tol=1e-11)
+    W = solve_poisson_phi(rhs, zero, zero, gm, tol=1e-11)
     assert calls == {"matvec": 0, "flat": 1}   # the warm start only
     assert np.abs(W[:, :, 0]).max() == 0.0
 
@@ -251,7 +255,7 @@ def test_each_krylov_iteration_applies_each_operator_once(monkeypatch):
     monkeypatch.setattr(elliptic, "laplace_phi", counted_lap)
     monkeypatch.setattr(elliptic._FlatSolver, "solve", counted_flat)
     rhs, dir_top, neu, gm, g = krylov_problem()
-    W = solve_poisson_phi(rhs, dir_top, neu, gm, g, tol=1e-11)
+    W = solve_poisson_phi(rhs, dir_top, neu, gm, tol=1e-11)
     assert calls["flat"] >= 3          # the solve made Krylov iterations
     assert calls["laplace"] == calls["flat"]
     interior, bottom = residuals_over_target(W, rhs, dir_top, neu, gm, 1e-11)
@@ -261,7 +265,7 @@ def test_each_krylov_iteration_applies_each_operator_once(monkeypatch):
 def test_target_below_rounding_raises_with_bounded_iterations():
     rhs, dir_top, neu, gm, g = krylov_problem()
     with pytest.raises(SolverConvergenceError) as exc:
-        solve_poisson_phi(rhs, dir_top, neu, gm, g, tol=1e-30)
+        solve_poisson_phi(rhs, dir_top, neu, gm, tol=1e-30)
     assert 1 <= exc.value.iterations <= elliptic.MAX_ITER
 
 
@@ -271,8 +275,8 @@ def test_solve_returns_the_verified_field(monkeypatch):
     ratios = []
     solve = elliptic.solve_poisson_phi
 
-    def checked(rhs, dir_top, neu_bottom, gm, grid, tol=elliptic.DEFAULT_TOL):
-        W = solve(rhs, dir_top, neu_bottom, gm, grid, tol=tol)
+    def checked(rhs, dir_top, neu_bottom, gm, tol=elliptic.DEFAULT_TOL):
+        W = solve(rhs, dir_top, neu_bottom, gm, tol=tol)
         ratios.append(residuals_over_target(W, rhs, dir_top, neu_bottom, gm,
                                             tol))
         return W
@@ -312,7 +316,7 @@ def test_solve_meets_the_bottom_flux_row():
     rhs = np.sin(X1 + X2) * (1 + X3)
     dir_top = 0.1 * np.cos(X1[:, :, 0])
     neu = np.cos(X2[:, :, -1]) + 0.5
-    W = solve_poisson_phi(rhs, dir_top, neu, gm, g, tol=1e-11)
+    W = solve_poisson_phi(rhs, dir_top, neu, gm, tol=1e-11)
     interior, bottom = residuals_over_target(W, rhs, dir_top, neu, gm, 1e-11)
     assert interior <= 1.0 and bottom <= 1.0
 
@@ -356,19 +360,19 @@ def test_project_divfree_cases():
 
     # constant vertical field is already divergence-free
     X = np.stack([np.zeros_like(X3), np.zeros_like(X3), np.ones_like(X3)])
-    Xp = project_divfree(X, gm, g, tol=1e-11)
+    Xp = project_divfree(X, gm, tol=1e-11)
     assert g.sobolev_norm(Xp - X, 0) <= 1e-9
 
     # manufactured potential with theta|_Sigma = 0 and flat bottom flux
     theta = np.sin(X1) * X3 * (X3 + 1.0) ** 2
     G = grad_phi_stack(theta, gm)
-    Gp = project_divfree(G, gm, g, tol=1e-11)
+    Gp = project_divfree(G, gm, tol=1e-11)
     assert g.sobolev_norm(Gp, 0) <= 1e-7
 
     # idempotence
     Y = np.stack([np.cos(X2) * (1 + X3), np.sin(X1), X3 * (1 + X3)])
-    Y1 = project_divfree(Y, gm, g, tol=1e-11)
-    Y2 = project_divfree(Y1, gm, g, tol=1e-11)
+    Y1 = project_divfree(Y, gm, tol=1e-11)
+    Y2 = project_divfree(Y1, gm, tol=1e-11)
     assert g.sobolev_norm(Y2 - Y1, 0) <= 1e-8 * (1 + g.sobolev_norm(Y, 1))
     assert g.norm0(div_phi(Y1, gm)) <= 1e-8 * (1 + g.sobolev_norm(Y, 1))
 

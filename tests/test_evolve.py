@@ -50,7 +50,7 @@ def test_cfl_rejection_with_suggestion():
     spec = InitSpec(nx=16, ny=16, nz=9, b=1.0, sigma=1.0,
                     v_recipe=ShearRecipe(comp=1, dep_axis=2, amp=1.0))
     state, gm, _ = build_initial_data(spec)
-    bound = cfl_limit(state, gm, gm.grid)
+    bound = cfl_limit(state, gm)
     with pytest.raises(CFLError) as exc:
         step_rk4(state, gm, 10.0 * bound)
     assert exc.value.suggested_dt == pytest.approx(bound)
@@ -129,6 +129,7 @@ def test_snapshots_and_history():
     res = run(cfg)
     assert res.snapshot_times[0] == 0.0
     assert res.snapshot_times[-1] == pytest.approx(0.2)
+    assert res.snapshots[-1] is res.final   # a state is held once
     assert len(res.history) == 5
     times = [d.t for d in res.diagnostics]
     assert len(times) == 11
@@ -282,7 +283,7 @@ def capillary_spec():
 def test_nan_entering_a_step_is_named(component):
     state, gm, _ = build_initial_data(capillary_spec())
     state.v[component, 1, 2, 3] = np.nan
-    assert np.isnan(cfl_limit(state, gm, gm.grid))
+    assert np.isnan(cfl_limit(state, gm))
     with pytest.raises(NonFiniteStateError, match="v is not finite at t = 0"):
         step_rk4(state, gm, 0.01)
     # unchecked, the NaN reaches the first pressure solve, which stops

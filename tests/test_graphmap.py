@@ -80,7 +80,7 @@ def test_flat_map_identity():
     assert np.abs(gm.phi - X3).max() <= 1e-15
     assert np.abs(gm.a31).max() == 0.0
     assert np.abs(gm.a32).max() == 0.0
-    assert np.abs(gm.a33 - 1.0).max() <= 1e-14
+    assert np.abs(gm.inv_d3phi - 1.0).max() <= 1e-14
     assert abs(gm.c0 - 1.0) <= 1e-14
     assert np.abs(gm.N[0]).max() == 0.0 and np.abs(gm.N[2] - 1.0).max() == 0.0
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import fft
 
 from capelast import GridError, make_grid
-from capelast.evolve import _exp_damping, _filter
+from capelast.evolve import _exp_filter
 
 
 @pytest.fixture(scope="module")
@@ -264,18 +264,32 @@ def test_tangential_matrices_match_fft_reference(shape):
          "stack33": lambda: rng.standard_normal((3, 3) + vol),
          "view": lambda: rng.standard_normal((3, 3) + vol)[:, 2]}[shape]()
     ax1 = 0 if f.ndim == 2 else f.ndim - 3
-    k1, k2 = g.k1, g.k2
-    keep = (np.abs(k1) <= g.nx // 3)[:, None] & (k2 <= g.ny // 3)[None, :]
-    damp = (np.exp(-36.0 * (np.abs(k1) / (g.nx / 2)) ** 36)[:, None]
-            * np.exp(-36.0 * (k2 / k2.max()) ** 36)[None, :])
+    # rfft2 layout: axis 1 full, axis 2 half
+    k1 = np.abs(np.fft.fftfreq(g.nx, 1.0 / g.nx))
+    k2 = np.fft.rfftfreq(g.ny, 1.0 / g.ny)
+    ik1 = 1j * k1[: g.nx // 2 + 1]
+    ik2 = 1j * k2
+    ik1[-1] = ik2[-1] = 0.0     # no derivative at Nyquist
+    keep = (k1 <= g.nx // 3)[:, None] & (k2 <= g.ny // 3)[None, :]
+    damp = (np.exp(-36.0 * (k1 / (g.nx / 2)) ** 36)[:, None]
+            * np.exp(-36.0 * (k2 / (g.ny / 2)) ** 36)[None, :])
     cases = (
-        (g.d_tan(f, 1), _fft_reference(f, g._ik1, (ax1,))),
-        (g.d_tan(f, 2), _fft_reference(f, g._ik2, (ax1 + 1,))),
+        (g.d_tan(f, 1), _fft_reference(f, ik1, (ax1,))),
+        (g.d_tan(f, 2), _fft_reference(f, ik2, (ax1 + 1,))),
         (g.dealias_tangential(f),
          _fft_reference(f, keep.astype(float), (ax1, ax1 + 1))),
-        (_filter(f, _exp_damping(g), g),
+        (g.apply_separable(f, g.separable(_exp_filter)),
          _fft_reference(f, damp, (ax1, ax1 + 1))),
     )
     for out, ref in cases:
         assert out.shape == f.shape
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("nx, ny", [(4, 4), (12, 18), (64, 32)])
+def test_ksq_is_the_derivative_spectrum_on_the_rfft2_layout(nx, ny):
+    g = make_grid(nx, ny, 5, 1.0)
+    k1 = np.fft.fftfreq(nx, 1.0 / nx)
+    k2 = np.fft.rfftfreq(ny, 1.0 / ny)
+    k1[nx // 2] = k2[-1] = 0.0      # Nyquist zeroed, as d_tan has it
+    assert np.array_equal(g.ksq, k1[:, None] ** 2 + k2[None, :] ** 2)

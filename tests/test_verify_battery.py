@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 import capelast.cli
-from capelast import verify
+from capelast import ConfigError, verify
 from capelast.cli import main
 
 
@@ -30,6 +30,12 @@ def test_alinhac_battery_frees_its_histories_before_the_curl_rows(
     monkeypatch.setattr(verify, "curl_commutator_residuals", checking)
     assert len(verify.alinhac_battery(16, 16, 9)) == 23
     assert seen == [[True] * 4]
+
+
+def test_alinhac_battery_rejects_a_short_history():
+    # the history ring itself refuses fewer than five slices
+    with pytest.raises(ConfigError, match="history length must be >= 5"):
+        verify.alinhac_battery(16, 16, 9, hist_len=4)
 
 
 @pytest.mark.parametrize("suite, dims, least", [
