@@ -84,8 +84,11 @@ class RTRecord:
 
 def rt_monitor(q: np.ndarray, gm: GraphMap, grid: Grid,
                c0_req: float) -> RTRecord:
-    """min over the top plane of -d3(q), and whether it clears c0_req."""
-    rt = -grid.d_vert(q)[:, :, 0]
+    """min over the top plane of -d3(q), and whether it clears c0_req.
+
+    Only the top plane is differentiated: its row of the collocation
+    derivative."""
+    rt = -(q @ grid.Dz[0])
     rt_min = float(rt.min())
     return RTRecord(rt_min=rt_min, holds=bool(rt_min >= c0_req))
 

@@ -32,9 +32,12 @@ solve that meets the target in one cycle of k iterations applies each
 k + 2 times.
 
 The pressure source reads a ``StageFields`` bundle: the stage velocity and
-deformation dealiased once, with their twisted gradients taken once.  The
-tendencies of the same stage read the same bundle, so each RK stage makes
-one spectral pass over v and F.
+deformation dealiased once, and the twisted gradient of v taken once.  The
+twisted gradient of F is never stored: ``each_gradient_column`` forms it
+one column F_k at a time and hands that 3x3 stack to every term that reads
+it before the next column is formed.  The tendencies of the same stage
+read the same bundle and the same columns, so each RK stage makes one
+spectral pass over v and F.
 """
 
 from __future__ import annotations
@@ -243,25 +246,40 @@ def solve_poisson_phi(rhs: np.ndarray, dir_top: np.ndarray,
 
 @dataclass
 class StageFields:
-    """One RK stage's dealiased velocity and deformation with their twisted
-    gradients; the pressure source and the tendencies both read it."""
+    """One RK stage's dealiased velocity and deformation with the twisted
+    gradient of the velocity; the pressure source and the tendencies both
+    read it.  The gradient of F is formed per column by
+    ``each_gradient_column`` and never stored here."""
 
     gm: GraphMap
     v: np.ndarray
     F: np.ndarray
     Dv: np.ndarray              # Dv[l, i] = d_l^phi v_i
-    DF: np.ndarray | None       # DF[l, k, i] = d_l^phi F_ik; None when F = 0
+    elastic: bool               # False when F = 0: no column is formed
 
 
 def stage_fields(v: np.ndarray, F: np.ndarray, gm: GraphMap) -> StageFields:
-    """Dealias v and F once and take their twisted gradients once."""
+    """Dealias v and F once and take the twisted gradient of v once."""
     g = gm.grid
     v = g.truncate(v)
-    DF = None
-    if F.any():
+    elastic = bool(F.any())
+    if elastic:
         F = g.truncate(F)
-        DF = grad_phi_stack(F, gm)
-    return StageFields(gm=gm, v=v, F=F, Dv=grad_phi_stack(v, gm), DF=DF)
+    return StageFields(gm=gm, v=v, F=F, Dv=grad_phi_stack(v, gm),
+                       elastic=elastic)
+
+
+def each_gradient_column(sf: StageFields, *feeds):
+    """Call ``feed(k, DF_k)`` for every feed and every column k of F, where
+    DF_k[l, i] = d_l^phi F_ik.  One column's stack is alive at a time, so
+    the 3x3x3 gradient of F is never formed; nothing is called when F = 0."""
+    if not sf.elastic:
+        return
+    for k in range(3):
+        DF_k = grad_phi_stack(sf.F[k], sf.gm)
+        for feed in feeds:
+            feed(k, DF_k)
+        del DF_k
 
 
 def _trace_of_square(D: np.ndarray) -> np.ndarray:
@@ -281,39 +299,41 @@ class PressureRHS:
     advisory: bool
 
 
-def pressure_rhs(sf: StageFields) -> PressureRHS:
+def pressure_rhs(sf: StageFields, *feeds) -> PressureRHS:
     """Source and bottom flux for the pressure problem.
 
     rhs = d_i^phi v_l d_l^phi v_i - d_i^phi F_lk d_l^phi F_ik, using the
     divergence constraints; the bottom Neumann datum is the normal trace
     ((F_k . grad^phi) F_3k) there, the momentum balance with v3 = 0.
     Both are truncated once, as sums.  The result is advisory when the
-    divergence constraints look violated.
+    divergence constraints look violated.  Each ``feed(k, DF_k)`` is
+    called on the gradient columns the source reads, in the same pass.
     """
     g = sf.gm.grid
-    Dv, DF = sf.Dv, sf.DF
+    Dv = sf.Dv
     rhs = _trace_of_square(Dv)
     div_v = g.norm0(Dv[0, 0] + Dv[1, 1] + Dv[2, 2])
-    if DF is None:
+    if not sf.elastic:
         return PressureRHS(rhs=g.truncate(rhs),
                            neu_bottom=np.zeros((g.nx, g.ny)),
                            advisory=div_v > 1e-4)
-
-    div_F_max = 0.0
-    for k in range(3):
-        # DF[i, k, l] = d_i^phi F_lk
-        rhs -= _trace_of_square(DF[:, k])
-        div_F_max = max(div_F_max,
-                        g.norm0(DF[0, k, 0] + DF[1, k, 1] + DF[2, k, 2]))
 
     # bottom Neumann datum sum_{k,l} F_lk (d_l^phi F_3k), formed on the
     # bottom plane only: truncation acts plane by plane
     F, bot = sf.F, np.s_[:, :, -1]
     stretch = np.zeros((g.nx, g.ny))
-    for k in range(3):
+    div_F = []
+
+    def column(k, DF_k):
+        # DF_k[i, l] = d_i^phi F_lk
+        nonlocal rhs, stretch
+        rhs -= _trace_of_square(DF_k)
+        div_F.append(g.norm0(DF_k[0, 0] + DF_k[1, 1] + DF_k[2, 2]))
         for l in range(3):
-            stretch += F[k, l][bot] * DF[l, k, 2][bot]
-    advisory = div_v > 1e-4 or div_F_max > 1e-4
+            stretch += F[k, l][bot] * DF_k[l, 2][bot]
+
+    each_gradient_column(sf, column, *feeds)
+    advisory = div_v > 1e-4 or max(div_F) > 1e-4
     return PressureRHS(rhs=g.truncate(rhs), neu_bottom=g.truncate(stretch),
                        advisory=advisory)
 

@@ -15,15 +15,18 @@ are one loop over (c, w) = (1/2, 2), (1/2, 2), (1, 1): build the stage
 state y + c dt k from the previous stage's tendencies k, drop k, evaluate
 the stage on its own map and add w k into the sum k1 + 2 k2 + 2 k3 + k4,
 so one stage's ``Tendencies`` is alive at a time.  Each stage dealiases v
-and F and takes their twisted gradients once, and feeds that one bundle to
-both the pressure source and the tendencies.  Every q-independent term is
+and F and takes the twisted gradient of v once, and feeds that one bundle
+to both the pressure source and the tendencies.  The twisted gradient of F
+is formed one column at a time and never stored: each column's 3x3 stack
+feeds the pressure source and every tendency term that reads it in one
+pass, and is dropped before the next column.  Every q-independent term is
 formed before the pressure solve, which runs with the capillary Dirichlet
-datum; each tendency is then truncated once, as a sum.  After the combined
-update the velocity is projected back to divergence-free,
-``State.enforce_bottom`` re-imposes v3 = F_3j = 0 on the bottom plane and
-``State.pressure`` solves the new pressure; the kinematic surface equation
-is evolved, never overwritten.  ``run`` stops with a named reason when a
-stepped state is no longer finite.
+datum; each tendency is truncated once, as a sum, F's after the bundle is
+dropped.  After the combined update the velocity is projected back to
+divergence-free, ``State.enforce_bottom`` re-imposes v3 = F_3j = 0 on the
+bottom plane and ``State.pressure`` solves the new pressure; the kinematic
+surface equation is evolved, never overwritten.  ``run`` stops with a
+named reason when a stepped state is no longer finite.
 
 The step is guarded by dt <= 0.5 * min(advective, capillary, vertical)
 bounds.  The vertical bound compares the transport speed w = v.Nb - dt(phi)
@@ -43,6 +46,7 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord, conserved_energy, higher_energy, rt_monitor
 from .elliptic import (
     StageFields,
+    each_gradient_column,
     pressure_rhs,
     project_divfree,
     solve_poisson_phi,
@@ -75,18 +79,30 @@ def tendencies(state: State, gm: GraphMap, solver_tol: float = 1e-11,
 
     The pressure source and every tendency term read one ``StageFields``
     bundle, so v and F are dealiased and differentiated once per stage.
+    The twisted gradient of F is formed one column at a time and never
+    stored: each column's stack feeds the pressure source (when q is
+    solved) and this column's stress, transport and stretching terms in
+    one pass, and is dropped before the next column is formed.
     Advection comes from the twisted gradient stacks alone, since
     v . grad^phi f - dt(phi) d3^phi f equals vbar . dbar f
     + (v . Nb - dt(phi)) d3 f / d3(phi).  Dealiasing exploits linearity:
     quadratic state products are multiplied pointwise, summed, and each
-    tendency truncated once, which equals per-product truncation.
-    Geometric coefficient products stay pointwise.
+    tendency truncated once, which equals per-product truncation.  F's
+    tendency is truncated after the bundle is dropped.  Geometric
+    coefficient products stay pointwise.
     """
     g = gm.grid
     sf = stage_fields(state.v, state.F, gm)
-    pr = pressure_rhs(sf) if q is None else None
-    v_dot, F_dot = _pressure_free_terms(sf)
-    del sf  # no gradient stack stays alive during the pressure solve
+    elastic = sf.elastic
+    v_dot, F_dot, column = _pressure_free_terms(sf)
+    if q is None:
+        pr = pressure_rhs(sf, column)
+    else:
+        each_gradient_column(sf, column)
+    # no stage field stays alive while F_dot is truncated and q is solved
+    del sf, column
+    if elastic:
+        F_dot = g.truncate(F_dot)
     if q is None:
         dir_top = -state.sigma * mean_curvature(state.psi, g)
         q = solve_poisson_phi(pr.rhs, dir_top, pr.neu_bottom, gm,
@@ -98,26 +114,29 @@ def tendencies(state: State, gm: GraphMap, solver_tol: float = 1e-11,
 
 
 def _pressure_free_terms(sf: StageFields):
-    """Stress minus advection for v (untruncated), and the truncated F
-    tendency: transport by u = (v1, v2, v3 - dt(phi)) contracted with the
-    gradient stacks, stress_i = F_lk d_l^phi F_ik, and stretching
-    (F_j . grad^phi) v_i = F_lj d_l^phi v_i."""
-    gm, v, F, Dv, DF = sf.gm, sf.v, sf.F, sf.Dv, sf.DF
+    """The q-independent tendencies, untruncated: v_dot = -(u . grad^phi) v
+    with u = (v1, v2, v3 - dt(phi)), F_dot = 0, and the feed for
+    ``each_gradient_column`` that adds column k's terms from DF_k: the
+    stress F_lk d_l^phi F_ik into v_dot, and the transport
+    -(u . grad^phi) F_k and stretching (F_k . grad^phi) v_i =
+    F_lk d_l^phi v_i into F_dot[k]."""
+    gm, v, F, Dv = sf.gm, sf.v, sf.F, sf.Dv
     u = (v[0], v[1], v[2] - gm.dtphi)
     v_dot = u[0] * Dv[0]
     v_dot += u[1] * Dv[1]
     v_dot += u[2] * Dv[2]
     np.negative(v_dot, out=v_dot)
-    if DF is None:
-        # vanishing deformation stays zero; skip the elastic terms
-        return v_dot, np.zeros_like(F)
+    # vanishing deformation stays zero: no column is fed
     F_dot = np.zeros_like(F)
-    for l in range(3):
-        for k in range(3):
+
+    def column(k, DF_k):
+        nonlocal v_dot
+        for l in range(3):
             F_dot[k] += F[k, l] * Dv[l]
-            F_dot[k] -= u[l] * DF[l, k]
-            v_dot += F[k, l] * DF[l, k]
-    return v_dot, gm.grid.truncate(F_dot)
+            F_dot[k] -= u[l] * DF_k[l]
+            v_dot += F[k, l] * DF_k[l]
+
+    return v_dot, F_dot, column
 
 
 def cfl_limit(state: State, gm: GraphMap) -> float:
@@ -269,7 +288,8 @@ def run(config: RunConfig) -> RunResult:
     state, gm, cutoff = build_initial_data(config.init,
                                            tol=config.solver_tol)
     grid = gm.grid
-    nsteps = max(0, round(config.t_final / config.dt)) if config.t_final > 0 else 0
+    # a positive t_final below dt/2 takes one shorter step: dt only shrinks
+    nsteps = max(1, round(config.t_final / config.dt)) if config.t_final > 0 else 0
     dt = config.t_final / nsteps if nsteps else config.dt
     if nsteps and abs(dt - config.dt) > 1e-12 * max(1.0, config.dt):
         log.info("adjusted dt from %g to %g to land on t_final", config.dt, dt)

@@ -77,7 +77,8 @@ class State:
     def pressure(self, gm: GraphMap, tol: float) -> np.ndarray:
         """The pressure of this state on its map ``gm``, to ``tol``: the
         momentum-balance source and bottom Neumann datum, and the capillary
-        Dirichlet datum -sigma kappa on top."""
+        Dirichlet datum -sigma kappa on top.  The source streams the
+        gradient of F one column at a time and feeds no tendency term."""
         pr = pressure_rhs(stage_fields(self.v, self.F, gm))
         dir_top = -self.sigma * mean_curvature(self.psi, gm.grid)
         return solve_poisson_phi(pr.rhs, dir_top, pr.neu_bottom, gm, tol=tol)

@@ -312,6 +312,19 @@ def test_run_adjusts_dt_to_land_on_t_final(tmp_path):
     assert abs(float(lines[-1].split(",")[0]) - 0.05) <= 1e-12
 
 
+def test_run_shorter_than_half_a_step_takes_one_step(tmp_path, capsys):
+    # t_final / dt = 0.4 rounds to no step; one step of dt = t_final is
+    # taken instead, since a shorter step is CFL-safe
+    text = REST_CONFIG.replace("t_final = 0.04", "t_final = 0.004")
+    cfgpath = _write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfgpath, "--out", str(out)]) == 0
+    lines = (out / "diagnostics.csv").read_text().strip().splitlines()
+    assert len(lines) == 3    # the header, t = 0 and t = t_final
+    assert abs(float(lines[-1].split(",")[0]) - 0.004) <= 1e-15
+    assert "completed t = 0.004 with 1 steps" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("args, message", [
     (["--suite", "operators", "--nx", "7"], "nx must be even and >= 4, got 7"),
     (["--suite", "lemmas", "--ny", "2"], "ny must be even and >= 4, got 2"),

@@ -1,9 +1,12 @@
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+import capelast.elliptic
 import capelast.evolve
+import capelast.graphmap
 import capelast.state
 from capelast import CFLError, Grid, NonFiniteStateError, SolverConvergenceError
 from capelast.elliptic import pressure_rhs, stage_fields
@@ -347,3 +350,39 @@ def test_no_stage_outlives_the_next(monkeypatch):
         refs.clear()
         state, gm = step_rk4(state, gm, 0.01)
         assert len(refs) == 4
+
+
+def test_deformation_gradient_is_formed_one_column_at_a_time(monkeypatch):
+    # no twisted gradient of all of F, a (3, 3, nx, ny, nz) input, is taken
+    # in a step or a pressure solve: six bundles (four stages, the step's
+    # new pressure and this one) each differentiate v and three columns
+    state, gm, _ = build_initial_data(oblique_spec())
+    original = capelast.graphmap.grad_phi_stack
+    ndims = []
+
+    def recording(f, gm):
+        ndims.append(f.ndim)
+        return original(f, gm)
+
+    for module in (capelast.graphmap, capelast.elliptic, capelast.evolve):
+        monkeypatch.setattr(module, "grad_phi_stack", recording)
+    new, gm_new = step_rk4(state, gm, 0.01)
+    new.pressure(gm_new, 1e-11)
+    assert 5 not in ndims
+    assert ndims.count(4) == 6 * 4
+
+
+def test_tendencies_peak_memory_in_volume_fields():
+    # the stage bundle holds v, F and grad v; one column's gradient stack
+    # is alive at a time and F's tendency is truncated after the bundle
+    # is dropped.  Measured at 16x16x9: 49 fields; with the whole gradient
+    # of F in the bundle, 79.
+    state, gm, _ = build_initial_data(oblique_spec())
+    g = gm.grid
+    tracemalloc.start()
+    try:
+        tendencies(state, gm, q=state.q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (g.nx * g.ny * g.nz * 8) <= 55
