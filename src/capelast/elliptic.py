@@ -19,8 +19,12 @@ A solve starts from the flat solve of the data, whose Dirichlet row is
 exact, and forms that field's residual once.  If the residual is already
 within the target it returns the flat solve.  Otherwise ``gmres``, a
 restarted right-preconditioned GMRES (Saad and Schultz, 1986), solves for
-the correction from zero.  Residuals are measured with each row weighted by
-its quadrature weight, so the Euclidean norm of a residual vector is
+the correction from zero.  It takes its operator and preconditioner as
+records that carry ``matvec``, ``shape`` and ``dtype`` (an ``Operator``
+or any object with those attributes) and solves its small Hessenberg
+system by back substitution, so the solver needs numpy alone.  Residuals
+are measured with each row weighted by its quadrature weight, so the
+Euclidean norm of a residual vector is
 sqrt(||interior||_0^2 + ||bottom flux||_{L2(Sigma_b)}^2) and bounds both.
 GMRES stops a cycle when its Arnoldi estimate of that norm is within the
 target, then forms the true residual of the new iterate.  Every correction
@@ -44,10 +48,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.sparse.linalg import LinearOperator
 
 from .errors import CapelastError, SolverConvergenceError
 from .graphmap import GraphMap, div_phi, grad_phi_stack, laplace_phi
@@ -131,16 +134,41 @@ def _apply_bc_operator(w: np.ndarray, gm: GraphMap) -> np.ndarray:
     return out
 
 
-def gmres(A: LinearOperator, b: np.ndarray, M: LinearOperator,
+@dataclass(frozen=True)
+class Operator:
+    """A square linear map given by its action on a flat vector.
+
+    ``gmres`` calls only ``matvec``; ``shape`` and ``dtype`` let a caller
+    re-wrap the map in another record with the same three attributes, such
+    as scipy's ``LinearOperator``, which ``gmres`` accepts as well."""
+
+    matvec: Callable[[np.ndarray], np.ndarray]
+    shape: tuple[int, int]
+    dtype: type = float
+
+
+def _back_substitute(R: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """y with R y = g for an upper-triangular R with a nonzero diagonal,
+    row by row from the last."""
+    k = g.size
+    y = np.empty(k)
+    for i in range(k - 1, -1, -1):
+        y[i] = (g[i] - R[i, i + 1:] @ y[i + 1:]) / R[i, i]
+    return y
+
+
+def gmres(A: Operator, b: np.ndarray, M: Operator,
           target: float) -> tuple[np.ndarray, np.ndarray, int]:
     """Restarted right-preconditioned GMRES for A e = b from e = 0.
 
     Each iteration applies M and then A once (z = M v, w = A z).  A cycle
     ends when the Arnoldi estimate of ||b - A e|| is at most ``target``, or
     after RESTART iterations; it adds M(V y) to e and forms the true
-    residual r = b - A e with one more application of each.  Cycles repeat
-    until the true residual meets the target, stops being finite, or
-    MAX_ITER iterations have run.  Returns (e, r, iterations).
+    residual r = b - A e with one more application of each.  A cycle also
+    ends, without the column it was building, when that column's pivot is
+    zero, as when A maps its vector to zero (a breakdown).  Cycles repeat
+    until the true residual meets the target, stops being finite or stops
+    falling, or MAX_ITER iterations have run.  Returns (e, r, iterations).
     """
     e = np.zeros_like(b)
     r = b
@@ -156,6 +184,7 @@ def gmres(A: LinearOperator, b: np.ndarray, M: LinearOperator,
         cs, sn = np.zeros(m), np.zeros(m)
         g = np.zeros(m + 1)
         g[0] = beta
+        k = 0                                  # columns of the cycle
         for j in range(m):
             w = A.matvec(M.matvec(V[j]))
             iterations += 1
@@ -167,19 +196,23 @@ def gmres(A: LinearOperator, b: np.ndarray, M: LinearOperator,
                 H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
                                         cs[i] * H[i + 1, j] - sn[i] * H[i, j])
             d = math.hypot(H[j, j], hn)
+            if d == 0.0:                       # breakdown: drop column j
+                break
             cs[j], sn[j] = H[j, j] / d, hn / d
             H[j, j] = d
             g[j + 1] = -sn[j] * g[j]
             g[j] *= cs[j]
+            k = j + 1
             # converged by the estimate, an invariant subspace, or NaN
             if abs(g[j + 1]) <= target or not hn > 0.0:
                 break
             np.divide(w, hn, out=V[j + 1])
-        k = j + 1
-        y = solve_triangular(H[:k, :k], g[:k], check_finite=False)
+        y = _back_substitute(H[:k, :k], g[:k])
         e += M.matvec(y @ V[:k])
         r = b - A.matvec(e)
-        beta = float(np.linalg.norm(r))
+        previous, beta = beta, float(np.linalg.norm(r))
+        if not beta < previous:     # the cycle made no progress: stop
+            break
     return e, r, iterations
 
 
@@ -228,11 +261,8 @@ def solve_poisson_phi(rhs: np.ndarray, dir_top: np.ndarray,
     def precond(x):
         return flat.solve(x.reshape(shape) / weight).ravel()
 
-    # an explicit dtype keeps LinearOperator from applying each operator
-    # once to infer it
-    A = LinearOperator((n, n), matvec=matvec, dtype=float)
-    M = LinearOperator((n, n), matvec=precond, dtype=float)
-    e, r, iterations = gmres(A, R.ravel(), M, target)
+    e, r, iterations = gmres(Operator(matvec, (n, n)), R.ravel(),
+                             Operator(precond, (n, n)), target)
     interior, bottom = _residual_norms(r.reshape(shape))
     if interior <= target and bottom <= target:
         W += e.reshape(shape)

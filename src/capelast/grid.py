@@ -21,10 +21,10 @@ derivatives of real data stay real), the 2/3 rule (``dealias_tangential``)
 and the run's exponential filter.  At the lengths used here a matrix product
 beats an FFT pair: a derivative of one 64 x 64 x 33 field takes about 0.4 ms
 against 1.2-2.5 ms (one OpenBLAS 0.3.31 thread on a 2-vCPU x86 VM), and the
-two are about even near n = 256.  FFTs remain where a modal basis is the
-algorithm, the flat Poisson solve and ``sobolev_norm``'s Parseval sums, and
-both read ``Grid.ksq``, the derivative's squared wavenumbers on the rfft2
-layout.
+two are about even near n = 256.  FFTs, from ``numpy.fft``, remain where a
+modal basis is the algorithm, the flat Poisson solve and ``sobolev_norm``'s
+Parseval sums, and both read ``Grid.ksq``, the derivative's squared
+wavenumbers on the rfft2 layout.
 """
 
 from __future__ import annotations
@@ -33,25 +33,24 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as _fft
 
 from .errors import GridError
 
 
 def rfft(f, axis):
-    return _fft.rfft(f, axis=axis)
+    return np.fft.rfft(f, axis=axis)
 
 
 def irfft(f, n, axis):
-    return _fft.irfft(f, n=n, axis=axis)
+    return np.fft.irfft(f, n=n, axis=axis)
 
 
 def rfft2(f, axes):
-    return _fft.rfft2(f, axes=axes)
+    return np.fft.rfft2(f, axes=axes)
 
 
 def irfft2(f, s, axes):
-    return _fft.irfft2(f, s=s, axes=axes)
+    return np.fft.irfft2(f, s=s, axes=axes)
 
 
 def _wavenumbers(n: int, size: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import logging
 import os
 import subprocess
 import sys
@@ -302,14 +303,18 @@ def test_sweep_sigma_without_list_exits_2(tmp_path, capsys):
     assert "sigma list" in capsys.readouterr().err
 
 
-def test_run_adjusts_dt_to_land_on_t_final(tmp_path):
-    # t_final = 0.05 with dt = 0.02 rounds to 2 or 3 steps of adjusted dt
-    text = REST_CONFIG.replace("t_final = 0.04", "t_final = 0.05")
+def test_run_adjusts_dt_to_land_on_t_final(tmp_path, caplog):
+    # t_final = 0.047 with dt = 0.01 rounds to 5 steps of dt = 0.0094: the
+    # step only shrinks, so it stays CFL-safe
+    caplog.set_level(logging.INFO, logger="capelast.evolve")
+    text = REST_CONFIG.replace("t_final = 0.04", "t_final = 0.047")
     cfgpath = _write(tmp_path, text)
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfgpath, "--out", str(out)]) == 0
+    assert "adjusted dt from 0.01 to 0.0094 to land on t_final" in caplog.text
     lines = (out / "diagnostics.csv").read_text().strip().splitlines()
-    assert abs(float(lines[-1].split(",")[0]) - 0.05) <= 1e-12
+    assert len(lines) == 7    # the header, t = 0 and five steps
+    assert abs(float(lines[-1].split(",")[0]) - 0.047) <= 1e-12
 
 
 def test_run_shorter_than_half_a_step_takes_one_step(tmp_path, capsys):

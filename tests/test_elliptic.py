@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
+from scipy.sparse.linalg import LinearOperator
 
 import capelast.evolve
 import capelast.state
 from capelast import CapelastError, SolverConvergenceError, elliptic, make_grid
 from capelast.elliptic import (
+    Operator,
     _apply_bc_operator,
+    gmres,
     pressure_rhs,
     project_divfree,
     solve_poisson_phi,
@@ -267,6 +271,93 @@ def test_target_below_rounding_raises_with_bounded_iterations():
     with pytest.raises(SolverConvergenceError) as exc:
         solve_poisson_phi(rhs, dir_top, neu, gm, tol=1e-30)
     assert 1 <= exc.value.iterations <= elliptic.MAX_ITER
+
+
+def dense_problem(n=60, seed=0):
+    """A nonsymmetric n x n system A e = b with a diagonal preconditioner
+    M = D^-1, so that A M is close to the identity but A is not."""
+    rng = np.random.default_rng(seed)
+    D = np.linspace(1.0, 10.0, n)
+    A = np.diag(D) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n) * D
+    return A, rng.standard_normal(n), 1.0 / D
+
+
+def test_gmres_solves_a_dense_nonsymmetric_system():
+    A, b, Dinv = dense_problem()
+    n = b.size
+    target = 1e-10 * np.linalg.norm(b)
+    e, r, iterations = gmres(Operator(lambda x: A @ x, (n, n)), b,
+                             Operator(lambda x: Dinv * x, (n, n)), target)
+    assert np.array_equal(r, b - A @ e)
+    assert np.linalg.norm(r) <= target
+    assert 1 <= iterations < elliptic.RESTART     # one cycle
+    # scipy's LinearOperator is an operator record as well
+    e2, r2, it2 = gmres(LinearOperator((n, n), matvec=lambda x: A @ x,
+                                       dtype=float), b,
+                        LinearOperator((n, n), matvec=lambda x: Dinv * x,
+                                       dtype=float), target)
+    assert np.array_equal(e2, e) and np.array_equal(r2, r) and it2 == iterations
+
+
+def test_gmres_restarts_and_converges(monkeypatch):
+    monkeypatch.setattr(elliptic, "RESTART", 5)
+    A, b, Dinv = dense_problem()
+    n = b.size
+    applied = [0]
+
+    def matvec(x):
+        applied[0] += 1
+        return A @ x
+
+    target = 1e-10 * np.linalg.norm(b)
+    e, r, iterations = gmres(Operator(matvec, (n, n)), b,
+                             Operator(lambda x: Dinv * x, (n, n)), target)
+    assert np.linalg.norm(b - A @ e) <= target
+    assert iterations > 5
+    # each cycle applies A once more for its true residual
+    cycles = applied[0] - iterations
+    assert cycles == -(-iterations // 5) >= 2
+
+
+def test_back_substitution_matches_lapack_bitwise():
+    # the Hessenberg system of a cycle of k = 1..RESTART columns is upper
+    # triangular after the Givens rotations, with a positive diagonal
+    rng = np.random.default_rng(7)
+    for k in range(1, elliptic.RESTART + 1):
+        for _ in range(5):
+            R = np.triu(rng.standard_normal((k, k)))
+            R[np.diag_indices(k)] = np.abs(np.diag(R)) + 0.5
+            g = rng.standard_normal(k)
+            y = elliptic._back_substitute(R, g)
+            assert np.array_equal(
+                y, solve_triangular(R, g, check_finite=False)), k
+
+
+def test_gmres_stops_at_a_zero_pivot():
+    # A maps every vector to zero: the first column has a zero pivot, and
+    # the cycle makes no progress, so gmres returns at once
+    n = 8
+    b = np.arange(1.0, n + 1)
+    ident = Operator(lambda x: x, (n, n))
+    e, r, iterations = gmres(Operator(np.zeros_like, (n, n)), b, ident, 1e-12)
+    assert iterations == 1
+    assert not e.any() and np.array_equal(r, b)
+    # a breakdown after one column: the shift x -> (x_2, 0) maps e_2 to e_1
+    # and e_1 to zero, and no multiple of e_1 reduces b - A e for b = e_2
+    shift = Operator(lambda x: np.array([x[1], 0.0]), (2, 2))
+    e, r, iterations = gmres(shift, np.array([0.0, 1.0]),
+                             Operator(lambda x: x, (2, 2)), 1e-12)
+    assert iterations == 2
+    assert np.array_equal(r, [0.0, 1.0])
+
+
+def test_solve_with_a_vanishing_operator_raises_convergence_error(monkeypatch):
+    monkeypatch.setattr(elliptic, "_apply_bc_operator",
+                        lambda w, gm: np.zeros_like(w))
+    rhs, dir_top, neu, gm, g = krylov_problem()
+    with pytest.raises(SolverConvergenceError) as exc:
+        solve_poisson_phi(rhs, dir_top, neu, gm, tol=1e-11)
+    assert exc.value.iterations == 1
 
 
 def test_solve_returns_the_verified_field(monkeypatch):
