@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -140,11 +140,12 @@ class Operator:
 
     ``gmres`` calls only ``matvec``; ``shape`` and ``dtype`` let a caller
     re-wrap the map in another record with the same three attributes, such
-    as scipy's ``LinearOperator``, which ``gmres`` accepts as well."""
+    as a wrapper that counts applications, which ``gmres`` accepts as well.
+    ``gmres`` works in float arithmetic, so ``dtype`` is fixed at float."""
 
     matvec: Callable[[np.ndarray], np.ndarray]
     shape: tuple[int, int]
-    dtype: type = float
+    dtype: ClassVar[type] = float
 
 
 def _back_substitute(R: np.ndarray, g: np.ndarray) -> np.ndarray:
