@@ -39,9 +39,10 @@ The pressure source reads a ``StageFields`` bundle: the stage velocity and
 deformation dealiased once, and the twisted gradient of v taken once.  The
 twisted gradient of F is never stored: ``each_gradient_column`` forms it
 one column F_k at a time and hands that 3x3 stack to every term that reads
-it before the next column is formed.  The tendencies of the same stage
-read the same bundle and the same columns, so each RK stage makes one
-spectral pass over v and F.
+it before the next column is formed.  A zero column of F is never formed:
+every term it feeds is linear in it, so each is an exact zero.  The
+tendencies of the same stage read the same bundle and the same columns, so
+each RK stage makes one spectral pass over v and F.
 """
 
 from __future__ import annotations
@@ -286,27 +287,25 @@ class StageFields:
     v: np.ndarray
     F: np.ndarray
     Dv: np.ndarray              # Dv[l, i] = d_l^phi v_i
-    elastic: bool               # False when F = 0: no column is formed
+    columns: tuple[int, ...]    # the k with F_k != 0; only these are formed
 
 
 def stage_fields(v: np.ndarray, F: np.ndarray, gm: GraphMap) -> StageFields:
     """Dealias v and F once and take the twisted gradient of v once."""
     g = gm.grid
     v = g.truncate(v)
-    elastic = bool(F.any())
-    if elastic:
+    columns = tuple(k for k in range(3) if F[k].any())
+    if columns:
         F = g.truncate(F)
     return StageFields(gm=gm, v=v, F=F, Dv=grad_phi_stack(v, gm),
-                       elastic=elastic)
+                       columns=columns)
 
 
 def each_gradient_column(sf: StageFields, *feeds):
-    """Call ``feed(k, DF_k)`` for every feed and every column k of F, where
-    DF_k[l, i] = d_l^phi F_ik.  One column's stack is alive at a time, so
-    the 3x3x3 gradient of F is never formed; nothing is called when F = 0."""
-    if not sf.elastic:
-        return
-    for k in range(3):
+    """Call ``feed(k, DF_k)`` for every feed and every k in ``sf.columns``,
+    where DF_k[l, i] = d_l^phi F_ik.  A zero column adds exact zeros and is
+    skipped; one column's 3x3 stack is alive at a time."""
+    for k in sf.columns:
         DF_k = grad_phi_stack(sf.F[k], sf.gm)
         for feed in feeds:
             feed(k, DF_k)
@@ -336,7 +335,8 @@ def pressure_rhs(sf: StageFields, *feeds) -> PressureRHS:
     rhs = d_i^phi v_l d_l^phi v_i - d_i^phi F_lk d_l^phi F_ik, using the
     divergence constraints; the bottom Neumann datum is the normal trace
     ((F_k . grad^phi) F_3k) there, the momentum balance with v3 = 0.
-    Both are truncated once, as sums.  The result is advisory when the
+    Both are truncated once, as sums.  Zero columns of F are not read:
+    they add exact zeros to both.  The result is advisory when the
     divergence constraints look violated.  Each ``feed(k, DF_k)`` is
     called on the gradient columns the source reads, in the same pass.
     """
@@ -344,11 +344,6 @@ def pressure_rhs(sf: StageFields, *feeds) -> PressureRHS:
     Dv = sf.Dv
     rhs = _trace_of_square(Dv)
     div_v = g.norm0(Dv[0, 0] + Dv[1, 1] + Dv[2, 2])
-    if not sf.elastic:
-        return PressureRHS(rhs=g.truncate(rhs),
-                           neu_bottom=np.zeros((g.nx, g.ny)),
-                           advisory=div_v > 1e-4)
-
     # bottom Neumann datum sum_{k,l} F_lk (d_l^phi F_3k), formed on the
     # bottom plane only: truncation acts plane by plane
     F, bot = sf.F, np.s_[:, :, -1]
@@ -364,7 +359,7 @@ def pressure_rhs(sf: StageFields, *feeds) -> PressureRHS:
             stretch += F[k, l][bot] * DF_k[l, 2][bot]
 
     each_gradient_column(sf, column, *feeds)
-    advisory = div_v > 1e-4 or max(div_F) > 1e-4
+    advisory = div_v > 1e-4 or max(div_F, default=0.0) > 1e-4
     return PressureRHS(rhs=g.truncate(rhs), neu_bottom=g.truncate(stretch),
                        advisory=advisory)
 

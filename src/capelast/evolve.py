@@ -19,14 +19,15 @@ and F and takes the twisted gradient of v once, and feeds that one bundle
 to both the pressure source and the tendencies.  The twisted gradient of F
 is formed one column at a time and never stored: each column's 3x3 stack
 feeds the pressure source and every tendency term that reads it in one
-pass, and is dropped before the next column.  Every q-independent term is
-formed before the pressure solve, which runs with the capillary Dirichlet
-datum; each tendency is truncated once, as a sum, F's after the bundle is
-dropped.  After the combined update the velocity is projected back to
-divergence-free, ``State.enforce_bottom`` re-imposes v3 = F_3j = 0 on the
-bottom plane and ``State.pressure`` solves the new pressure; the kinematic
-surface equation is evolved, never overwritten.  ``run`` stops with a
-named reason when a stepped state is no longer finite.
+pass, and is dropped before the next column; a zero column of F is never
+formed, and its tendency, linear in it, stays exactly zero.  Every
+q-independent term is formed before the pressure solve, which runs with
+the capillary Dirichlet datum; each tendency is truncated once, as a sum,
+F's after the bundle is dropped.  After the combined update the velocity
+is projected back to divergence-free, ``State.enforce_bottom`` re-imposes
+v3 = F_3j = 0 on the bottom plane and ``State.pressure`` solves the new
+pressure; the kinematic surface equation is evolved, never overwritten.
+``run`` stops with a named reason when a stepped state is no longer finite.
 
 The step is guarded by dt <= 0.5 * min(advective, capillary, vertical)
 bounds.  The vertical bound compares the transport speed w = v.Nb - dt(phi)
@@ -82,7 +83,8 @@ def tendencies(state: State, gm: GraphMap, solver_tol: float = 1e-11,
     The twisted gradient of F is formed one column at a time and never
     stored: each column's stack feeds the pressure source (when q is
     solved) and this column's stress, transport and stretching terms in
-    one pass, and is dropped before the next column is formed.
+    one pass, and is dropped before the next column is formed.  A zero
+    column, whose terms are all linear in it, is never formed.
     Advection comes from the twisted gradient stacks alone, since
     v . grad^phi f - dt(phi) d3^phi f equals vbar . dbar f
     + (v . Nb - dt(phi)) d3 f / d3(phi).  Dealiasing exploits linearity:
@@ -93,7 +95,7 @@ def tendencies(state: State, gm: GraphMap, solver_tol: float = 1e-11,
     """
     g = gm.grid
     sf = stage_fields(state.v, state.F, gm)
-    elastic = sf.elastic
+    columns = sf.columns
     v_dot, F_dot, column = _pressure_free_terms(sf)
     if q is None:
         pr = pressure_rhs(sf, column)
@@ -101,7 +103,7 @@ def tendencies(state: State, gm: GraphMap, solver_tol: float = 1e-11,
         each_gradient_column(sf, column)
     # no stage field stays alive while F_dot is truncated and q is solved
     del sf, column
-    if elastic:
+    if columns:
         F_dot = g.truncate(F_dot)
     if q is None:
         dir_top = -state.sigma * mean_curvature(state.psi, g)
@@ -126,7 +128,7 @@ def _pressure_free_terms(sf: StageFields):
     v_dot += u[1] * Dv[1]
     v_dot += u[2] * Dv[2]
     np.negative(v_dot, out=v_dot)
-    # vanishing deformation stays zero: no column is fed
+    # a zero column is never fed, so its tendency stays exactly zero
     F_dot = np.zeros_like(F)
 
     def column(k, DF_k):
@@ -270,7 +272,7 @@ def _check_finite(state: State):
                 f"{name} is not finite at t = {state.t:.6g}")
 
 
-def _record(state, gm, hist, grid, dt, kmax) -> DiagnosticsRecord:
+def _record(state, gm, hist, dt, kmax) -> DiagnosticsRecord:
     res = constraint_residuals(state, gm)
     try:
         ehigh = higher_energy(hist, gm, kmax=kmax)
@@ -280,7 +282,7 @@ def _record(state, gm, hist, grid, dt, kmax) -> DiagnosticsRecord:
         t=state.t, E_cons=conserved_energy(state, gm), E_high=ehigh,
         div_v=res.div_v, div_F=res.div_F, FN_top=res.FN_top,
         v3_bot=res.v3_bottom, F3_bot=res.F3_bottom,
-        rt_min=rt_monitor(state.q, gm, grid, 0.0).rt_min, dt=dt)
+        rt_min=rt_monitor(state.q, gm, gm.grid, 0.0).rt_min, dt=dt)
 
 
 def run(config: RunConfig) -> RunResult:
@@ -296,7 +298,7 @@ def run(config: RunConfig) -> RunResult:
 
     hist = History(maxlen=config.history_len)
     hist.push(state)
-    diags = [_record(state, gm, hist, grid, dt, config.kmax)]
+    diags = [_record(state, gm, hist, dt, config.kmax)]
     snapshots = [state]     # shared with hist: no pushed state is written again
     probes = []
     if config.probe is not None:
@@ -320,7 +322,7 @@ def run(config: RunConfig) -> RunResult:
             gm = state.graphmap(cutoff, grid)
             state.q = state.pressure(gm, config.solver_tol)
         hist.push(state)
-        diags.append(_record(state, gm, hist, grid, dt, config.kmax))
+        diags.append(_record(state, gm, hist, dt, config.kmax))
         if config.probe is not None:
             probes.append((state.t, config.probe(state, grid)))
         if (n + 1) % config.snapshot_every == 0 or n == nsteps - 1:

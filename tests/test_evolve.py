@@ -1,5 +1,6 @@
 import tracemalloc
 import weakref
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -355,13 +356,17 @@ def test_no_stage_outlives_the_next(monkeypatch):
 def test_deformation_gradient_is_formed_one_column_at_a_time(monkeypatch):
     # no twisted gradient of all of F, a (3, 3, nx, ny, nz) input, is taken
     # in a step or a pressure solve: six bundles (four stages, the step's
-    # new pressure and this one) each differentiate v and three columns
+    # new pressure and this one) each differentiate v and every nonzero
+    # column, and no all-zero field is differentiated
     state, gm, _ = build_initial_data(oblique_spec())
+    nonzero = sum(bool(state.F[k].any()) for k in range(3))
     original = capelast.graphmap.grad_phi_stack
-    ndims = []
+    ndims, zero_inputs = [], []
 
     def recording(f, gm):
         ndims.append(f.ndim)
+        if not f.any():
+            zero_inputs.append(f.shape)
         return original(f, gm)
 
     for module in (capelast.graphmap, capelast.elliptic, capelast.evolve):
@@ -369,7 +374,37 @@ def test_deformation_gradient_is_formed_one_column_at_a_time(monkeypatch):
     new, gm_new = step_rk4(state, gm, 0.01)
     new.pressure(gm_new, 1e-11)
     assert 5 not in ndims
-    assert ndims.count(4) == 6 * 4
+    assert ndims.count(4) == 6 * (1 + nonzero)
+    assert zero_inputs == []
+
+
+def test_zero_deformation_column_skip_is_exact(monkeypatch):
+    # oblique data have F_3 = 0: forming its gradient anyway changes no bit
+    # of the pressure source or the tendencies, and a run keeps F_3 zero
+    state, gm, _ = build_initial_data(oblique_spec())
+    assert not state.F[2].any() and state.F[0].any() and state.F[1].any()
+    skipped = stage_fields(state.v, state.F, gm)
+    assert skipped.columns == (0, 1)
+    every = replace(skipped, columns=(0, 1, 2))
+    for a, b in zip(astuple(pressure_rhs(skipped)),
+                    astuple(pressure_rhs(every))):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    td = tendencies(state, gm)
+    original = capelast.elliptic.stage_fields
+    monkeypatch.setattr(capelast.evolve, "stage_fields",
+                        lambda v, F, gm: replace(original(v, F, gm),
+                                                 columns=(0, 1, 2)))
+    td_every = tendencies(state, gm)
+    for name in ("v_dot", "F_dot", "q"):
+        assert (getattr(td, name).tobytes()
+                == getattr(td_every, name).tobytes()), name
+    monkeypatch.undo()
+
+    res = run(RunConfig(init=oblique_spec(), t_final=0.03, dt=0.01))
+    assert res.aborted is None and len(res.history) == 4
+    for i in range(len(res.history)):
+        assert not res.history[i].F[2].any()
 
 
 def test_tendencies_peak_memory_in_volume_fields():
