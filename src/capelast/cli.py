@@ -194,16 +194,13 @@ def cmd_verify(args) -> int:
 def cmd_sweep_sigma(args) -> int:
     cfg, sweep_opts = load_config(args.config)
     cfg = _apply_overrides(cfg, args)
+    sigmas = sweep_opts.pop("sigmas", None)
     if args.sigmas:
         sigmas = parse_value(args.sigmas, float_list, "--sigmas")
-    elif "sigmas" in sweep_opts:
-        sigmas = sweep_opts["sigmas"]
-    else:
+    if sigmas is None:
         raise ConfigError("no sigma list: pass --sigmas or a [sweep] section")
-    if "rt_c0" in sweep_opts:
-        cfg = dataclasses.replace(cfg, rt_c0=sweep_opts["rt_c0"])
 
-    report = sweep_sigma(cfg, sigmas)
+    report = sweep_sigma(cfg, sigmas, **sweep_opts)  # [sweep] rt_c0, if given
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "sweep.csv"), "w") as fh:
         fh.write("\n".join(report.csv_rows()) + "\n")

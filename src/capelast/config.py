@@ -2,7 +2,10 @@
 
 Sections: grid, surface, fields, physics, time, solver, output, and an
 optional sweep.  A section or key the parser does not read is rejected, so
-a misspelling cannot silently fall back to a default.  Parsing then
+a misspelling cannot silently fall back to a default.  An omitted key
+takes the default of the ``InitSpec`` or ``RunConfig`` field it sets, and
+an omitted ``[sweep] rt_c0`` that of ``sweep_sigma``; only the grid size,
+``b``, ``sigma``, ``t_final`` and ``dt`` are required.  Parsing then
 re-serializing a configuration reproduces it verbatim, which keeps configs
 diff-friendly.
 """
@@ -27,50 +30,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def config_to_text(cfg: RunConfig, sweep: dict | None = None) -> str:
-    init = cfg.init
-    cp = configparser.ConfigParser()
-    cp["grid"] = {
-        "nx": _fmt(init.nx), "ny": _fmt(init.ny), "nz": _fmt(init.nz),
-        "b": _fmt(init.b), "dealias": _fmt(init.dealias),
-    }
-    modes = "; ".join(f"{int(kx)} {int(ky)} {_fmt(float(amp))} "
-                      f"{_fmt(float(ph))}"
-                      for kx, ky, amp, ph in init.psi_modes)
-    cp["surface"] = {
-        "modes": modes if modes else "none",
-        "delta0": "auto" if init.delta0 is None else _fmt(init.delta0),
-        "strict_cutoff": _fmt(init.strict_cutoff),
-    }
-    cp["fields"] = {
-        "v": recipe_to_text(init.v_recipe),
-        "f1": recipe_to_text(init.F_recipes[0]),
-        "f2": recipe_to_text(init.F_recipes[1]),
-        "f3": recipe_to_text(init.F_recipes[2]),
-        "project": _fmt(init.project),
-    }
-    cp["physics"] = {"sigma": _fmt(init.sigma)}
-    cp["time"] = {
-        "t_final": _fmt(cfg.t_final), "dt": _fmt(cfg.dt),
-        "check_cfl": _fmt(cfg.check_cfl),
-    }
-    cp["solver"] = {"tol": _fmt(cfg.solver_tol)}
-    cp["output"] = {
-        "snapshot_every": _fmt(cfg.snapshot_every),
-        "kmax": _fmt(cfg.kmax),
-        "history_len": _fmt(cfg.history_len),
-        "spectral_filter": _fmt(cfg.spectral_filter),
-        "rt_c0": _fmt(cfg.rt_c0),
-    }
-    if sweep:
-        cp["sweep"] = {k: _fmt(v) if not isinstance(v, (list, tuple))
-                       else ", ".join(_fmt(s) for s in v)
-                       for k, v in sweep.items()}
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
-
-
 def float_list(raw: str) -> list[float]:
     """Comma-separated floats, such as a sigma list."""
     return [float(s) for s in raw.split(",")]
@@ -90,6 +49,13 @@ def _surface_modes(raw: str) -> tuple:
     return tuple(modes)
 
 
+def _modes_text(modes: tuple) -> str:
+    """The inverse of ``_surface_modes``."""
+    return "; ".join(f"{int(kx)} {int(ky)} {_fmt(float(amp))} "
+                     f"{_fmt(float(ph))}"
+                     for kx, ky, amp, ph in modes) or "none"
+
+
 def _auto_or_float(raw: str) -> float | None:
     return None if raw == "auto" else float(raw)
 
@@ -105,15 +71,70 @@ def parse_value(raw: str, cast, what: str):
         raise ConfigError(f"bad boolean for {what}: {raw!r}")
     try:
         return cast(raw)
+    except ConfigError:     # a recipe names its own bad argument
+        raise
     except ValueError as exc:
         raise ConfigError(f"bad value for {what}: {raw!r}") from exc
 
 
-_REQUIRED = object()
+# (section, key) -> (field, cast), in file order: the InitSpec fields, with
+# f1..f3 filling F_recipes, then the RunConfig fields
+_INIT_KEYS = {
+    ("grid", "nx"): ("nx", int),
+    ("grid", "ny"): ("ny", int),
+    ("grid", "nz"): ("nz", int),
+    ("grid", "b"): ("b", float),
+    ("grid", "dealias"): ("dealias", bool),
+    ("surface", "modes"): ("psi_modes", _surface_modes),
+    ("surface", "delta0"): ("delta0", _auto_or_float),
+    ("surface", "strict_cutoff"): ("strict_cutoff", bool),
+    ("fields", "v"): ("v_recipe", parse_recipe),
+    ("fields", "f1"): ("f1", parse_recipe),
+    ("fields", "f2"): ("f2", parse_recipe),
+    ("fields", "f3"): ("f3", parse_recipe),
+    ("fields", "project"): ("project", bool),
+    ("physics", "sigma"): ("sigma", float),
+}
+_RUN_KEYS = {
+    ("time", "t_final"): ("t_final", float),
+    ("time", "dt"): ("dt", float),
+    ("time", "check_cfl"): ("check_cfl", bool),
+    ("solver", "tol"): ("solver_tol", float),
+    ("output", "snapshot_every"): ("snapshot_every", int),
+    ("output", "kmax"): ("kmax", int),
+    ("output", "history_len"): ("history_len", int),
+    ("output", "spectral_filter"): ("spectral_filter", bool),
+}
+_SWEEP_KEYS = {
+    ("sweep", "sigmas"): ("sigmas", float_list),
+    ("sweep", "rt_c0"): ("rt_c0", float),
+}
+_REQUIRED = {("grid", "nx"), ("grid", "ny"), ("grid", "nz"), ("grid", "b"),
+             ("physics", "sigma"), ("time", "t_final"), ("time", "dt")}
+# how a value is written back when ``_fmt`` does not invert its cast
+_TEXT = {_surface_modes: _modes_text, parse_recipe: recipe_to_text,
+         _auto_or_float: lambda x: "auto" if x is None else _fmt(x)}
+
+
+def config_to_text(cfg: RunConfig) -> str:
+    """Every key of ``cfg`` in file order; there is no sweep section."""
+    values = {**vars(cfg.init), **vars(cfg)}
+    values.update((f"f{j}", r) for j, r in enumerate(cfg.init.F_recipes, 1))
+    cp = configparser.ConfigParser()
+    for (section, key), (name, cast) in {**_INIT_KEYS, **_RUN_KEYS}.items():
+        if not cp.has_section(section):
+            cp.add_section(section)
+        cp.set(section, key, _TEXT.get(cast, _fmt)(values[name]))
+    buf = io.StringIO()
+    cp.write(buf)
+    return buf.getvalue()
 
 
 def parse_config_text(text: str):
-    """Returns (RunConfig, sweep_options dict)."""
+    """Returns (RunConfig, sweep_options dict).
+
+    The sweep options hold ``sigmas`` and ``rt_c0`` when the file gives
+    them, keyed by the names ``sweep_sigma`` takes."""
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
@@ -122,47 +143,24 @@ def parse_config_text(text: str):
 
     read = set()
 
-    def get(section, key, cast, default=_REQUIRED):
-        read.add((section, key))
-        if not cp.has_option(section, key):
-            if default is _REQUIRED:
+    def given(keys) -> dict:
+        """The fields of ``keys`` whose keys the file holds, parsed."""
+        kwargs = {}
+        for (section, key), (name, cast) in keys.items():
+            read.add((section, key))
+            if cp.has_option(section, key):
+                kwargs[name] = parse_value(cp.get(section, key), cast,
+                                           f"[{section}] {key}")
+            elif (section, key) in _REQUIRED:
                 raise ConfigError(f"missing [{section}] {key}")
-            return default
-        return parse_value(cp.get(section, key), cast, f"[{section}] {key}")
+        return kwargs
 
-    init = InitSpec(
-        nx=get("grid", "nx", int),
-        ny=get("grid", "ny", int),
-        nz=get("grid", "nz", int),
-        b=get("grid", "b", float),
-        dealias=get("grid", "dealias", bool, True),
-        psi_modes=get("surface", "modes", _surface_modes, ()),
-        delta0=get("surface", "delta0", _auto_or_float, None),
-        strict_cutoff=get("surface", "strict_cutoff", bool, False),
-        v_recipe=parse_recipe(get("fields", "v", str, "none")),
-        F_recipes=(parse_recipe(get("fields", "f1", str, "none")),
-                   parse_recipe(get("fields", "f2", str, "none")),
-                   parse_recipe(get("fields", "f3", str, "none"))),
-        project=get("fields", "project", bool, True),
-        sigma=get("physics", "sigma", float),
-    )
-    cfg = RunConfig(
-        init=init,
-        t_final=get("time", "t_final", float),
-        dt=get("time", "dt", float),
-        check_cfl=get("time", "check_cfl", bool, True),
-        solver_tol=get("solver", "tol", float, 1e-11),
-        snapshot_every=get("output", "snapshot_every", int, 10),
-        kmax=get("output", "kmax", int, 1),
-        history_len=get("output", "history_len", int, 5),
-        spectral_filter=get("output", "spectral_filter", bool, False),
-        rt_c0=get("output", "rt_c0", float, 0.0),
-    )
-    sweep = {}
-    for key, cast in (("sigmas", float_list), ("rt_c0", float)):
-        read.add(("sweep", key))
-        if cp.has_option("sweep", key):
-            sweep[key] = get("sweep", key, cast)
+    init_kw = given(_INIT_KEYS)
+    init_kw["F_recipes"] = tuple(
+        init_kw.pop(f"f{j}", default)
+        for j, default in enumerate(InitSpec.F_recipes, start=1))
+    cfg = RunConfig(init=InitSpec(**init_kw), **given(_RUN_KEYS))
+    sweep = given(_SWEEP_KEYS)
 
     sections = {sec for sec, _ in read}
     for sec in cp.sections():

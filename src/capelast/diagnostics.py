@@ -76,21 +76,14 @@ def higher_energy(hist: History, gm: GraphMap, kmax: int = 1) -> float:
     return float(total)
 
 
-@dataclass
-class RTRecord:
-    rt_min: float
-    holds: bool
-
-
-def rt_monitor(q: np.ndarray, gm: GraphMap, grid: Grid,
-               c0_req: float) -> RTRecord:
-    """min over the top plane of -d3(q), and whether it clears c0_req.
+def rt_monitor(q: np.ndarray, grid: Grid) -> float:
+    """min over the top plane of -d3(q), the left side of the
+    Rayleigh-Taylor sign condition min(-d3 q) >= c0.
 
     Only the top plane is differentiated: its row of the collocation
-    derivative."""
-    rt = -(q @ grid.Dz[0])
-    rt_min = float(rt.min())
-    return RTRecord(rt_min=rt_min, holds=bool(rt_min >= c0_req))
+    derivative.  The monitor gates nothing; ``sweep_sigma`` owns the
+    threshold c0 and is the one place that compares against it."""
+    return float((-(q @ grid.Dz[0])).min())
 
 
 # -- lemma residuals -----------------------------------------------------------
@@ -114,18 +107,17 @@ def ibp_residual(f: np.ndarray, h: np.ndarray, gm: GraphMap, i: int) -> float:
     return abs(lhs - surf) / (1.0 + abs(lhs) + abs(surf))
 
 
-def transport_residual(calc: Calculus, fieldkey="q",
-                       node: int | None = None) -> float:
+def transport_residual(calc: Calculus, fieldkey="q") -> float:
     """Defect of d/dt int f d3phi = int (D_t^phi f + f div^phi v) d3phi
-    over the calculus' history.
+    at the interior node of the calculus' history, where the differencing
+    is most accurate.
 
     The time derivative of the integral uses the stored-slice interpolant;
     when the kinematic and bottom conditions hold and div^phi v = 0 the
     correction term vanishes and this is the transport theorem.
     """
     grid, hist = calc.grid, calc.hist
-    if node is None:
-        node = len(hist) // 2  # interior node: most accurate differencing
+    node = len(hist) // 2
     S = calc.series(fieldkey)
     integrals = np.array([grid.quad_volume(f * g.d3phi)
                           for f, g in zip(S, calc.gms)])

@@ -219,7 +219,6 @@ class RunConfig:
     kmax: int = 1
     solver_tol: float = 1e-11
     check_cfl: bool = True
-    rt_c0: float = 0.0
     spectral_filter: bool = False
     probe: object = None     # optional callable(state, grid) -> float
 
@@ -282,7 +281,7 @@ def _record(state, gm, hist, dt, kmax) -> DiagnosticsRecord:
         t=state.t, E_cons=conserved_energy(state, gm), E_high=ehigh,
         div_v=res.div_v, div_F=res.div_F, FN_top=res.FN_top,
         v3_bot=res.v3_bottom, F3_bot=res.F3_bottom,
-        rt_min=rt_monitor(state.q, gm, gm.grid, 0.0).rt_min, dt=dt)
+        rt_min=rt_monitor(state.q, gm.grid), dt=dt)
 
 
 def run(config: RunConfig) -> RunResult:

@@ -9,6 +9,7 @@ the rest.
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,16 +131,23 @@ class RandomRecipe:
         return out
 
 
+RECIPES = {"shear": ShearRecipe, "stream": StreamRecipe,
+           "random": RandomRecipe}
+
+
 def parse_recipe(text: str):
-    """Parse ``name`` or ``name: key=val, key=val`` into a recipe object."""
+    """Parse ``name`` or ``name: key=val, key=val`` into a recipe object.
+
+    Each value is cast to the type of the recipe field it sets; a key the
+    recipe has no field for is rejected."""
     text = text.strip()
     if not text or text == "none":
         return None
-    if ":" in text:
-        name, _, argstr = text.partition(":")
-    else:
-        name, argstr = text, ""
+    name, _, argstr = text.partition(":")
     name = name.strip().lower()
+    if name not in RECIPES:
+        raise ConfigError(f"unknown recipe {name!r}")
+    types = typing.get_type_hints(RECIPES[name])
     kwargs = {}
     for piece in argstr.replace(";", ",").split(","):
         piece = piece.strip()
@@ -150,29 +158,23 @@ def parse_recipe(text: str):
         key, _, val = piece.partition("=")
         key = key.strip()
         val = val.strip()
-        cast = {"comp": int, "dep_axis": int, "k": int, "kmax": int,
-                "seed": int, "amp": float, "phase": float}.get(key, str)
+        if key not in types:
+            raise ConfigError(f"recipe {name!r} has no argument {key!r}; "
+                              f"it takes {', '.join(types)}")
         try:
-            kwargs[key] = cast(val)
+            kwargs[key] = types[key](val)
         except ValueError as exc:
             raise ConfigError(
                 f"bad value for recipe argument {key!r}: {val!r}") from exc
     try:
-        if name == "shear":
-            return ShearRecipe(**kwargs)
-        if name == "stream":
-            return StreamRecipe(**kwargs)
-        if name == "random":
-            return RandomRecipe(**kwargs)
+        return RECIPES[name](**kwargs)
     except TypeError as exc:
         raise ConfigError(f"bad arguments for recipe {name!r}: {exc}") from exc
-    raise ConfigError(f"unknown recipe {name!r}")
 
 
 def recipe_to_text(recipe) -> str:
     if recipe is None:
         return "none"
-    name = {ShearRecipe: "shear", StreamRecipe: "stream",
-            RandomRecipe: "random"}[type(recipe)]
+    name = next(n for n, cls in RECIPES.items() if type(recipe) is cls)
     args = ", ".join(f"{k}={v}" for k, v in vars(recipe).items())
     return f"{name}: {args}"

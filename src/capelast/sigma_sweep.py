@@ -93,8 +93,13 @@ class SweepReport:
         return "\n".join(lines)
 
 
-def sweep_sigma(base: RunConfig, sigmas) -> SweepReport:
+def sweep_sigma(base: RunConfig, sigmas,
+                rt_c0: float = 0.0) -> SweepReport:
     """Run each sigma from shared initial data and measure distances.
+
+    ``rt_c0`` is the threshold c0 of the Rayleigh-Taylor sign condition
+    min(-d3 q) >= c0; this is the only place it is compared, against the
+    smallest ``rt_min`` each member records.
 
     ``sigmas`` must hold at least two entries and be non-increasing and
     non-negative (equal entries are allowed and give zero distance); the
@@ -133,7 +138,7 @@ def sweep_sigma(base: RunConfig, sigmas) -> SweepReport:
             limit = [(m.sigma, run_distance(m.result, zero.result))
                      for m in positive]
 
-    rt_ok = all(m.rt_min >= base.rt_c0 for m in members)
+    rt_ok = all(m.rt_min >= rt_c0 for m in members)
     strict = all(s1 > s2 for s1, s2 in zip(sigmas, sigmas[1:]))
     ds = ([d for (_, d) in limit] if zero is not None
           else [d for (_, _, d) in pair])
@@ -149,5 +154,5 @@ def sweep_sigma(base: RunConfig, sigmas) -> SweepReport:
         monotone = all(d1 > d2 for d1, d2 in zip(ds, ds[1:]))
         verdict = "monotone decreasing" if monotone else "not monotone"
     return SweepReport(members=members, pair_distances=pair,
-                       limit_distances=limit, rt_required=base.rt_c0,
+                       limit_distances=limit, rt_required=rt_c0,
                        rt_ok=rt_ok, monotone=monotone, verdict=verdict)

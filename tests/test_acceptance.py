@@ -11,7 +11,6 @@ import pytest
 
 from capelast.diagnostics import rt_monitor
 from capelast.evolve import RunConfig, run
-from capelast.graphmap import flat_graphmap
 from capelast.grid import make_grid
 from capelast.recipes import ShearRecipe, StreamRecipe
 from capelast.sigma_sweep import sweep_sigma
@@ -159,14 +158,13 @@ def sweep_config():
         v_recipe=StreamRecipe(amp=0.4, k=1, profile="sinh"),
         F_recipes=(StreamRecipe(amp=0.1, k=1, profile="confined"),
                    None, None)),
-        t_final=0.21, dt=0.015, snapshot_every=7, solver_tol=1e-11,
-        rt_c0=0.1)
+        t_final=0.21, dt=0.015, snapshot_every=7, solver_tol=1e-11)
 
 
 def test_criterion_7_zero_surface_tension_limit():
     t0 = time.time()
     cfg = sweep_config()
-    report = sweep_sigma(cfg, [1e-1, 1e-2, 1e-3, 1e-4, 0.0])
+    report = sweep_sigma(cfg, [1e-1, 1e-2, 1e-3, 1e-4, 0.0], rt_c0=0.1)
     elapsed = time.time() - t0
     ds = [d for (_, d) in report.limit_distances]
     decreasing = all(d1 > d2 for d1, d2 in zip(ds, ds[1:]))
@@ -182,12 +180,10 @@ def test_criterion_7_zero_surface_tension_limit():
 def test_criterion_8_rt_monitor_gates():
     t0 = time.time()
     g = make_grid(8, 8, 9, 1.0)
-    gm = flat_graphmap(g)
     _, _, X3 = g.mesh_volume()
-    rec_neg = rt_monitor(-X3, gm, g, 0.5)
-    rec_pos = rt_monitor(X3.copy(), gm, g, 0.0)
-    fixtures_ok = (rec_neg.rt_min == 1.0 and rec_neg.holds
-                   and rec_pos.rt_min == -1.0 and not rec_pos.holds)
+    rt_neg = rt_monitor(-X3, g)
+    rt_pos = rt_monitor(X3, g)
+    fixtures_ok = rt_neg == 1.0 and rt_pos == -1.0
 
     # gating: an elastic-tension run violates the sign condition and the
     # sweep must withhold its verdict
@@ -196,12 +192,11 @@ def test_criterion_8_rt_monitor_gates():
         psi_modes=((1, 0, 5e-3, 0.0),),
         F_recipes=(StreamRecipe(amp=0.4, k=1, profile="confined"),
                    None, None)),
-        t_final=0.03, dt=0.01, snapshot_every=3, solver_tol=1e-11,
-        rt_c0=0.1)
-    rep = sweep_sigma(bad, [1e-2, 1e-3])
+        t_final=0.03, dt=0.01, snapshot_every=3, solver_tol=1e-11)
+    rep = sweep_sigma(bad, [1e-2, 1e-3], rt_c0=0.1)
     gate_ok = (not rep.rt_ok) and "withheld" in rep.verdict
     elapsed = time.time() - t0
     ok = fixtures_ok and gate_ok
     _report(8, "Rayleigh-Taylor monitor exactness and sweep gating", ok,
-            f"rt(-x3)={rec_neg.rt_min:+.1f}, rt(+x3)={rec_pos.rt_min:+.1f},"
+            f"rt(-x3)={rt_neg:+.1f}, rt(+x3)={rt_pos:+.1f},"
             f" violating sweep verdict: {rep.verdict}", elapsed, 60)

@@ -1,7 +1,9 @@
+import dataclasses
 import logging
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,14 @@ from capelast import ConfigError
 from capelast.cli import main
 from capelast.config import config_to_text, parse_config_text
 from capelast.evolve import RunConfig
-from capelast.recipes import RandomRecipe, StreamRecipe
+from capelast.recipes import (
+    RECIPES,
+    RandomRecipe,
+    ShearRecipe,
+    StreamRecipe,
+    parse_recipe,
+    recipe_to_text,
+)
 from capelast.sigma_sweep import sweep_sigma
 from capelast.state import InitSpec
 
@@ -53,7 +62,6 @@ snapshot_every = 2
 kmax = 1
 history_len = 5
 spectral_filter = false
-rt_c0 = 0.0
 """
 
 
@@ -82,6 +90,48 @@ def test_config_roundtrip_with_recipes():
     text = config_to_text(cfg)
     cfg2, _ = parse_config_text(text)
     assert cfg2 == cfg
+    # every recipe, with no argument at its default, through its own text
+    # and through a config
+    recipes = {
+        "shear": ShearRecipe(comp=3, dep_axis=2, k=2, amp=0.3, phase=0.5,
+                             profile="linear"),
+        "stream": StreamRecipe(amp=0.2, k=3, phase=0.1, profile="confined",
+                               plane="yz"),
+        "random": RandomRecipe(amp=0.01, kmax=3, seed=11, profile="one"),
+    }
+    assert recipes.keys() == RECIPES.keys()
+    for name, recipe in recipes.items():
+        assert all(getattr(recipe, f.name) != f.default
+                   for f in dataclasses.fields(recipe))
+        assert recipe_to_text(recipe).startswith(f"{name}: ")
+        assert parse_recipe(recipe_to_text(recipe)) == recipe
+        cfg = RunConfig(init=InitSpec(nx=8, ny=8, nz=9, b=1.0, sigma=0.1,
+                                      v_recipe=recipe,
+                                      F_recipes=(None, recipe, None)),
+                        t_final=0.1, dt=0.02)
+        assert parse_config_text(config_to_text(cfg))[0] == cfg
+
+
+def test_required_keys_alone_take_the_dataclass_defaults():
+    text = ("[grid]\nnx = 8\nny = 6\nnz = 9\nb = 2.0\n\n"
+            "[physics]\nsigma = 0.3\n\n[time]\nt_final = 0.1\ndt = 0.02\n")
+    cfg, sweep = parse_config_text(text)
+    assert cfg == RunConfig(init=InitSpec(nx=8, ny=6, nz=9, b=2.0, sigma=0.3),
+                            t_final=0.1, dt=0.02)
+    assert sweep == {}
+    assert parse_config_text(config_to_text(cfg))[0] == cfg
+    for line in text.splitlines():
+        if " = " in line:
+            with pytest.raises(ConfigError, match="missing"):
+                parse_config_text(text.replace(line + "\n", ""))
+
+
+def test_readme_sample_config_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    text = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg, sweep = parse_config_text(text)
+    assert cfg.init.psi_modes == ((1, 0, 0.01, 0.0),)
+    assert sweep == {"sigmas": [0.1, 0.01, 0.001, 0.0], "rt_c0": 0.0}
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
@@ -107,6 +157,9 @@ def test_missing_config_exits_2(tmp_path, capsys):
     ("nx = 8", "nx = 7", "nx must be even and >= 4, got 7"),
     ("history_len = 5", "history_len = 4",
      "history length must be >= 5, got 4"),
+    # the sign threshold belongs to the sweep, not to a run
+    ("spectral_filter = false", "spectral_filter = false\nrt_c0 = 0.1",
+     "unknown key [output] rt_c0"),
 ])
 def test_unknown_config_entry_exits_2(tmp_path, capsys, old, new, message):
     cfgpath = _write(tmp_path, REST_CONFIG.replace(old, new))
@@ -126,6 +179,7 @@ def test_unknown_config_entry_exits_2(tmp_path, capsys, old, new, message):
     ("shear: comp=1, dep_axis=3", "dep_axis must be 1 or 2, got 3"),
     ("shear: comp=1, dep_axis=2, profile=foo",
      "unknown vertical profile 'foo'"),
+    ("shear: plane=xz", "recipe 'shear' has no argument 'plane'"),
 ])
 def test_malformed_recipe_exits_2(tmp_path, capsys, recipe, message):
     cfgpath = _write(tmp_path, REST_CONFIG.replace("v = none",
@@ -273,12 +327,16 @@ def test_sweep_sigma_from_config_section(tmp_path):
     text = REST_CONFIG.replace(
         "modes = none", "modes = 1 0 0.005 0").replace(
         "v = none", "v = stream: amp=0.2, k=1, profile=sinh")
-    text += "\n[sweep]\nsigmas = 0.1, 0.01, 0.001\nrt_c0 = 0.0\n"
+    text += "\n[sweep]\nsigmas = 0.1, 0.01, 0.001\nrt_c0 = 0.1\n"
     cfgpath = _write(tmp_path, text)
     out = tmp_path / "sweep2"
     code = main(["sweep-sigma", "--config", cfgpath, "--out", str(out)])
     assert code == 0
-    assert "verdict: monotone decreasing" in (out / "summary.txt").read_text()
+    # rt_min is 0.0386 for every member: the [sweep] threshold alone
+    # withholds a verdict that reads monotone decreasing at rt_c0 = 0
+    summary = (out / "summary.txt").read_text()
+    assert "min(-d3 q) >= 0.1 -> violated" in summary
+    assert "verdict: withheld (sign condition violated)" in summary
 
 
 @pytest.mark.parametrize("sigmas", [[], [0.1], [0.0]])

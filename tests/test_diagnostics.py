@@ -120,14 +120,9 @@ def test_first_record_energy_needs_kmax_plus_one_slices(kmax, finite):
 
 def test_rt_monitor_exact_fixtures():
     g = make_grid(8, 8, 9, 1.0)
-    gm = flat_graphmap(g)
     _, _, X3 = g.mesh_volume()
-    rec = rt_monitor(-X3, gm, g, 0.5)
-    assert rec.rt_min == pytest.approx(1.0, abs=1e-12)
-    assert rec.holds
-    rec2 = rt_monitor(X3.copy(), gm, g, 0.0)
-    assert rec2.rt_min == pytest.approx(-1.0, abs=1e-12)
-    assert not rec2.holds
+    assert rt_monitor(-X3, g) == pytest.approx(1.0, abs=1e-12)
+    assert rt_monitor(X3, g) == pytest.approx(-1.0, abs=1e-12)
 
 
 def compatible_history(g, cut, nslices=7, dt=0.01, eps=0.02, base_amp=0.1):

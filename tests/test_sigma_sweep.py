@@ -7,13 +7,12 @@ from capelast.sigma_sweep import run_distance, sweep_sigma
 from capelast.state import InitSpec
 
 
-def small_config(sigma=0.01, amp=0.15, rt_c0=0.0):
+def small_config(sigma=0.01, amp=0.15):
     return RunConfig(
         init=InitSpec(nx=8, ny=8, nz=9, b=1.0, sigma=sigma,
                       psi_modes=((1, 0, 5e-3, 0.0),),
                       v_recipe=StreamRecipe(amp=amp, k=1, profile="sinh")),
-        t_final=0.06, dt=0.01, snapshot_every=3, solver_tol=1e-11,
-        rt_c0=rt_c0)
+        t_final=0.06, dt=0.01, snapshot_every=3, solver_tol=1e-11)
 
 
 def test_duplicate_sigma_gives_zero_distance():
@@ -62,16 +61,15 @@ def test_rt_violation_withholds_verdict():
                       F_recipes=(StreamRecipe(amp=0.4, k=1,
                                               profile="confined"),
                                  None, None)),
-        t_final=0.04, dt=0.01, snapshot_every=2, solver_tol=1e-11,
-        rt_c0=0.05)
-    rep = sweep_sigma(cfg, [1e-2, 1e-3])
+        t_final=0.04, dt=0.01, snapshot_every=2, solver_tol=1e-11)
+    rep = sweep_sigma(cfg, [1e-2, 1e-3], rt_c0=0.05)
     assert not rep.rt_ok
     assert "withheld" in rep.verdict
 
 
 def test_zero_member_limit_distances():
-    cfg = small_config(amp=0.2, rt_c0=0.0)
-    rep = sweep_sigma(cfg, [1e-1, 1e-2, 1e-3, 0.0])
+    cfg = small_config(amp=0.2)
+    rep = sweep_sigma(cfg, [1e-1, 1e-2, 1e-3, 0.0], rt_c0=0.0)
     ds = [d for (_, d) in rep.limit_distances]
     assert len(ds) == 3
     assert ds[0] > ds[1] > ds[2] > 0.0
@@ -96,9 +94,8 @@ def test_zero_member_is_gated():
                       F_recipes=(StreamRecipe(amp=0.1, k=1,
                                               profile="confined"),
                                  None, None)),
-        t_final=0.09, dt=0.015, snapshot_every=3, solver_tol=1e-11,
-        rt_c0=0.2)
-    rep = sweep_sigma(cfg, [0.5, 0.1, 0.0])
+        t_final=0.09, dt=0.015, snapshot_every=3, solver_tol=1e-11)
+    rep = sweep_sigma(cfg, [0.5, 0.1, 0.0], rt_c0=0.2)
     assert [m.rt_min >= 0.2 for m in rep.members] == [True, True, False]
     assert [s for (s, _) in rep.limit_distances] == [0.5, 0.1]
     assert not rep.rt_ok
