@@ -5,6 +5,12 @@ Subcommands:
   verify       run a residual battery and gate on its tolerances
   sweep-sigma  run the surface-tension sweep with the sign-condition gate
 
+``simulate`` and ``sweep-sigma`` read every run setting from ``--config``,
+a random recipe's seed included (``random: seed=N``); ``--sigmas`` may
+replace the sweep's ``[sweep] sigmas``.  ``verify`` takes one option per
+parameter of the suite's battery in ``verify.BATTERIES`` (``--hist`` sets
+``hist_len``), and an option not given takes the battery's own default.
+
 Exit codes: 0 success, 1 verification/physics failure, 2 usage or config
 error.
 """
@@ -12,7 +18,7 @@ error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import inspect
 import logging
 import os
 import sys
@@ -28,27 +34,19 @@ from .errors import (
 )
 from .evolve import run
 from .grid import check_dims
-from .recipes import RandomRecipe
 from .sigma_sweep import sweep_sigma
 from .state import History, save_state
-from .verify import CSV_HEADER, run_battery
-
-log = logging.getLogger(__name__)
+from .verify import BATTERIES, CSV_HEADER, LEAST_GRID, run_battery
 
 
-# The grid and history options of ``verify`` and the suites that read them;
-# the elliptic battery runs its own fixed grids.
-_VERIFY_DEFAULTS = {"nx": 32, "ny": 32, "nz": 17, "hist": 6}
-_VERIFY_OPTIONS = {
-    "operators": ("nx", "ny", "nz"),
-    "lemmas": ("nx", "ny", "nz"),
-    "alinhac": ("nx", "ny", "nz", "hist"),
-    "elliptic": (),
-}
-# The smallest (nx, ny, nz) on which each grid-taking battery passes, per
-# axis (measured; a coarser axis leaves some rows above tolerance).
-_VERIFY_LEAST_GRID = {"operators": (8, 6, 12), "lemmas": (16, 14, 15),
-                      "alinhac": (16, 14, 15)}
+def _flag(name) -> str:
+    """The ``verify`` option that sets battery parameter ``name``."""
+    return "--hist" if name == "hist_len" else f"--{name}"
+
+
+def _battery_parameters(suite):
+    """The parameters of the suite's battery, by name."""
+    return inspect.signature(BATTERIES[suite]).parameters
 
 
 def _build_parser():
@@ -63,56 +61,24 @@ def _build_parser():
     sim = sub.add_parser("simulate", help="run one configured evolution")
     sim.add_argument("--config", required=True)
     sim.add_argument("--out", required=True)
-    _common_overrides(sim)
 
     ver = sub.add_parser("verify", help="run a residual battery")
-    ver.add_argument("--suite", required=True, choices=list(_VERIFY_OPTIONS))
+    ver.add_argument("--suite", required=True, choices=list(BATTERIES))
     ver.add_argument("--out", default=None)
-    for opt, default in _VERIFY_DEFAULTS.items():
-        ver.add_argument(f"--{opt}", type=int, default=None,
-                         help=f"default {default}")
+    defaults = {}
+    for suite in BATTERIES:
+        for name, param in _battery_parameters(suite).items():
+            defaults.setdefault(name, []).append(f"{param.default} ({suite})")
+    for name, shown in defaults.items():
+        ver.add_argument(_flag(name), dest=name, type=int,
+                         default=None, help="default " + ", ".join(shown))
 
     sw = sub.add_parser("sweep-sigma", help="surface-tension sweep")
     sw.add_argument("--config", required=True)
     sw.add_argument("--out", required=True)
     sw.add_argument("--sigmas", default=None,
                     help="comma-separated, non-increasing, e.g. 0.1,0.01,0")
-    _common_overrides(sw)
     return p
-
-
-def _common_overrides(sp):
-    sp.add_argument("--nx", type=int, default=None)
-    sp.add_argument("--ny", type=int, default=None)
-    sp.add_argument("--nz", type=int, default=None)
-    sp.add_argument("--dt", type=float, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--snapshot-every", type=int, default=None)
-
-
-def _apply_overrides(cfg, args):
-    init = cfg.init
-    init_kw = {}
-    for key in ("nx", "ny", "nz"):
-        val = getattr(args, key, None)
-        if val is not None:
-            init_kw[key] = val
-    if args.seed is not None:
-        def reseed(r):
-            if isinstance(r, RandomRecipe):
-                return dataclasses.replace(r, seed=args.seed)
-            return r
-
-        init_kw["v_recipe"] = reseed(init.v_recipe)
-        init_kw["F_recipes"] = tuple(reseed(r) for r in init.F_recipes)
-    if init_kw:
-        init = dataclasses.replace(init, **init_kw)
-    cfg_kw = {"init": init}
-    if args.dt is not None:
-        cfg_kw["dt"] = args.dt
-    if getattr(args, "snapshot_every", None) is not None:
-        cfg_kw["snapshot_every"] = args.snapshot_every
-    return dataclasses.replace(cfg, **cfg_kw)
 
 
 def _write_diagnostics(path, diagnostics):
@@ -124,7 +90,6 @@ def _write_diagnostics(path, diagnostics):
 
 def cmd_simulate(args) -> int:
     cfg, _ = load_config(args.config)
-    cfg = _apply_overrides(cfg, args)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "config.echo.ini"), "w") as fh:
         fh.write(config_to_text(cfg))
@@ -143,35 +108,35 @@ def cmd_simulate(args) -> int:
 
 
 def _verify_kwargs(args) -> dict:
-    """The battery's keyword arguments; raises ConfigError for an option
-    the suite does not read, a history shorter than five slices, a grid
-    ``make_grid`` would reject, or one the battery cannot resolve."""
-    taken = _VERIFY_OPTIONS[args.suite]
-    vals = {}
-    for opt, default in _VERIFY_DEFAULTS.items():
-        val = getattr(args, opt)
-        if opt in taken:
-            vals[opt] = default if val is None else val
-        elif val is not None:
-            raise ConfigError(f"--{opt} does not apply to the "
+    """The battery's keyword arguments: the options given, over the
+    battery's own defaults.  Raises ConfigError for an option the suite
+    does not read, a history shorter than five slices, a grid ``make_grid``
+    would reject, or one the battery cannot resolve."""
+    params = _battery_parameters(args.suite)
+    given = {name: getattr(args, name) for suite in BATTERIES
+             for name in _battery_parameters(suite)
+             if getattr(args, name) is not None}
+    for name in given:
+        if name not in params:
+            raise ConfigError(f"{_flag(name)} does not apply to the "
                               f"{args.suite} suite")
-    if "hist" in vals:
-        History.check_length(vals["hist"])
-        vals["hist_len"] = vals.pop("hist")
-    if taken:
-        dims = (vals["nx"], vals["ny"], vals["nz"])
+    kwargs = {name: given.get(name, p.default) for name, p in params.items()}
+    if "hist_len" in kwargs:
+        History.check_length(kwargs["hist_len"])
+    if "nx" in kwargs:
+        dims = (kwargs["nx"], kwargs["ny"], kwargs["nz"])
         try:
             check_dims(*dims, 1.0)
         except GridError as exc:
             raise ConfigError(str(exc)) from exc
-        least = _VERIFY_LEAST_GRID[args.suite]
+        least = LEAST_GRID[args.suite]
         if any(n < m for n, m in zip(dims, least)):
             raise ConfigError(
                 f"the {args.suite} suite cannot resolve "
                 f"{'x'.join(map(str, dims))}: it needs nx >= {least[0]}, "
                 f"ny >= {least[1]} and nz >= {least[2]} (smallest accepted "
                 f"grid {'x'.join(map(str, least))})")
-    return vals
+    return kwargs
 
 
 def cmd_verify(args) -> int:
@@ -193,7 +158,6 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep_sigma(args) -> int:
     cfg, sweep_opts = load_config(args.config)
-    cfg = _apply_overrides(cfg, args)
     sigmas = sweep_opts.pop("sigmas", None)
     if args.sigmas:
         sigmas = parse_value(args.sigmas, float_list, "--sigmas")

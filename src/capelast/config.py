@@ -120,7 +120,7 @@ def config_to_text(cfg: RunConfig) -> str:
     """Every key of ``cfg`` in file order; there is no sweep section."""
     values = {**vars(cfg.init), **vars(cfg)}
     values.update((f"f{j}", r) for j, r in enumerate(cfg.init.F_recipes, 1))
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     for (section, key), (name, cast) in {**_INIT_KEYS, **_RUN_KEYS}.items():
         if not cp.has_section(section):
             cp.add_section(section)
@@ -135,7 +135,7 @@ def parse_config_text(text: str):
 
     The sweep options hold ``sigmas`` and ``rt_c0`` when the file gives
     them, keyed by the names ``sweep_sigma`` takes."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:

@@ -47,7 +47,7 @@ def conserved_energy(state: State, gm: GraphMap) -> float:
     return float(e)
 
 
-def higher_energy(hist: History, gm: GraphMap, kmax: int = 1) -> float:
+def higher_energy(hist: History, grid: Grid, kmax: int = 1) -> float:
     """Truncated graded energy: sum over k <= kmax of the (4-k)-norms of
     dt^k of F, v, and sqrt(sigma) grad(psi), plus the pressure norms for
     k <= min(kmax, 3).
@@ -56,7 +56,6 @@ def higher_energy(hist: History, gm: GraphMap, kmax: int = 1) -> float:
     slices; k = 0 reads the newest slice itself.
     """
     hist.require(kmax + 1, f"higher energy with {kmax} time derivatives")
-    grid = gm.grid
     newest = hist.newest
     v, F, q, psi = newest.v, newest.F, newest.q, newest.psi
     total = 0.0

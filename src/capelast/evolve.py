@@ -274,7 +274,7 @@ def _check_finite(state: State):
 def _record(state, gm, hist, dt, kmax) -> DiagnosticsRecord:
     res = constraint_residuals(state, gm)
     try:
-        ehigh = higher_energy(hist, gm, kmax=kmax)
+        ehigh = higher_energy(hist, gm.grid, kmax=kmax)
     except CapelastError:
         ehigh = float("nan")
     return DiagnosticsRecord(

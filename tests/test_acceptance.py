@@ -48,7 +48,7 @@ def conservation_config(nx, ny, nz, dt):
 
 def test_criterion_1_operator_lemma_battery():
     t0 = time.time()
-    rows = lemmas_battery(nx=32, ny=32, nz=17, b=1.0)
+    rows = lemmas_battery(nx=32, ny=32, nz=17)
     elapsed = time.time() - t0
     worst = max(rows, key=lambda r: r.residual / r.tolerance)
     ok = all(r.passed for r in rows)
@@ -58,7 +58,7 @@ def test_criterion_1_operator_lemma_battery():
 
 def test_criterion_2_elliptic_convergence():
     t0 = time.time()
-    rows = elliptic_battery(tol=1e-11)
+    rows = elliptic_battery()
     elapsed = time.time() - t0
     gain_row = next(r for r in rows if "refinement gain" in r.case)
     ok = all(r.passed for r in rows)
@@ -110,7 +110,7 @@ def test_criterion_4_constraint_propagation():
 
 def test_criterion_5_alinhac_identity_suite():
     t0 = time.time()
-    rows = alinhac_battery(nx=32, ny=32, nz=17, b=1.0, hist_len=6)
+    rows = alinhac_battery(nx=32, ny=32, nz=17, hist_len=6)
     elapsed = time.time() - t0
     ok = all(r.passed for r in rows)
     order_row = next(r for r in rows if "dt order" in r.case)

@@ -1,6 +1,8 @@
 import dataclasses
+import inspect
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 import capelast
 import capelast.cli
 import capelast.evolve
-from capelast import ConfigError
+from capelast import ConfigError, verify
 from capelast.cli import main
 from capelast.config import config_to_text, parse_config_text
 from capelast.evolve import RunConfig
@@ -160,6 +162,10 @@ def test_missing_config_exits_2(tmp_path, capsys):
     # the sign threshold belongs to the sweep, not to a run
     ("spectral_filter = false", "spectral_filter = false\nrt_c0 = 0.1",
      "unknown key [output] rt_c0"),
+    # a '%' is a character of the value, not an interpolation
+    ("v = none", "v = stream: amp=5%",
+     "bad value for recipe argument 'amp': '5%'"),
+    ("dt = 0.01", "dt = 1%", "bad value for [time] dt: '1%'"),
 ])
 def test_unknown_config_entry_exits_2(tmp_path, capsys, old, new, message):
     cfgpath = _write(tmp_path, REST_CONFIG.replace(old, new))
@@ -206,6 +212,21 @@ def test_malformed_number_exits_2(tmp_path, capsys, old, new, sigmas,
                  "--sigmas", sigmas])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep-sigma"])
+@pytest.mark.parametrize("flag", ["--nx", "--ny", "--nz", "--dt", "--seed",
+                                  "--snapshot-every"])
+def test_run_settings_come_from_the_config_alone(tmp_path, capsys, command,
+                                                 flag):
+    # each of these settings has one owner, its config key
+    cfgpath = _write(tmp_path, REST_CONFIG)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfgpath, "--out", str(out), flag, "8"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 8" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -410,6 +431,48 @@ def test_verify_rejects_bad_options_before_running(monkeypatch, capsys,
     assert code == 2
     assert message in capsys.readouterr().err
     assert not ran
+
+
+# the options of ``verify`` besides --suite and --out, by the battery
+# parameter each sets
+VERIFY_OPTIONS = {"nx": "--nx", "ny": "--ny", "nz": "--nz",
+                  "hist_len": "--hist"}
+
+
+def test_verify_offers_one_option_per_battery_parameter(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    offered = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert offered == {"--help", "--suite", "--out", *VERIFY_OPTIONS.values()}
+    assert VERIFY_OPTIONS.keys() == {
+        name for battery in verify.BATTERIES.values()
+        for name in inspect.signature(battery).parameters}
+
+
+@pytest.mark.parametrize("suite", list(verify.BATTERIES))
+def test_verify_options_are_the_battery_parameters(monkeypatch, capsys,
+                                                   suite):
+    calls = []
+    monkeypatch.setattr(capelast.cli, "run_battery",
+                        lambda name, **kwargs: calls.append(kwargs) or [])
+    params = inspect.signature(verify.BATTERIES[suite]).parameters
+    defaults = {name: p.default for name, p in params.items()}
+    # a grid-taking suite cannot skip the check for a grid too coarse
+    assert ("nx" in params) == (suite in verify.LEAST_GRID)
+    # no option given: the battery's own defaults are checked and passed
+    assert main(["verify", "--suite", suite]) == 0
+    assert calls.pop() == defaults
+    for name, flag in VERIFY_OPTIONS.items():
+        code = main(["verify", "--suite", suite, flag,
+                     str(defaults.get(name, 32) + 2)])
+        if name in params:
+            assert code == 0
+            assert calls.pop() == {**defaults, name: defaults[name] + 2}
+        else:
+            assert code == 2
+            assert (f"{flag} does not apply to the {suite} suite"
+                    in capsys.readouterr().err)
+    assert not calls
 
 
 def test_python_dash_m_capelast_help():

@@ -61,7 +61,6 @@ def test_higher_energy_builds_no_graphmap(monkeypatch):
     g = make_grid(16, 16, 9, 1.0)
     cut = make_cutoff(g, 0.1, 0.0, strict=False)
     hist = _shear_history(g, cut)
-    gm = hist.newest.graphmap(cut, g)
     built = []
     original = capelast.state.build_graphmap
 
@@ -70,7 +69,7 @@ def test_higher_energy_builds_no_graphmap(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(capelast.state, "build_graphmap", counting)
-    assert higher_energy(hist, gm, kmax=1) > 0.0
+    assert higher_energy(hist, g, kmax=1) > 0.0
     assert not built
 
 
@@ -83,13 +82,11 @@ def test_higher_energy_cases():
         s = zero_state(g, 1.0)
         s.t = 0.05 * k
         hist0.push(s)
-    gm0 = hist0.newest.graphmap(cut, g)
-    assert higher_energy(hist0, gm0, kmax=1) == 0.0
+    assert higher_energy(hist0, g, kmax=1) == 0.0
 
     # static shear: time derivatives vanish, the value is the field norm sum
     hist = _shear_history(g, cut)
-    gm = hist.newest.graphmap(cut, g)
-    e1 = higher_energy(hist, gm, kmax=1)
+    e1 = higher_energy(hist, g, kmax=1)
     X1, X2, _ = g.mesh_volume()
     expect = (g.sobolev_norm(np.cos(X2), 4)
               + g.sobolev_norm(0.2 * np.cos(X2), 4))
@@ -99,7 +96,7 @@ def test_higher_energy_cases():
         short = History(maxlen=8)
         for k in range(3):
             short.push(hist[k])
-        higher_energy(short, gm, kmax=4)
+        higher_energy(short, g, kmax=4)
 
 
 @pytest.mark.parametrize("kmax, finite", [(0, True), (1, False)])
@@ -115,7 +112,7 @@ def test_first_record_energy_needs_kmax_plus_one_slices(kmax, finite):
     one = History()
     one.push(res.history[0])
     with pytest.raises(InsufficientHistoryError):
-        higher_energy(one, one.newest.graphmap(res.cutoff, res.grid), kmax=1)
+        higher_energy(one, res.grid, kmax=1)
 
 
 def test_rt_monitor_exact_fixtures():
