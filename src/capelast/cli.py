@@ -90,10 +90,11 @@ def _write_diagnostics(path, diagnostics):
 
 def cmd_simulate(args) -> int:
     cfg, _ = load_config(args.config)
+    # initial data that break a boundary condition raise before any write
+    result = run(cfg)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "config.echo.ini"), "w") as fh:
         fh.write(config_to_text(cfg))
-    result = run(cfg)
     _write_diagnostics(os.path.join(args.out, "diagnostics.csv"),
                        result.diagnostics)
     for idx, snap in enumerate(result.snapshots):

@@ -103,7 +103,6 @@ _RUN_KEYS = {
     ("output", "snapshot_every"): ("snapshot_every", int),
     ("output", "kmax"): ("kmax", int),
     ("output", "history_len"): ("history_len", int),
-    ("output", "spectral_filter"): ("spectral_filter", bool),
 }
 _SWEEP_KEYS = {
     ("sweep", "sigmas"): ("sigmas", float_list),

@@ -36,11 +36,12 @@ solve that meets the target in one cycle of k iterations applies each
 k + 2 times.
 
 The pressure source reads a ``StageFields`` bundle: the stage velocity and
-deformation dealiased once, and the twisted gradient of v taken once.  The
-twisted gradient of F is never stored: ``each_gradient_column`` forms it
-one column F_k at a time and hands that 3x3 stack to every term that reads
-it before the next column is formed.  A zero column of F is never formed:
-every term it feeds is linear in it, so each is an exact zero.  The
+the nonzero columns of the deformation dealiased once, and the twisted
+gradient of v taken once.  The twisted gradient of F is never stored:
+``each_gradient_column`` forms it one column F_k at a time and hands that
+3x3 stack to every term that reads it before the next column is formed.  A
+zero column of F is neither dealiased nor formed: every term it feeds is
+linear in it, so each is an exact zero.  The
 tendencies of the same stage read the same bundle and the same columns, so
 each RK stage makes one spectral pass over v and F.
 """
@@ -290,15 +291,26 @@ class StageFields:
     columns: tuple[int, ...]    # the k with F_k != 0; only these are formed
 
 
+def truncate_columns(F: np.ndarray, columns: tuple[int, ...],
+                     grid: Grid) -> np.ndarray:
+    """``grid.truncate`` of a 3x3 stack whose columns outside ``columns``
+    are exact zeros; a truncated zero is exactly zero, so only ``columns``
+    are transformed."""
+    if len(columns) in (0, 3) or not grid.dealias:
+        return grid.truncate(F) if columns else F
+    out = np.zeros(F.shape)
+    out[list(columns)] = grid.truncate(F[list(columns)])
+    return out
+
+
 def stage_fields(v: np.ndarray, F: np.ndarray, gm: GraphMap) -> StageFields:
-    """Dealias v and F once and take the twisted gradient of v once."""
+    """Dealias v and the nonzero columns of F once and take the twisted
+    gradient of v once."""
     g = gm.grid
     v = g.truncate(v)
     columns = tuple(k for k in range(3) if F[k].any())
-    if columns:
-        F = g.truncate(F)
-    return StageFields(gm=gm, v=v, F=F, Dv=grad_phi_stack(v, gm),
-                       columns=columns)
+    return StageFields(gm=gm, v=v, F=truncate_columns(F, columns, g),
+                       Dv=grad_phi_stack(v, gm), columns=columns)
 
 
 def each_gradient_column(sf: StageFields, *feeds):
@@ -325,18 +337,15 @@ def _trace_of_square(D: np.ndarray) -> np.ndarray:
 @dataclass
 class PressureRHS:
     rhs: np.ndarray
-    neu_bottom: np.ndarray
     advisory: bool
 
 
 def pressure_rhs(sf: StageFields, *feeds) -> PressureRHS:
-    """Source and bottom flux for the pressure problem.
+    """Source for the pressure problem.
 
     rhs = d_i^phi v_l d_l^phi v_i - d_i^phi F_lk d_l^phi F_ik, using the
-    divergence constraints; the bottom Neumann datum is the normal trace
-    ((F_k . grad^phi) F_3k) there, the momentum balance with v3 = 0.
-    Both are truncated once, as sums.  Zero columns of F are not read:
-    they add exact zeros to both.  The result is advisory when the
+    divergence constraints, truncated once as a sum.  Zero columns of F
+    are not read: they add exact zeros.  The result is advisory when the
     divergence constraints look violated.  Each ``feed(k, DF_k)`` is
     called on the gradient columns the source reads, in the same pass.
     """
@@ -344,24 +353,17 @@ def pressure_rhs(sf: StageFields, *feeds) -> PressureRHS:
     Dv = sf.Dv
     rhs = _trace_of_square(Dv)
     div_v = g.norm0(Dv[0, 0] + Dv[1, 1] + Dv[2, 2])
-    # bottom Neumann datum sum_{k,l} F_lk (d_l^phi F_3k), formed on the
-    # bottom plane only: truncation acts plane by plane
-    F, bot = sf.F, np.s_[:, :, -1]
-    stretch = np.zeros((g.nx, g.ny))
     div_F = []
 
     def column(k, DF_k):
         # DF_k[i, l] = d_i^phi F_lk
-        nonlocal rhs, stretch
+        nonlocal rhs
         rhs -= _trace_of_square(DF_k)
         div_F.append(g.norm0(DF_k[0, 0] + DF_k[1, 1] + DF_k[2, 2]))
-        for l in range(3):
-            stretch += F[k, l][bot] * DF_k[l, 2][bot]
 
     each_gradient_column(sf, column, *feeds)
     advisory = div_v > 1e-4 or max(div_F, default=0.0) > 1e-4
-    return PressureRHS(rhs=g.truncate(rhs), neu_bottom=g.truncate(stretch),
-                       advisory=advisory)
+    return PressureRHS(rhs=g.truncate(rhs), advisory=advisory)
 
 
 def project_divfree(X: np.ndarray, gm: GraphMap,

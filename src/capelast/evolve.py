@@ -6,9 +6,8 @@ one map for each of the other three stages, one for the projection of the
 updated velocity, and one for the projected state; it returns that last
 map with the new state, and the new pressure is solved on it.  ``run``
 starts from the map ``build_initial_data`` returns, records each step with
-the map the step returned and hands it to the next step; it builds a map
-itself only after the spectral filter has changed psi, v and F, and then
-solves the filtered state's pressure on it.
+the map the step returned and hands it to the next step, and builds no map
+itself.
 
 Stages.  The first stage reuses the state's pressure.  The other three
 are one loop over (c, w) = (1/2, 2), (1/2, 2), (1, 1): build the stage
@@ -24,9 +23,10 @@ formed, and its tendency, linear in it, stays exactly zero.  Every
 q-independent term is formed before the pressure solve, which runs with
 the capillary Dirichlet datum; each tendency is truncated once, as a sum,
 F's after the bundle is dropped.  After the combined update the velocity
-is projected back to divergence-free, ``State.enforce_bottom`` re-imposes
-v3 = F_3j = 0 on the bottom plane and ``State.pressure`` solves the new
-pressure; the kinematic surface equation is evolved, never overwritten.
+is projected back to divergence-free and ``State.pressure`` solves the new
+pressure.  Nothing is overwritten: the kinematic surface equation is
+evolved, and v3 = F_3j = 0 on the flat bottom are carried by the scheme,
+so the recorded ``v3_bot`` and ``F3_bot`` measure its drift there.
 ``run`` stops with a named reason when a stepped state is no longer finite.
 
 The step is guarded by dt <= 0.5 * min(advective, capillary, vertical)
@@ -52,6 +52,7 @@ from .elliptic import (
     project_divfree,
     solve_poisson_phi,
     stage_fields,
+    truncate_columns,
 )
 from .errors import CapelastError, CFLError, ConfigError, NonFiniteStateError
 from .graphmap import Cutoff, GraphMap, advection_speed, grad_phi_stack, mean_curvature
@@ -103,11 +104,10 @@ def tendencies(state: State, gm: GraphMap, solver_tol: float = 1e-11,
         each_gradient_column(sf, column)
     # no stage field stays alive while F_dot is truncated and q is solved
     del sf, column
-    if columns:
-        F_dot = g.truncate(F_dot)
+    F_dot = truncate_columns(F_dot, columns, g)
     if q is None:
         dir_top = -state.sigma * mean_curvature(state.psi, g)
-        q = solve_poisson_phi(pr.rhs, dir_top, pr.neu_bottom, gm,
+        q = solve_poisson_phi(pr.rhs, dir_top, np.zeros((g.nx, g.ny)), gm,
                               tol=solver_tol)
     v_dot -= grad_phi_stack(q, gm)
     # the graph map was built with psi_t = v . N
@@ -203,7 +203,6 @@ def step_rk4(state: State, gm: GraphMap, dt: float,
     if project:
         new.v = project_divfree(new.v, new.graphmap(cutoff, grid),
                                 tol=solver_tol)
-    new.enforce_bottom()
     gm_new = new.graphmap(cutoff, grid)
     new.q = new.pressure(gm_new, solver_tol)
     return new, gm_new
@@ -219,7 +218,6 @@ class RunConfig:
     kmax: int = 1
     solver_tol: float = 1e-11
     check_cfl: bool = True
-    spectral_filter: bool = False
     probe: object = None     # optional callable(state, grid) -> float
 
     def __post_init__(self):
@@ -254,12 +252,6 @@ class RunResult:
     @property
     def snapshot_times(self) -> list:
         return [s.t for s in self.snapshots]
-
-
-def _exp_filter(k: np.ndarray, n: int) -> np.ndarray:
-    """The exponential filter exp(-36 |k / (n/2)|^36), for
-    ``Grid.separable``."""
-    return np.exp(-36.0 * (k / (n / 2)) ** 36)
 
 
 def _check_finite(state: State):
@@ -303,7 +295,6 @@ def run(config: RunConfig) -> RunResult:
     if config.probe is not None:
         probes.append((state.t, config.probe(state, grid)))
     aborted = None
-    damp = grid.separable(_exp_filter) if config.spectral_filter else None
 
     for n in range(nsteps):
         try:
@@ -314,12 +305,6 @@ def run(config: RunConfig) -> RunResult:
             aborted = f"{type(exc).__name__}: {exc}"
             log.warning("run aborted at t=%.6g: %s", hist.newest.t, aborted)
             break
-        if damp is not None:
-            state.psi = grid.apply_separable(state.psi, damp)
-            state.v = grid.apply_separable(state.v, damp)
-            state.F = grid.apply_separable(state.F, damp)
-            gm = state.graphmap(cutoff, grid)
-            state.q = state.pressure(gm, config.solver_tol)
         hist.push(state)
         diags.append(_record(state, gm, hist, dt, config.kmax))
         if config.probe is not None:

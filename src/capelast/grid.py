@@ -17,8 +17,8 @@ function ``mult(k, n)`` of the half-spectrum wavenumbers k = 0..n/2 of an
 axis of length n; ``Grid.separable`` makes it one dense real n x n matrix per
 axis by applying it to the identity through ``rfft``/``irfft``, and BLAS
 products apply the pair: the derivative (``d_tan``, Nyquist zeroed so that
-derivatives of real data stay real), the 2/3 rule (``dealias_tangential``)
-and the run's exponential filter.  At the lengths used here a matrix product
+derivatives of real data stay real) and the 2/3 rule
+(``dealias_tangential``).  At the lengths used here a matrix product
 beats an FFT pair: a derivative of one 64 x 64 x 33 field takes about 0.4 ms
 against 1.2-2.5 ms (one OpenBLAS 0.3.31 thread on a 2-vCPU x86 VM), and the
 two are about even near n = 256.  FFTs, from ``numpy.fft``, remain where a

@@ -76,17 +76,16 @@ class State:
 
     def pressure(self, gm: GraphMap, tol: float) -> np.ndarray:
         """The pressure of this state on its map ``gm``, to ``tol``: the
-        momentum-balance source and bottom Neumann datum, and the capillary
-        Dirichlet datum -sigma kappa on top.  The source streams the
-        gradient of F one column at a time and feeds no tendency term."""
+        momentum-balance source, the capillary Dirichlet datum -sigma kappa
+        on top and a zero Neumann datum on the flat bottom.  The momentum
+        balance there gives sum_{k,l} F_lk d_l^phi F_3k, which vanishes
+        with F_3k, since d_1^phi and d_2^phi are tangential there.  The
+        source streams the gradient of F one column at a time."""
+        g = gm.grid
         pr = pressure_rhs(stage_fields(self.v, self.F, gm))
-        dir_top = -self.sigma * mean_curvature(self.psi, gm.grid)
-        return solve_poisson_phi(pr.rhs, dir_top, pr.neu_bottom, gm, tol=tol)
-
-    def enforce_bottom(self):
-        """Impose v3 = F_3j = 0 on the bottom collocation plane, in place."""
-        self.v[2][:, :, -1] = 0.0
-        self.F[:, 2, :, :, -1] = 0.0
+        dir_top = -self.sigma * mean_curvature(self.psi, g)
+        return solve_poisson_phi(pr.rhs, dir_top, np.zeros((g.nx, g.ny)), gm,
+                                 tol=tol)
 
 
 def zero_state(grid: Grid, sigma: float) -> State:
@@ -127,6 +126,11 @@ def constraint_residuals(state: State, gm: GraphMap) -> ConstraintResiduals:
 
 # -- initial data ------------------------------------------------------------
 
+# the largest |v3| or |F_3j| initial data may carry on the flat bottom;
+# compatible recipes read at most about 2e-15 there
+BOTTOM_MAX = 1e-10
+
+
 @dataclass
 class InitSpec:
     """Recipe bundle for one run; everything a State needs at t = 0."""
@@ -165,9 +169,11 @@ class InitSpec:
 def build_initial_data(spec: InitSpec, tol: float = 1e-11):
     """Construct (state, gm, cutoff) satisfying the compatibility constraints.
 
-    Recipes are projected to divergence-free fields, the bottom conditions
-    are imposed and the initial pressure is ``State.pressure``.  The
-    projection and the pressure solve run to the solver tolerance ``tol``.
+    Recipes are projected to divergence-free fields and the initial
+    pressure is ``State.pressure``.  The projection and the pressure solve
+    run to the solver tolerance ``tol``.  Data whose v3 or F_3j exceeds
+    ``BOTTOM_MAX`` on the flat bottom raise ConfigError naming the field:
+    they are rejected, not overwritten.
     """
     grid = spec.make_grid()
     psi0 = spec.build_psi0(grid)
@@ -188,7 +194,12 @@ def build_initial_data(spec: InitSpec, tol: float = 1e-11):
     state = State(t=0.0, psi=psi0, v=realize(spec.v_recipe),
                   F=np.stack([realize(r) for r in spec.F_recipes]),
                   q=np.zeros((grid.nx, grid.ny, grid.nz)), sigma=spec.sigma)
-    state.enforce_bottom()
+    for name in ("v3", "f31", "f32", "f33"):
+        gap = float(np.abs(state.field(name)[:, :, -1]).max())
+        if gap > BOTTOM_MAX:
+            raise ConfigError(
+                f"initial {name} is {gap:.3g} on the bottom plane; the flat "
+                f"bottom needs {name} = 0 (at most {BOTTOM_MAX:g})")
     gm = state.graphmap(cutoff, grid)
     state.q = state.pressure(gm, tol)
     return state, gm, cutoff

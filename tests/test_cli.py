@@ -63,7 +63,6 @@ tol = 1e-11
 snapshot_every = 2
 kmax = 1
 history_len = 5
-spectral_filter = false
 """
 
 
@@ -160,8 +159,14 @@ def test_missing_config_exits_2(tmp_path, capsys):
     ("history_len = 5", "history_len = 4",
      "history length must be >= 5, got 4"),
     # the sign threshold belongs to the sweep, not to a run
-    ("spectral_filter = false", "spectral_filter = false\nrt_c0 = 0.1",
+    ("history_len = 5", "history_len = 5\nrt_c0 = 0.1",
      "unknown key [output] rt_c0"),
+    # the run has no spectral filter
+    ("history_len = 5", "history_len = 5\nspectral_filter = false",
+     "unknown key [output] spectral_filter"),
+    # initial data must vanish where the flat bottom needs them to
+    ("v = none", "v = stream: profile=one",
+     "initial v3 is 0.1 on the bottom plane; the flat bottom needs v3 = 0"),
     # a '%' is a character of the value, not an interpolation
     ("v = none", "v = stream: amp=5%",
      "bad value for recipe argument 'amp': '5%'"),

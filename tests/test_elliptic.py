@@ -420,7 +420,6 @@ def test_pressure_rhs_vanishing_cases():
     zero_F = np.zeros((3, 3, 16, 16, 9))
     out = pressure_rhs(stage_fields(zero_v, zero_F, gm))
     assert np.abs(out.rhs).max() == 0.0
-    assert np.abs(out.neu_bottom).max() == 0.0
     assert not out.advisory
 
     v = np.stack([np.cos(X2), np.zeros_like(X1), np.zeros_like(X1)])
@@ -432,7 +431,6 @@ def test_pressure_rhs_vanishing_cases():
     F[0, 0] = 0.2 * np.cos(X2)
     out = pressure_rhs(stage_fields(zero_v, F, gm))
     assert np.abs(out.rhs).max() <= 1e-12
-    assert np.abs(out.neu_bottom).max() <= 1e-12
 
 
 def test_pressure_rhs_advisory_flag():

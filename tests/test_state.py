@@ -75,6 +75,19 @@ def test_stream_recipe_compatibility():
     assert res.v3_bottom <= 1e-12
 
 
+@pytest.mark.parametrize("fields, name", [
+    ({"F_recipes": (None, ShearRecipe(comp=3, dep_axis=1), None)}, "f32"),
+    ({"v_recipe": StreamRecipe(profile="one")}, "v3"),
+])
+def test_initial_data_breaking_the_flat_bottom_are_rejected(fields, name):
+    # v3 = F_3j = 0 on the flat bottom: data that break it are rejected
+    # by name, not overwritten
+    spec = InitSpec(nx=8, ny=8, nz=9, b=1.0, sigma=0.5, **fields)
+    with pytest.raises(ConfigError,
+                       match=f"initial {name} is 0.1 on the bottom plane"):
+        build_initial_data(spec)
+
+
 def test_constraint_residuals_constant_divergence():
     g = make_grid(8, 8, 9, 2.0)
     state = zero_state(g, 0.0)
