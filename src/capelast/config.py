@@ -56,10 +56,6 @@ def _modes_text(modes: tuple) -> str:
                      for kx, ky, amp, ph in modes) or "none"
 
 
-def _auto_or_float(raw: str) -> float | None:
-    return None if raw == "auto" else float(raw)
-
-
 def parse_value(raw: str, cast, what: str):
     """``cast(raw)``; a malformed value raises ConfigError naming ``what``."""
     raw = raw.strip()
@@ -86,23 +82,18 @@ _INIT_KEYS = {
     ("grid", "b"): ("b", float),
     ("grid", "dealias"): ("dealias", bool),
     ("surface", "modes"): ("psi_modes", _surface_modes),
-    ("surface", "delta0"): ("delta0", _auto_or_float),
-    ("surface", "strict_cutoff"): ("strict_cutoff", bool),
     ("fields", "v"): ("v_recipe", parse_recipe),
     ("fields", "f1"): ("f1", parse_recipe),
     ("fields", "f2"): ("f2", parse_recipe),
     ("fields", "f3"): ("f3", parse_recipe),
-    ("fields", "project"): ("project", bool),
     ("physics", "sigma"): ("sigma", float),
 }
 _RUN_KEYS = {
     ("time", "t_final"): ("t_final", float),
     ("time", "dt"): ("dt", float),
-    ("time", "check_cfl"): ("check_cfl", bool),
     ("solver", "tol"): ("solver_tol", float),
     ("output", "snapshot_every"): ("snapshot_every", int),
     ("output", "kmax"): ("kmax", int),
-    ("output", "history_len"): ("history_len", int),
 }
 _SWEEP_KEYS = {
     ("sweep", "sigmas"): ("sigmas", float_list),
@@ -111,8 +102,7 @@ _SWEEP_KEYS = {
 _REQUIRED = {("grid", "nx"), ("grid", "ny"), ("grid", "nz"), ("grid", "b"),
              ("physics", "sigma"), ("time", "t_final"), ("time", "dt")}
 # how a value is written back when ``_fmt`` does not invert its cast
-_TEXT = {_surface_modes: _modes_text, parse_recipe: recipe_to_text,
-         _auto_or_float: lambda x: "auto" if x is None else _fmt(x)}
+_TEXT = {_surface_modes: _modes_text, parse_recipe: recipe_to_text}
 
 
 def config_to_text(cfg: RunConfig) -> str:

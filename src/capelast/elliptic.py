@@ -59,7 +59,7 @@ from .graphmap import GraphMap, div_phi, grad_phi_stack, laplace_phi
 from .grid import Grid, irfft2, rfft2
 
 
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = 1e-11
 MAX_ITER = 500
 RESTART = 40
 
@@ -334,36 +334,23 @@ def _trace_of_square(D: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class PressureRHS:
-    rhs: np.ndarray
-    advisory: bool
-
-
-def pressure_rhs(sf: StageFields, *feeds) -> PressureRHS:
+def pressure_rhs(sf: StageFields, *feeds) -> np.ndarray:
     """Source for the pressure problem.
 
     rhs = d_i^phi v_l d_l^phi v_i - d_i^phi F_lk d_l^phi F_ik, using the
     divergence constraints, truncated once as a sum.  Zero columns of F
-    are not read: they add exact zeros.  The result is advisory when the
-    divergence constraints look violated.  Each ``feed(k, DF_k)`` is
-    called on the gradient columns the source reads, in the same pass.
+    are not read: they add exact zeros.  Each ``feed(k, DF_k)`` is called
+    on the gradient columns the source reads, in the same pass.
     """
-    g = sf.gm.grid
-    Dv = sf.Dv
-    rhs = _trace_of_square(Dv)
-    div_v = g.norm0(Dv[0, 0] + Dv[1, 1] + Dv[2, 2])
-    div_F = []
+    rhs = _trace_of_square(sf.Dv)
 
     def column(k, DF_k):
         # DF_k[i, l] = d_i^phi F_lk
         nonlocal rhs
         rhs -= _trace_of_square(DF_k)
-        div_F.append(g.norm0(DF_k[0, 0] + DF_k[1, 1] + DF_k[2, 2]))
 
     each_gradient_column(sf, column, *feeds)
-    advisory = div_v > 1e-4 or max(div_F, default=0.0) > 1e-4
-    return PressureRHS(rhs=g.truncate(rhs), advisory=advisory)
+    return sf.gm.grid.truncate(rhs)
 
 
 def project_divfree(X: np.ndarray, gm: GraphMap,

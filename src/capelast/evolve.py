@@ -46,6 +46,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord, conserved_energy, higher_energy, rt_monitor
 from .elliptic import (
+    DEFAULT_TOL,
     StageFields,
     each_gradient_column,
     pressure_rhs,
@@ -70,7 +71,7 @@ class Tendencies:
     q: np.ndarray
 
 
-def tendencies(state: State, gm: GraphMap, solver_tol: float = 1e-11,
+def tendencies(state: State, gm: GraphMap, solver_tol: float = DEFAULT_TOL,
                q: np.ndarray | None = None) -> Tendencies:
     """Right-hand sides of the evolution, with the stage pressure.
 
@@ -99,7 +100,7 @@ def tendencies(state: State, gm: GraphMap, solver_tol: float = 1e-11,
     columns = sf.columns
     v_dot, F_dot, column = _pressure_free_terms(sf)
     if q is None:
-        pr = pressure_rhs(sf, column)
+        rhs = pressure_rhs(sf, column)
     else:
         each_gradient_column(sf, column)
     # no stage field stays alive while F_dot is truncated and q is solved
@@ -107,7 +108,7 @@ def tendencies(state: State, gm: GraphMap, solver_tol: float = 1e-11,
     F_dot = truncate_columns(F_dot, columns, g)
     if q is None:
         dir_top = -state.sigma * mean_curvature(state.psi, g)
-        q = solve_poisson_phi(pr.rhs, dir_top, np.zeros((g.nx, g.ny)), gm,
+        q = solve_poisson_phi(rhs, dir_top, np.zeros((g.nx, g.ny)), gm,
                               tol=solver_tol)
     v_dot -= grad_phi_stack(q, gm)
     # the graph map was built with psi_t = v . N
@@ -163,23 +164,21 @@ def cfl_limit(state: State, gm: GraphMap) -> float:
 
 
 def step_rk4(state: State, gm: GraphMap, dt: float,
-             solver_tol: float = 1e-11, check_cfl: bool = True,
-             project: bool = True) -> tuple[State, GraphMap]:
+             solver_tol: float = DEFAULT_TOL) -> tuple[State, GraphMap]:
     """One classical four-stage step from ``state``, whose map is ``gm``.
 
     Returns the advanced state, with a freshly solved pressure, and its
-    graph map.  A NaN CFL bound raises NonFiniteStateError naming the
-    field that is not finite.
+    graph map.  A dt above ``cfl_limit`` raises CFLError; a NaN bound
+    raises NonFiniteStateError naming the field that is not finite.
     """
     grid, cutoff = gm.grid, gm.cutoff
-    if check_cfl:
-        bound = cfl_limit(state, gm)
-        if math.isnan(bound):
-            _check_finite(state)
-        if dt > bound:
-            raise CFLError(
-                f"dt = {dt:g} exceeds the stability bound {bound:g}",
-                suggested_dt=bound)
+    bound = cfl_limit(state, gm)
+    if math.isnan(bound):
+        _check_finite(state)
+    if dt > bound:
+        raise CFLError(
+            f"dt = {dt:g} exceeds the stability bound {bound:g}",
+            suggested_dt=bound)
 
     k = tendencies(state, gm, solver_tol=solver_tol, q=state.q)
     total = (k.psi_dot, k.v_dot, k.F_dot)   # ((k1 + 2 k2) + 2 k3) + k4
@@ -200,9 +199,8 @@ def step_rk4(state: State, gm: GraphMap, dt: float,
                 v=state.v + sixth * total[1], F=state.F + sixth * total[2],
                 q=state.q, sigma=state.sigma)
     del total
-    if project:
-        new.v = project_divfree(new.v, new.graphmap(cutoff, grid),
-                                tol=solver_tol)
+    new.v = project_divfree(new.v, new.graphmap(cutoff, grid),
+                            tol=solver_tol)
     gm_new = new.graphmap(cutoff, grid)
     new.q = new.pressure(gm_new, solver_tol)
     return new, gm_new
@@ -214,10 +212,8 @@ class RunConfig:
     t_final: float = 0.5
     dt: float = 0.02
     snapshot_every: int = 10
-    history_len: int = 5
     kmax: int = 1
-    solver_tol: float = 1e-11
-    check_cfl: bool = True
+    solver_tol: float = DEFAULT_TOL
     probe: object = None     # optional callable(state, grid) -> float
 
     def __post_init__(self):
@@ -232,7 +228,6 @@ class RunConfig:
         # E_high sums H^(4-k) norms of dt^k for k <= kmax
         if not 0 <= self.kmax <= 4:
             raise ConfigError(f"kmax must be in 0..4, got {self.kmax}")
-        History.check_length(self.history_len)
 
 
 @dataclass
@@ -287,7 +282,7 @@ def run(config: RunConfig) -> RunResult:
     if nsteps and abs(dt - config.dt) > 1e-12 * max(1.0, config.dt):
         log.info("adjusted dt from %g to %g to land on t_final", config.dt, dt)
 
-    hist = History(maxlen=config.history_len)
+    hist = History()
     hist.push(state)
     diags = [_record(state, gm, hist, dt, config.kmax)]
     snapshots = [state]     # shared with hist: no pushed state is written again
@@ -298,8 +293,7 @@ def run(config: RunConfig) -> RunResult:
 
     for n in range(nsteps):
         try:
-            state, gm = step_rk4(state, gm, dt, solver_tol=config.solver_tol,
-                                 check_cfl=config.check_cfl)
+            state, gm = step_rk4(state, gm, dt, solver_tol=config.solver_tol)
             _check_finite(state)
         except CapelastError as exc:
             aborted = f"{type(exc).__name__}: {exc}"

@@ -52,10 +52,10 @@ def make_cutoff(grid: Grid, delta0: float, psi0_sup: float,
     """Build the cutoff for a grid.
 
     ``strict`` enforces the slope bound |chi'| <= 1/(1 + psi0_sup), which
-    needs depth: it errors when b - delta0 < 1 + psi0_sup.  Shallow-domain
-    runs use strict=False, where the profile keeps its natural slope;
-    chart validity is then guarded pointwise by build_graphmap instead of
-    by the a-priori bound.
+    needs depth: it errors when b - delta0 < 1 + psi0_sup.  Runs use
+    strict=False, where the profile keeps its natural slope and chi depends
+    on the grid alone; chart validity is then guarded pointwise by
+    build_graphmap instead of by the a-priori bound.
     """
     b = grid.b
     if not (0 < delta0 < b / 4):
@@ -145,10 +145,9 @@ def build_graphmap(psi: np.ndarray, psi_t: np.ndarray, cutoff: Cutoff,
                     N=N, c0=c0)
 
 
-def flat_graphmap(grid: Grid, delta0: float | None = None) -> GraphMap:
+def flat_graphmap(grid: Grid) -> GraphMap:
     """Geometry of the undeformed slab (psi = 0)."""
-    cut = make_cutoff(grid, delta0 if delta0 is not None else grid.b / 8.0,
-                      0.0, strict=False)
+    cut = make_cutoff(grid, grid.b / 8.0, 0.0, strict=False)
     zero = np.zeros((grid.nx, grid.ny))
     return build_graphmap(zero, zero, cut, grid)
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import fieldio
 from .elliptic import (
+    DEFAULT_TOL,
     pressure_rhs,
     project_divfree,
     solve_poisson_phi,
@@ -82,9 +83,9 @@ class State:
         with F_3k, since d_1^phi and d_2^phi are tangential there.  The
         source streams the gradient of F one column at a time."""
         g = gm.grid
-        pr = pressure_rhs(stage_fields(self.v, self.F, gm))
+        rhs = pressure_rhs(stage_fields(self.v, self.F, gm))
         dir_top = -self.sigma * mean_curvature(self.psi, g)
-        return solve_poisson_phi(pr.rhs, dir_top, np.zeros((g.nx, g.ny)), gm,
+        return solve_poisson_phi(rhs, dir_top, np.zeros((g.nx, g.ny)), gm,
                                  tol=tol)
 
 
@@ -140,13 +141,10 @@ class InitSpec:
     nz: int = 9
     b: float = 1.0
     sigma: float = 0.1
-    delta0: float | None = None
     psi_modes: tuple = ()            # (kx, ky, amp, phase) entries
     v_recipe: object = None
     F_recipes: tuple = (None, None, None)
     dealias: bool = True
-    strict_cutoff: bool = False
-    project: bool = True
 
     def __post_init__(self):
         try:
@@ -166,30 +164,27 @@ class InitSpec:
         return psi
 
 
-def build_initial_data(spec: InitSpec, tol: float = 1e-11):
+def build_initial_data(spec: InitSpec, tol: float = DEFAULT_TOL):
     """Construct (state, gm, cutoff) satisfying the compatibility constraints.
 
     Recipes are projected to divergence-free fields and the initial
     pressure is ``State.pressure``.  The projection and the pressure solve
     run to the solver tolerance ``tol``.  Data whose v3 or F_3j exceeds
     ``BOTTOM_MAX`` on the flat bottom raise ConfigError naming the field:
-    they are rejected, not overwritten.
+    they are rejected, not overwritten.  The cutoff is the non-strict one
+    of ``make_cutoff``, which depends on the grid alone.
     """
     grid = spec.make_grid()
     psi0 = spec.build_psi0(grid)
-    delta0 = spec.delta0 if spec.delta0 is not None else grid.b / 8.0
-    cutoff = make_cutoff(grid, delta0, float(np.abs(psi0).max()),
-                         strict=spec.strict_cutoff)
+    cutoff = make_cutoff(grid, grid.b / 8.0, float(np.abs(psi0).max()),
+                         strict=False)
     zero_surf = np.zeros((grid.nx, grid.ny))
     gm0 = build_graphmap(psi0, zero_surf, cutoff, grid)
 
     def realize(recipe):
         if recipe is None:
             return np.zeros((3, grid.nx, grid.ny, grid.nz))
-        field = recipe.build(grid, gm0)
-        if spec.project:
-            field = project_divfree(field, gm0, tol=tol)
-        return field
+        return project_divfree(recipe.build(grid, gm0), gm0, tol=tol)
 
     state = State(t=0.0, psi=psi0, v=realize(spec.v_recipe),
                   F=np.stack([realize(r) for r in spec.F_recipes]),

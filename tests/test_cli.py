@@ -1,3 +1,4 @@
+import configparser
 import dataclasses
 import inspect
 import logging
@@ -12,6 +13,7 @@ import pytest
 
 import capelast
 import capelast.cli
+import capelast.config
 import capelast.evolve
 from capelast import ConfigError, verify
 from capelast.cli import main
@@ -38,15 +40,12 @@ dealias = true
 
 [surface]
 modes = none
-delta0 = auto
-strict_cutoff = false
 
 [fields]
 v = none
 f1 = none
 f2 = none
 f3 = none
-project = true
 
 [physics]
 sigma = 0.5
@@ -54,7 +53,6 @@ sigma = 0.5
 [time]
 t_final = 0.04
 dt = 0.01
-check_cfl = true
 
 [solver]
 tol = 1e-11
@@ -62,7 +60,6 @@ tol = 1e-11
 [output]
 snapshot_every = 2
 kmax = 1
-history_len = 5
 """
 
 
@@ -133,6 +130,12 @@ def test_readme_sample_config_parses():
     cfg, sweep = parse_config_text(text)
     assert cfg.init.psi_modes == ((1, 0, 0.01, 0.0),)
     assert sweep == {"sigmas": [0.1, 0.01, 0.001, 0.0], "rt_c0": 0.0}
+    # "a configuration with every key" holds every key and no other
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(text)
+    keys = {(sec, key) for sec in cp.sections() for key in cp.options(sec)}
+    assert keys == {*capelast.config._INIT_KEYS, *capelast.config._RUN_KEYS,
+                    *capelast.config._SWEEP_KEYS}
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
@@ -156,13 +159,21 @@ def test_missing_config_exits_2(tmp_path, capsys):
     ("dt = 0.01", "dt = -0.01", "dt must be positive, got -0.01"),
     ("t_final = 0.04", "t_final = -0.04", "t_final must be >= 0, got -0.04"),
     ("nx = 8", "nx = 7", "nx must be even and >= 4, got 7"),
-    ("history_len = 5", "history_len = 4",
-     "history length must be >= 5, got 4"),
     # the sign threshold belongs to the sweep, not to a run
-    ("history_len = 5", "history_len = 5\nrt_c0 = 0.1",
-     "unknown key [output] rt_c0"),
-    # the run has no spectral filter
-    ("history_len = 5", "history_len = 5\nspectral_filter = false",
+    ("kmax = 1", "kmax = 1\nrt_c0 = 0.1", "unknown key [output] rt_c0"),
+    # no run setting picks another cutoff, skips the projection or the CFL
+    # check, keeps another history length, or filters the spectrum
+    ("modes = none", "modes = none\ndelta0 = 0.1",
+     "unknown key [surface] delta0"),
+    ("modes = none", "modes = none\nstrict_cutoff = true",
+     "unknown key [surface] strict_cutoff"),
+    ("f3 = none", "f3 = none\nproject = false",
+     "unknown key [fields] project"),
+    ("dt = 0.01", "dt = 0.01\ncheck_cfl = false",
+     "unknown key [time] check_cfl"),
+    ("kmax = 1", "kmax = 1\nhistory_len = 6",
+     "unknown key [output] history_len"),
+    ("kmax = 1", "kmax = 1\nspectral_filter = false",
      "unknown key [output] spectral_filter"),
     # initial data must vanish where the flat bottom needs them to
     ("v = none", "v = stream: profile=one",
@@ -205,8 +216,6 @@ def test_malformed_recipe_exits_2(tmp_path, capsys, recipe, message):
 @pytest.mark.parametrize("old, new, sigmas, message", [
     ("modes = none", "modes = 1 x 1e-3 0", "0.1,0",
      "bad value for [surface] modes"),
-    ("delta0 = auto", "delta0 = abc", "0.1,0",
-     "bad value for [surface] delta0"),
     ("", "", "0.1,x", "bad value for --sigmas"),
 ])
 def test_malformed_number_exits_2(tmp_path, capsys, old, new, sigmas,

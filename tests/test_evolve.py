@@ -1,6 +1,6 @@
 import tracemalloc
 import weakref
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,15 +71,19 @@ def test_run_aborts_cleanly_on_cfl():
     assert len(res.diagnostics) >= 1  # partial output flushed
 
 
-def test_reversibility_smoke():
+def test_reversibility_smoke(monkeypatch):
     spec = InitSpec(nx=16, ny=16, nz=9, b=1.0, sigma=0.2,
                     psi_modes=((1, 0, 5e-3, 0.0),),
                     v_recipe=StreamRecipe(amp=0.1, k=1, profile="sinh"))
     state, gm, _ = build_initial_data(spec)
+    # the RK4 stages alone are time-reversible; the post-step projection
+    # is not part of that symmetry
+    monkeypatch.setattr(capelast.evolve, "project_divfree",
+                        lambda X, gm, tol: X)
 
     def roundtrip(dt):
-        fwd, gm_fwd = step_rk4(state, gm, dt, check_cfl=False, project=False)
-        back, _ = step_rk4(fwd, gm_fwd, -dt, check_cfl=False, project=False)
+        fwd, gm_fwd = step_rk4(state, gm, dt)
+        back, _ = step_rk4(fwd, gm_fwd, -dt)
         return (np.abs(back.v - state.v).max()
                 + np.abs(back.psi - state.psi).max())
 
@@ -115,7 +119,7 @@ def test_constraint_drift_stays_small():
         v_recipe=StreamRecipe(amp=0.2, k=1, profile="sinh"),
         F_recipes=(StreamRecipe(amp=0.1, k=1, profile="confined"),
                    None, None),
-        dealias=False, project=False),
+        dealias=False),
         t_final=0.3, dt=0.03, solver_tol=1e-11)
     res = run(cfg)
     assert res.aborted is None
@@ -150,7 +154,7 @@ def test_constraint_slope_vanishes_under_refinement():
             v_recipe=StreamRecipe(amp=0.15, k=1, profile="sinh"),
             F_recipes=(StreamRecipe(amp=0.1, k=1, profile="confined"),
                        None, None),
-            dealias=False, project=False),
+            dealias=False),
             t_final=0.4, dt=dt, solver_tol=1e-11)
         res = run(cfg)
         assert res.aborted is None
@@ -211,12 +215,12 @@ def test_tendencies_match_per_product_truncation_3d():
     for k in range(3):
         for l in range(3):
             G[k, l] += 0.05 * np.cos((k + 1) * X1 + (l + 1) * X2 + X3)
-    pr = pressure_rhs(stage_fields(state.v, G, gm))
+    rhs = pressure_rhs(stage_fields(state.v, G, gm))
     G = trunc(G)
     DG = grad_phi_stack(G, gm)
     rhs_ref = trunc(np.einsum("il...,li...->...", Dv, Dv)
                     - np.einsum("ikl...,lki...->...", DG, DG))
-    assert rel(pr.rhs, rhs_ref) <= 1e-12
+    assert rel(rhs, rhs_ref) <= 1e-12
 
     assert np.abs(F_ref).max() > 1e-3 and np.abs(v_ref).max() > 1e-3
     assert rel(td.v_dot, v_ref) <= 1e-12
@@ -294,10 +298,10 @@ def test_nan_entering_a_step_is_named(component):
     assert np.isnan(cfl_limit(state, gm))
     with pytest.raises(NonFiniteStateError, match="v is not finite at t = 0"):
         step_rk4(state, gm, 0.01)
-    # unchecked, the NaN reaches the first pressure solve, which stops
+    # past the CFL check, the NaN reaches the pressure solve, which stops
     # before any Krylov iteration
     with pytest.raises(SolverConvergenceError) as exc:
-        step_rk4(state, gm, 0.01, check_cfl=False)
+        tendencies(state, gm)
     assert exc.value.iterations == 0
 
 
@@ -382,9 +386,8 @@ def test_zero_deformation_column_skip_is_exact(monkeypatch):
     skipped = stage_fields(state.v, state.F, gm)
     assert skipped.columns == (0, 1)
     every = replace(skipped, columns=(0, 1, 2))
-    for a, b in zip(astuple(pressure_rhs(skipped)),
-                    astuple(pressure_rhs(every))):
-        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    assert (pressure_rhs(skipped).tobytes()
+            == pressure_rhs(every).tobytes())
 
     td = tendencies(state, gm)
     original = capelast.elliptic.stage_fields

@@ -1,11 +1,17 @@
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from capelast import ConfigError, InsufficientHistoryError, make_grid
 from capelast.elliptic import _apply_bc_operator
-from capelast.graphmap import mean_curvature
+from capelast.graphmap import (
+    GraphMap,
+    build_graphmap,
+    make_cutoff,
+    mean_curvature,
+)
 from capelast.recipes import ShearRecipe, StreamRecipe, parse_recipe, recipe_to_text
 from capelast.state import (
     History,
@@ -59,15 +65,19 @@ def test_wavy_pressure_against_dense_oracle():
 
 
 def test_stream_recipe_compatibility():
-    # stream fields are divergence-free and boundary-compatible by design
+    # stream fields are divergence-free and boundary-compatible by design,
+    # before any projection
     spec = InitSpec(nx=16, ny=16, nz=13, b=1.0, sigma=0.0,
-                    psi_modes=((1, 0, 0.02, 0.0),),
-                    v_recipe=StreamRecipe(amp=0.3, k=1, profile="sinh"),
-                    F_recipes=(StreamRecipe(amp=0.1, k=1, profile="confined"),
-                               None, None),
-                    project=False, dealias=False)
-    state, gm, _ = build_initial_data(spec)
-    res = constraint_residuals(state, gm)
+                    psi_modes=((1, 0, 0.02, 0.0),), dealias=False)
+    g = spec.make_grid()
+    state = zero_state(g, spec.sigma)
+    state.psi = spec.build_psi0(g)
+    cut = make_cutoff(g, g.b / 8, float(np.abs(state.psi).max()),
+                      strict=False)
+    gm0 = build_graphmap(state.psi, np.zeros_like(state.psi), cut, g)
+    state.v = StreamRecipe(amp=0.3, k=1, profile="sinh").build(g, gm0)
+    state.F[0] = StreamRecipe(amp=0.1, k=1, profile="confined").build(g, gm0)
+    res = constraint_residuals(state, gm0)
     assert res.div_v <= 1e-9
     assert res.div_F <= 1e-9
     assert res.FN_top <= 1e-12
@@ -138,6 +148,29 @@ def test_state_roundtrip(tmp_path):
         assert np.array_equal(loaded.v, state.v)
         assert np.array_equal(loaded.F, state.F)
         assert np.array_equal(loaded.q, state.q)
+
+
+def test_run_cutoff_depends_on_the_grid_alone(tmp_path):
+    # initial data on different surfaces share one cutoff, so a dump's
+    # manifest is enough to rebuild a run's graph map
+    spec = InitSpec(nx=8, ny=8, nz=9, b=1.5, sigma=0.25,
+                    psi_modes=((1, 1, 0.05, 0.3),),
+                    v_recipe=StreamRecipe(amp=0.2, k=1, profile="sinh"))
+    state, gm, cut = build_initial_data(spec)
+    _, _, other = build_initial_data(
+        replace(spec, psi_modes=((2, 0, 0.1, 0.0), (0, 1, 0.02, 1.0))))
+    assert cut.chi.tobytes() == other.chi.tobytes()
+    assert cut.chi_prime.tobytes() == other.chi_prime.tobytes()
+
+    save_state(state, gm.grid, tmp_path)
+    loaded, grid = load_state(tmp_path)
+    rebuilt = loaded.graphmap(
+        make_cutoff(grid, grid.b / 8, 0.0, strict=False), grid)
+    for f in fields(GraphMap):
+        if f.name in ("grid", "cutoff"):
+            continue
+        assert (np.asarray(getattr(rebuilt, f.name)).tobytes()
+                == np.asarray(getattr(gm, f.name)).tobytes()), f.name
 
 
 def test_load_state_without_dealias_key_dealiases(tmp_path):
