@@ -218,10 +218,17 @@ class RunConfig:
 
     def __post_init__(self):
         """Reject settings no run can use, before any output is written."""
+        for name in ("t_final", "dt", "solver_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if not self.t_final >= 0:
             raise ConfigError(f"t_final must be >= 0, got {self.t_final}")
         if not self.dt > 0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
+        if not self.solver_tol > 0:
+            raise ConfigError(
+                f"solver_tol must be positive, got {self.solver_tol}")
         if self.snapshot_every < 1:
             raise ConfigError(
                 f"snapshot_every must be >= 1, got {self.snapshot_every}")
@@ -273,8 +280,7 @@ def _record(state, gm, hist, dt, kmax) -> DiagnosticsRecord:
 
 def run(config: RunConfig) -> RunResult:
     """Evolve to t_final, emitting one diagnostics record per step."""
-    state, gm, cutoff = build_initial_data(config.init,
-                                           tol=config.solver_tol)
+    state, gm = build_initial_data(config.init, tol=config.solver_tol)
     grid = gm.grid
     # a positive t_final below dt/2 takes one shorter step: dt only shrinks
     nsteps = max(1, round(config.t_final / config.dt)) if config.t_final > 0 else 0
@@ -307,5 +313,5 @@ def run(config: RunConfig) -> RunResult:
             snapshots.append(state)
 
     return RunResult(history=hist, diagnostics=diags, snapshots=snapshots,
-                     grid=grid, cutoff=cutoff, aborted=aborted,
+                     grid=grid, cutoff=gm.cutoff, aborted=aborted,
                      probe_series=probes)

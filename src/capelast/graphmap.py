@@ -6,17 +6,15 @@ the geometry bundle (phi, its derivatives, the cofactor row, normals), and
 the operators grad/div/curl twisted by the map, the material derivative,
 and the mean-curvature operator for the capillary boundary condition.
 
-Cutoff profile.  The classical choice is a bump that is identically 1 near
-the top and 0 near the bottom.  Piecewise profiles of that kind have limited
+Cutoff.  The classical choice is a bump that is identically 1 near the top
+and 0 near the bottom.  Piecewise profiles of that kind have limited
 Chebyshev regularity and were measured to leave O(1e-4) commutator residuals
-on a 17-node vertical grid, so the default here is a cubic smoothstep ramp
+on a 17-node vertical grid, so chi here is the cubic smoothstep ramp
 spanning the whole depth: chi(0) = 1, chi(-b) = 0, chi'(0) = chi'(-b) = 0
 exactly, max |chi'| = 1.5/b, and products against it stay spectrally clean
-(commutators close to ~1e-10 at nz = 17).  The flatness actually achieved on
-(-delta0, 0] is quantified in ``Cutoff.plateau_defect``; only the endpoint
-conditions enter any of the operator identities.  When the Lipschitz bound
-1/(1 + sup|psi0|) is tighter than 1.5/b the construction falls back to the
-linear ramp, whose slope 1/b fits exactly when the width precondition holds.
+(commutators close to ~1e-10 at nz = 17).  It depends on the grid alone;
+only the endpoint conditions enter any of the operator identities, and
+chart validity is guarded pointwise by ``build_graphmap``.
 """
 
 from __future__ import annotations
@@ -40,47 +38,37 @@ CUBIC_SLOPE = 1.5  # max of 6 u (1 - u) on [0, 1]
 class Cutoff:
     """Sampled vertical cutoff chi and its discrete derivative."""
 
-    delta0: float
     chi: np.ndarray
     chi_prime: np.ndarray
-    plateau_defect: float
-    profile: str
 
 
-def make_cutoff(grid: Grid, delta0: float, psi0_sup: float,
-                strict: bool = True) -> Cutoff:
-    """Build the cutoff for a grid.
+def make_cutoff(grid: Grid, delta0: float | None = None,
+                psi0_sup: float = 0.0, strict: bool = False) -> Cutoff:
+    """The cubic cutoff of a grid; chi depends on the grid alone.
 
-    ``strict`` enforces the slope bound |chi'| <= 1/(1 + psi0_sup), which
-    needs depth: it errors when b - delta0 < 1 + psi0_sup.  Runs use
-    strict=False, where the profile keeps its natural slope and chi depends
-    on the grid alone; chart validity is then guarded pointwise by
-    build_graphmap instead of by the a-priori bound.
+    ``strict`` checks the construction's a-priori conditions for a plateau
+    (-delta0, 0], delta0 = b/8 by default, and a surface with
+    sup|psi0| <= psi0_sup: depth b - delta0 >= 1 + psi0_sup and slope
+    1.5/b <= 1/(1 + psi0_sup).  It raises InfeasibleWidthError when either
+    fails and otherwise returns the same chi.
     """
     b = grid.b
-    if not (0 < delta0 < b / 4):
-        raise GridError(f"delta0 must lie in (0, b/4), got {delta0} with b={b}")
-    if psi0_sup < 0:
-        raise InfeasibleWidthError(f"psi0_sup must be >= 0, got {psi0_sup}")
-    lip_target = 1.0 / (1.0 + psi0_sup)
-    if strict and b - delta0 < 1.0 + psi0_sup:
-        raise InfeasibleWidthError(
-            f"cutoff transition needs width >= {1.0 + psi0_sup:g} "
-            f"but only {b - delta0:g} is available below delta0")
+    if strict:
+        delta0 = b / 8.0 if delta0 is None else delta0
+        if not (0 < delta0 < b / 4):
+            raise GridError(
+                f"delta0 must lie in (0, b/4), got {delta0} with b={b}")
+        if psi0_sup < 0:
+            raise InfeasibleWidthError(f"psi0_sup must be >= 0, got {psi0_sup}")
+        lip = 1.0 / (1.0 + psi0_sup)
+        if b - delta0 < 1.0 + psi0_sup or CUBIC_SLOPE / b > lip:
+            raise InfeasibleWidthError(
+                f"cutoff needs depth {b - delta0:g} >= {1.0 + psi0_sup:g} "
+                f"below delta0 and slope {CUBIC_SLOPE / b:g} <= {lip:g}")
 
-    u = (grid.x3 + b) / b  # 0 at the bottom, 1 at the top
-    if strict and CUBIC_SLOPE / b > lip_target:
-        chi = u.copy()
-        profile = "linear"
-    else:
-        chi = u * u * (3.0 - 2.0 * u)
-        profile = "cubic"
-    chi[0] = 1.0
-    chi[-1] = 0.0
-    chi_prime = grid.Dz @ chi
-    plateau = float(np.abs(chi_prime[grid.x3 > -delta0]).max())
-    return Cutoff(delta0=float(delta0), chi=chi, chi_prime=chi_prime,
-                  plateau_defect=plateau, profile=profile)
+    u = (grid.x3 + b) / b  # exactly 0 at the bottom node, 1 at the top
+    chi = u * u * (3.0 - 2.0 * u)
+    return Cutoff(chi=chi, chi_prime=grid.Dz @ chi)
 
 
 @dataclass
@@ -147,9 +135,8 @@ def build_graphmap(psi: np.ndarray, psi_t: np.ndarray, cutoff: Cutoff,
 
 def flat_graphmap(grid: Grid) -> GraphMap:
     """Geometry of the undeformed slab (psi = 0)."""
-    cut = make_cutoff(grid, grid.b / 8.0, 0.0, strict=False)
     zero = np.zeros((grid.nx, grid.ny))
-    return build_graphmap(zero, zero, cut, grid)
+    return build_graphmap(zero, zero, make_cutoff(grid), grid)
 
 
 # -- twisted operators ----------------------------------------------------

@@ -291,7 +291,7 @@ class Grid:
 
 def check_dims(nx: int, ny: int, nz: int, b: float):
     """Raise GridError unless nx and ny are even and >= 4, nz >= 5 and
-    b > 0."""
+    b is positive and finite."""
     for name, n in (("nx", nx), ("ny", ny)):
         if n < 4 or n % 2 != 0:
             raise GridError(f"{name} must be even and >= 4, got {n}")
@@ -299,6 +299,8 @@ def check_dims(nx: int, ny: int, nz: int, b: float):
         raise GridError(f"nz must be >= 5, got {nz}")
     if not (b > 0):
         raise GridError(f"depth b must be positive, got {b}")
+    if not math.isfinite(b):
+        raise GridError(f"depth b must be finite, got {b}")
 
 
 def make_grid(nx: int, ny: int, nz: int, b: float, dealias: bool = True) -> Grid:

@@ -117,9 +117,10 @@ def sweep_sigma(base: RunConfig, sigmas,
     if any(s2 > s1 for s1, s2 in zip(sigmas, sigmas[1:])):
         raise ConfigError("sigma list must be non-increasing")
 
+    # every member's settings are checked before the first one runs
+    cfgs = [replace(base, init=replace(base.init, sigma=s)) for s in sigmas]
     members: list[SweepMember] = []
-    for s in sigmas:
-        cfg = replace(base, init=replace(base.init, sigma=s))
+    for s, cfg in zip(sigmas, cfgs):
         result = run(cfg)
         rt_min = min(d.rt_min for d in result.diagnostics)
         members.append(SweepMember(sigma=s, rt_min=rt_min,

@@ -9,6 +9,7 @@ manufactured test states may carry an explicit override.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -151,6 +152,13 @@ class InitSpec:
             check_dims(self.nx, self.ny, self.nz, self.b)
         except GridError as exc:
             raise ConfigError(str(exc)) from exc
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ConfigError(
+                f"sigma must be finite and >= 0, got {self.sigma}")
+        for mode in self.psi_modes:
+            if not all(math.isfinite(x) for x in mode[2:]):
+                raise ConfigError(f"surface mode {mode} needs a finite "
+                                  f"amplitude and phase")
 
     def make_grid(self) -> Grid:
         return make_grid(self.nx, self.ny, self.nz, self.b,
@@ -165,21 +173,19 @@ class InitSpec:
 
 
 def build_initial_data(spec: InitSpec, tol: float = DEFAULT_TOL):
-    """Construct (state, gm, cutoff) satisfying the compatibility constraints.
+    """Construct (state, gm) satisfying the compatibility constraints.
 
     Recipes are projected to divergence-free fields and the initial
     pressure is ``State.pressure``.  The projection and the pressure solve
     run to the solver tolerance ``tol``.  Data whose v3 or F_3j exceeds
     ``BOTTOM_MAX`` on the flat bottom raise ConfigError naming the field:
-    they are rejected, not overwritten.  The cutoff is the non-strict one
-    of ``make_cutoff``, which depends on the grid alone.
+    they are rejected, not overwritten.  ``gm.cutoff`` is
+    ``make_cutoff(grid)``, which depends on the grid alone.
     """
     grid = spec.make_grid()
     psi0 = spec.build_psi0(grid)
-    cutoff = make_cutoff(grid, grid.b / 8.0, float(np.abs(psi0).max()),
-                         strict=False)
     zero_surf = np.zeros((grid.nx, grid.ny))
-    gm0 = build_graphmap(psi0, zero_surf, cutoff, grid)
+    gm0 = build_graphmap(psi0, zero_surf, make_cutoff(grid), grid)
 
     def realize(recipe):
         if recipe is None:
@@ -195,9 +201,9 @@ def build_initial_data(spec: InitSpec, tol: float = DEFAULT_TOL):
             raise ConfigError(
                 f"initial {name} is {gap:.3g} on the bottom plane; the flat "
                 f"bottom needs {name} = 0 (at most {BOTTOM_MAX:g})")
-    gm = state.graphmap(cutoff, grid)
+    gm = state.graphmap(gm0.cutoff, grid)
     state.q = state.pressure(gm, tol)
-    return state, gm, cutoff
+    return state, gm
 
 
 # -- history -----------------------------------------------------------------

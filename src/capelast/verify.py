@@ -197,8 +197,7 @@ def operators_battery(nx=32, ny=32, nz=17) -> list[VerifyRow]:
 
     # pullback consistency on a wavy chart
     psi = battery_surface(grid)
-    cut = make_cutoff(grid, b / 8, float(np.abs(psi).max()), strict=False)
-    gm = build_graphmap(psi, np.zeros_like(psi), cut, grid)
+    gm = build_graphmap(psi, np.zeros_like(psi), make_cutoff(grid), grid)
     W = np.cos(X1) * np.exp(gm.phi)
     exact3 = np.cos(X1) * np.exp(gm.phi)
     rows.append(VerifyRow("operators", "pullback chain rule", res,
@@ -210,8 +209,7 @@ def operators_battery(nx=32, ny=32, nz=17) -> list[VerifyRow]:
 def lemmas_battery(nx=32, ny=32, nz=17) -> list[VerifyRow]:
     grid = make_grid(nx, ny, nz, 1.0, dealias=False)
     res = _res_label(grid)
-    psi = battery_surface(grid)
-    cut = make_cutoff(grid, grid.b / 8, float(np.abs(psi).max()), strict=False)
+    cut = make_cutoff(grid)
     hist = compatible_history(grid, cut)
     gm = hist.newest.graphmap(cut, grid)
     rows = []
@@ -224,8 +222,7 @@ def lemmas_battery(nx=32, ny=32, nz=17) -> list[VerifyRow]:
 def alinhac_battery(nx=32, ny=32, nz=17, hist_len=6) -> list[VerifyRow]:
     grid = make_grid(nx, ny, nz, 1.0, dealias=False)
     res = _res_label(grid)
-    psi0_sup = 0.06 * 1.6 * 1.4
-    cut = make_cutoff(grid, grid.b / 8, psi0_sup, strict=False)
+    cut = make_cutoff(grid)
     rows = []
 
     calc = Calculus(static_history(grid, cut, nslices=hist_len), cut, grid)
@@ -285,8 +282,7 @@ def elliptic_battery() -> list[VerifyRow]:
     grid = make_grid(16, 16, 13, 1.0, dealias=False)
     X1s, X2s = grid.mesh_surface()
     psi = 0.05 * np.cos(X1s + X2s)
-    cut = make_cutoff(grid, 0.125, 0.05, strict=False)
-    gm = build_graphmap(psi, np.zeros_like(psi), cut, grid)
+    gm = build_graphmap(psi, np.zeros_like(psi), make_cutoff(grid), grid)
     X1, X2, X3 = grid.mesh_volume()
     Y = np.stack([np.cos(X2) * (1 + X3), np.sin(X1), X3 * (1 + X3)])
     Y1 = project_divfree(Y, gm, tol=tol)

@@ -158,6 +158,17 @@ def test_missing_config_exits_2(tmp_path, capsys):
     ("dt = 0.01", "dt = 0", "dt must be positive, got 0.0"),
     ("dt = 0.01", "dt = -0.01", "dt must be positive, got -0.01"),
     ("t_final = 0.04", "t_final = -0.04", "t_final must be >= 0, got -0.04"),
+    # non-finite and out-of-range numbers never reach the solver
+    ("sigma = 0.5", "sigma = -0.1", "sigma must be finite and >= 0, got -0.1"),
+    ("sigma = 0.5", "sigma = nan", "sigma must be finite and >= 0, got nan"),
+    ("tol = 1e-11", "tol = 0", "solver_tol must be positive, got 0.0"),
+    ("tol = 1e-11", "tol = -1e-3", "solver_tol must be positive, got -0.001"),
+    ("tol = 1e-11", "tol = nan", "solver_tol must be finite, got nan"),
+    ("t_final = 0.04", "t_final = inf", "t_final must be finite, got inf"),
+    ("dt = 0.01", "dt = inf", "dt must be finite, got inf"),
+    ("b = 1.0", "b = inf", "depth b must be finite, got inf"),
+    ("modes = none", "modes = 1 0 nan 0",
+     "surface mode (1, 0, nan, 0.0) needs a finite amplitude and phase"),
     ("nx = 8", "nx = 7", "nx must be even and >= 4, got 7"),
     # the sign threshold belongs to the sweep, not to a run
     ("kmax = 1", "kmax = 1\nrt_c0 = 0.1", "unknown key [output] rt_c0"),
@@ -217,6 +228,8 @@ def test_malformed_recipe_exits_2(tmp_path, capsys, recipe, message):
     ("modes = none", "modes = 1 x 1e-3 0", "0.1,0",
      "bad value for [surface] modes"),
     ("", "", "0.1,x", "bad value for --sigmas"),
+    # every member is checked before the first one runs
+    ("", "", "0.1,nan", "sigma must be finite and >= 0, got nan"),
 ])
 def test_malformed_number_exits_2(tmp_path, capsys, old, new, sigmas,
                                   message):

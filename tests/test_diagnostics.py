@@ -33,7 +33,7 @@ def test_conserved_energy_against_direct_quadrature():
                     v_recipe=ShearRecipe(comp=1, dep_axis=2, amp=1.0),
                     F_recipes=(ShearRecipe(comp=1, dep_axis=2, amp=0.2),
                                None, None))
-    state, gm, _ = build_initial_data(spec)
+    state, gm = build_initial_data(spec)
     got = conserved_energy(state, gm)
     # direct oracle: analytic integrals of the shear data on the flat slab
     expect = 0.5 * 2 * np.pi**2 + 0.5 * 0.04 * 2 * np.pi**2 \

@@ -17,6 +17,7 @@ from capelast.elliptic import (
 )
 from capelast.evolve import RunConfig, run
 from capelast.graphmap import (
+    Cutoff,
     build_graphmap,
     div_phi,
     dphi,
@@ -396,8 +397,8 @@ def test_solve_meets_the_bottom_flux_row():
                     psi_modes=((1, 0, 0.02, 0.0), (1, 1, 0.01, 0.5)))
     g = spec.make_grid()
     psi = spec.build_psi0(g)
-    cut = make_cutoff(g, 0.1, float(np.abs(psi).max()), strict=True)
-    assert cut.profile == "linear"
+    u = (g.x3 + g.b) / g.b
+    cut = Cutoff(chi=u, chi_prime=g.Dz @ u)
     gm = build_graphmap(psi, np.zeros_like(psi), cut, g)
     bottom_d3phi = gm.d3phi[:, :, -1]
     assert 0.975 <= bottom_d3phi.min() and bottom_d3phi.max() <= 1.025

@@ -33,7 +33,7 @@ def test_rest_state_is_fixed_point():
 def test_steady_shear_preserved():
     spec = InitSpec(nx=16, ny=16, nz=9, b=1.0, sigma=0.3,
                     v_recipe=ShearRecipe(comp=1, dep_axis=2, k=1, amp=1.0))
-    state, gm, _ = build_initial_data(spec)
+    state, gm = build_initial_data(spec)
     new, _ = step_rk4(state, gm, 0.02)
     assert np.abs(new.v - state.v).max() <= 1e-10
     assert np.abs(new.psi - state.psi).max() <= 1e-10
@@ -44,7 +44,7 @@ def test_elastic_shear_rest_persists():
     spec = InitSpec(nx=16, ny=16, nz=9, b=1.0, sigma=0.0,
                     F_recipes=(ShearRecipe(comp=1, dep_axis=2, amp=0.3),
                                None, None))
-    state, gm, _ = build_initial_data(spec)
+    state, gm = build_initial_data(spec)
     new, _ = step_rk4(state, gm, 0.02)
     assert np.abs(new.v).max() <= 1e-11
     assert np.abs(new.F - state.F).max() <= 1e-11
@@ -53,7 +53,7 @@ def test_elastic_shear_rest_persists():
 def test_cfl_rejection_with_suggestion():
     spec = InitSpec(nx=16, ny=16, nz=9, b=1.0, sigma=1.0,
                     v_recipe=ShearRecipe(comp=1, dep_axis=2, amp=1.0))
-    state, gm, _ = build_initial_data(spec)
+    state, gm = build_initial_data(spec)
     bound = cfl_limit(state, gm)
     with pytest.raises(CFLError) as exc:
         step_rk4(state, gm, 10.0 * bound)
@@ -75,7 +75,7 @@ def test_reversibility_smoke(monkeypatch):
     spec = InitSpec(nx=16, ny=16, nz=9, b=1.0, sigma=0.2,
                     psi_modes=((1, 0, 5e-3, 0.0),),
                     v_recipe=StreamRecipe(amp=0.1, k=1, profile="sinh"))
-    state, gm, _ = build_initial_data(spec)
+    state, gm = build_initial_data(spec)
     # the RK4 stages alone are time-reversible; the post-step projection
     # is not part of that symmetry
     monkeypatch.setattr(capelast.evolve, "project_divfree",
@@ -169,7 +169,7 @@ def test_constraint_slope_vanishes_under_refinement():
 
 def test_tendencies_rest_zero():
     spec = InitSpec(nx=8, ny=8, nz=9, b=1.0, sigma=0.0)
-    state, gm, cut = build_initial_data(spec)
+    state, gm = build_initial_data(spec)
     td = tendencies(state, gm, q=state.q)
     assert np.abs(td.psi_dot).max() == 0.0
     assert np.abs(td.v_dot).max() == 0.0
@@ -191,7 +191,7 @@ def oblique_spec():
 def test_tendencies_match_per_product_truncation_3d():
     # reference: every product truncated on its own, advection from
     # material_derivative, stress and stretching from explicit einsums
-    state, gm, _ = build_initial_data(oblique_spec())
+    state, gm = build_initial_data(oblique_spec())
     g = gm.grid
     assert g.dealias
     td = tendencies(state, gm, solver_tol=1e-12)
@@ -255,7 +255,7 @@ def test_bottom_columns_measure_the_drift(monkeypatch):
 def test_step_dealiases_once_per_stage(monkeypatch):
     # one bundle per stage: v and F are dealiased once, the pressure
     # source once, and each tendency once
-    state, gm, _ = build_initial_data(oblique_spec())
+    state, gm = build_initial_data(oblique_spec())
     calls = []
     original = Grid.dealias_tangential
 
@@ -293,7 +293,7 @@ def capillary_spec():
 
 @pytest.mark.parametrize("component", [0, 2])
 def test_nan_entering_a_step_is_named(component):
-    state, gm, _ = build_initial_data(capillary_spec())
+    state, gm = build_initial_data(capillary_spec())
     state.v[component, 1, 2, 3] = np.nan
     assert np.isnan(cfl_limit(state, gm))
     with pytest.raises(NonFiniteStateError, match="v is not finite at t = 0"):
@@ -336,7 +336,7 @@ def test_run_records_the_pressure_of_its_final_state():
 def test_no_stage_outlives_the_next(monkeypatch):
     # a step holds one stage's tendencies at a time: when a stage is
     # evaluated, every earlier stage of the step is gone
-    state, gm, _ = build_initial_data(oblique_spec())
+    state, gm = build_initial_data(oblique_spec())
     original = capelast.evolve.tendencies
     refs = []
 
@@ -358,7 +358,7 @@ def test_deformation_gradient_is_formed_one_column_at_a_time(monkeypatch):
     # in a step or a pressure solve: six bundles (four stages, the step's
     # new pressure and this one) each differentiate v and every nonzero
     # column, and no all-zero field is differentiated
-    state, gm, _ = build_initial_data(oblique_spec())
+    state, gm = build_initial_data(oblique_spec())
     nonzero = sum(bool(state.F[k].any()) for k in range(3))
     original = capelast.graphmap.grad_phi_stack
     ndims, zero_inputs = [], []
@@ -381,7 +381,7 @@ def test_deformation_gradient_is_formed_one_column_at_a_time(monkeypatch):
 def test_zero_deformation_column_skip_is_exact(monkeypatch):
     # oblique data have F_3 = 0: forming its gradient anyway changes no bit
     # of the pressure source or the tendencies, and a run keeps F_3 zero
-    state, gm, _ = build_initial_data(oblique_spec())
+    state, gm = build_initial_data(oblique_spec())
     assert not state.F[2].any() and state.F[0].any() and state.F[1].any()
     skipped = stage_fields(state.v, state.F, gm)
     assert skipped.columns == (0, 1)
@@ -411,7 +411,7 @@ def test_tendencies_peak_memory_in_volume_fields():
     # is alive at a time and F's tendency is truncated after the bundle
     # is dropped.  Measured at 16x16x9: 49 fields; with the whole gradient
     # of F in the bundle, 79.
-    state, gm, _ = build_initial_data(oblique_spec())
+    state, gm = build_initial_data(oblique_spec())
     g = gm.grid
     tracemalloc.start()
     try:

@@ -37,37 +37,39 @@ def battery():
 
 def test_cutoff_deep_domain_example():
     g = make_grid(8, 8, 33, 4.0)
-    cut = make_cutoff(g, 0.5, 1.0)
+    cut = make_cutoff(g, 0.5, 1.0, strict=True)
     assert cut.chi[0] == 1.0
     assert cut.chi[-1] == 0.0
     assert np.abs(cut.chi_prime).max() <= 0.5 + 1e-9
-    # endpoint slopes vanish; interior flatness on (-delta0, 0] is approximate
-    # (global polynomial ramp) and quantified by the construction
+    # endpoint slopes vanish; interior flatness on (-delta0, 0] is
+    # approximate (global polynomial ramp)
     assert abs(cut.chi_prime[0]) <= 1e-9
     assert abs(cut.chi_prime[-1]) <= 1e-9
-    assert cut.plateau_defect <= 0.5 * np.abs(cut.chi_prime).max()
+    plateau = np.abs(cut.chi_prime[g.x3 > -0.5]).max()
+    assert plateau <= 0.5 * np.abs(cut.chi_prime).max()
+    # the strict check accepts the deep grid and returns the grid's one chi
+    assert cut.chi.tobytes() == make_cutoff(g).chi.tobytes()
+    assert cut.chi_prime.tobytes() == make_cutoff(g).chi_prime.tobytes()
 
 
 def test_cutoff_infeasible_width():
     g = make_grid(8, 8, 9, 1.0)
     with pytest.raises(InfeasibleWidthError):
-        make_cutoff(g, 0.5 * 0.4, 1.0)  # b=1: 1 - delta0 < 1 + 1
+        make_cutoff(g, 0.5 * 0.4, 1.0, strict=True)  # 1 - delta0 < 1 + 1
     with pytest.raises(GridError):
-        make_cutoff(g, 0.3, 0.0)  # delta0 >= b/4
+        make_cutoff(g, 0.3, 0.0, strict=True)  # delta0 >= b/4
 
 
-def test_cutoff_linear_fallback_when_lip_binds():
-    # slope bound 1/(1+psi0_sup) below 1.5/b forces the linear ramp
+def test_strict_cutoff_rejects_a_binding_slope_bound():
+    # deep enough (2.6 - 0.2 >= 2), but the slope 1.5/b exceeds 1/(1+1)
     g = make_grid(8, 8, 17, 2.6)
-    cut = make_cutoff(g, 0.2, 1.0)
-    assert cut.profile == "linear"
-    assert np.abs(cut.chi_prime).max() <= 0.5 + 1e-9
+    with pytest.raises(InfeasibleWidthError, match="slope 0.576923 <= 0.5"):
+        make_cutoff(g, 0.2, 1.0, strict=True)
 
 
 def test_cutoff_relaxed_mode_shallow():
     g = make_grid(8, 8, 9, 1.0)
     cut = make_cutoff(g, 0.1, 1.0, strict=False)
-    assert cut.profile == "cubic"
     assert abs(np.abs(cut.chi_prime).max() - 1.5) <= 1e-6
 
 

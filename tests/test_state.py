@@ -27,7 +27,7 @@ from capelast.state import (
 
 def test_zero_initial_data():
     spec = InitSpec(nx=8, ny=8, nz=9, b=1.0, sigma=1.0)
-    state, gm, _ = build_initial_data(spec)
+    state, gm = build_initial_data(spec)
     assert np.abs(state.q).max() <= 1e-12
     assert constraint_residuals(state, gm).max() <= 1e-12
 
@@ -37,7 +37,7 @@ def test_shear_initial_data_selfconsistent():
                     v_recipe=ShearRecipe(comp=1, dep_axis=2, k=1, amp=1.0),
                     F_recipes=(ShearRecipe(comp=1, dep_axis=2, k=1, amp=0.2),
                                None, None))
-    state, gm, _ = build_initial_data(spec)
+    state, gm = build_initial_data(spec)
     res = constraint_residuals(state, gm)
     assert res.max() <= 1e-10
     # flat surface: capillary datum is zero, shear sources cancel, q0 = 0
@@ -47,7 +47,7 @@ def test_shear_initial_data_selfconsistent():
 def test_wavy_pressure_against_dense_oracle():
     spec = InitSpec(nx=8, ny=8, nz=9, b=1.0, sigma=1.0,
                     psi_modes=((1, 0, 0.1, 0.0),), dealias=False)
-    state, gm, _ = build_initial_data(spec)
+    state, gm = build_initial_data(spec)
     grid = spec.make_grid()
     n = 8 * 8 * 9
     A = np.empty((n, n))
@@ -135,7 +135,7 @@ def test_state_roundtrip(tmp_path):
                         psi_modes=((1, 1, 0.05, 0.3),),
                         v_recipe=ShearRecipe(comp=2, dep_axis=1, amp=0.4),
                         dealias=dealias)
-        state, _, _ = build_initial_data(spec)
+        state, _ = build_initial_data(spec)
         grid = spec.make_grid()
         state.t = 1.25
         out = tmp_path / f"snap_{dealias}"
@@ -150,22 +150,33 @@ def test_state_roundtrip(tmp_path):
         assert np.array_equal(loaded.q, state.q)
 
 
+def _same_cutoff(a, b):
+    return (a.chi.tobytes() == b.chi.tobytes()
+            and a.chi_prime.tobytes() == b.chi_prime.tobytes())
+
+
 def test_run_cutoff_depends_on_the_grid_alone(tmp_path):
     # initial data on different surfaces share one cutoff, so a dump's
     # manifest is enough to rebuild a run's graph map
     spec = InitSpec(nx=8, ny=8, nz=9, b=1.5, sigma=0.25,
                     psi_modes=((1, 1, 0.05, 0.3),),
                     v_recipe=StreamRecipe(amp=0.2, k=1, profile="sinh"))
-    state, gm, cut = build_initial_data(spec)
-    _, _, other = build_initial_data(
+    state, gm = build_initial_data(spec)
+    _, other = build_initial_data(
         replace(spec, psi_modes=((2, 0, 0.1, 0.0), (0, 1, 0.02, 1.0))))
-    assert cut.chi.tobytes() == other.chi.tobytes()
-    assert cut.chi_prime.tobytes() == other.chi_prime.tobytes()
+    cut = make_cutoff(gm.grid)
+    assert _same_cutoff(gm.cutoff, cut) and _same_cutoff(other.cutoff, cut)
+    # the benchmark's and the batteries' call forms build that same chi
+    for sup in (0.0, 0.05, 0.06 * 1.6 * 1.4):
+        assert _same_cutoff(
+            make_cutoff(gm.grid, gm.grid.b / 8, sup, strict=False), cut)
+    unit = make_grid(16, 16, 13, 1.0)
+    assert _same_cutoff(make_cutoff(unit, 0.125, 0.05, strict=False),
+                        make_cutoff(unit))
 
     save_state(state, gm.grid, tmp_path)
     loaded, grid = load_state(tmp_path)
-    rebuilt = loaded.graphmap(
-        make_cutoff(grid, grid.b / 8, 0.0, strict=False), grid)
+    rebuilt = loaded.graphmap(make_cutoff(grid), grid)
     for f in fields(GraphMap):
         if f.name in ("grid", "cutoff"):
             continue
