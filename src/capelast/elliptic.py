@@ -16,24 +16,32 @@ bottom plane the twisted Neumann row d3^phi W.  The Krylov operator is
 planes, so the solver and the identity checks share one twisted Laplacian.
 
 A solve starts from the flat solve of the data, whose Dirichlet row is
-exact, and forms that field's residual once.  If the residual is already
-within the target it returns the flat solve.  Otherwise ``gmres``, a
+exact, plus a starting correction when the caller hands it one in a
+``Chain``: the correction a solve of a nearby problem reached, which
+leaves a residual set by the change of geometry rather than by the data
+(the cheapest form of Krylov recycling; Parks, de Sturler, Mackey, Johnson
+and Maiti, 2006).  It forms that start's residual once.  If the residual
+is already within the target it returns the start.  Otherwise ``gmres``, a
 restarted right-preconditioned GMRES (Saad and Schultz, 1986), solves for
-the correction from zero.  It takes its operator and preconditioner as
-records that carry ``matvec``, ``shape`` and ``dtype`` (an ``Operator``
-or any object with those attributes) and solves its small Hessenberg
-system by back substitution, so the solver needs numpy alone.  Residuals
+the rest of the correction from zero, and the chain is handed back the
+start's correction plus that one.  ``gmres`` takes its operator and
+preconditioner as records that carry ``matvec``, ``shape`` and ``dtype``
+(an ``Operator`` or any object with those attributes) and solves its
+small Hessenberg system by back substitution, so the solver needs numpy
+alone.  Residuals
 are measured with each row weighted by its quadrature weight, so the
 Euclidean norm of a residual vector is
 sqrt(||interior||_0^2 + ||bottom flux||_{L2(Sigma_b)}^2) and bounds both.
 GMRES stops a cycle when its Arnoldi estimate of that norm is within the
 target, then forms the true residual of the new iterate.  Every correction
-has an exactly zero top plane.  A returned field has been verified: the
-interior rows ||-Lap^phi W - rhs||_0 and the bottom-flux row
+has an exactly zero top plane, so a chained start keeps the Dirichlet row
+exact.  A returned field has been verified: the interior rows
+||-Lap^phi W - rhs||_0 and the bottom-flux row
 ||d3^phi W - neu_bottom||_{L2} are each at most tol * (1 + ||rhs||_0).
-Each Krylov iteration applies the operator and the flat solve once, and a
-solve that meets the target in one cycle of k iterations applies each
-k + 2 times.
+The start applies the operator and the flat solve once each, and a solve
+that returns there applies nothing more.  Each Krylov iteration applies
+each once, so a solve that meets the target in one cycle of k iterations
+applies each k + 2 times.
 
 The pressure source reads a ``StageFields`` bundle: the stage velocity and
 the nonzero columns of the deformation dealiased once, and the twisted
@@ -225,15 +233,31 @@ def _residual_norms(R: np.ndarray) -> tuple[float, float]:
             float(np.linalg.norm(R[:, :, -1])))
 
 
+@dataclass
+class Chain:
+    """The Krylov correction W - flat.solve(B) a solve reached, kept to
+    start the next solve of a nearby problem.  A solve given the record
+    starts from its data's flat solve plus ``correction`` and overwrites
+    ``correction`` with the one it reaches; ``None`` starts cold.  The
+    correction's top plane is exactly zero."""
+
+    correction: np.ndarray | None = None
+
+
 def solve_poisson_phi(rhs: np.ndarray, dir_top: np.ndarray,
                       neu_bottom: np.ndarray, gm: GraphMap,
-                      tol: float = DEFAULT_TOL) -> np.ndarray:
+                      tol: float = DEFAULT_TOL,
+                      chain: Chain | None = None) -> np.ndarray:
     """Solve -Lap^phi W = rhs with W = dir_top on Sigma and
     d3^phi W = neu_bottom on Sigma_b.
 
     The returned W carries dir_top exactly, and its interior and
     bottom-flux residuals are each at most tol * (1 + ||rhs||_0); a solve
-    that cannot show this raises ``SolverConvergenceError``.
+    that cannot show this raises ``SolverConvergenceError``.  Without
+    ``chain``, or with an empty one, the solve starts from the flat solve
+    of the data; with ``chain.correction`` it starts from that flat solve
+    plus the correction, and on return ``chain.correction`` holds the
+    returned W minus the flat solve.
     """
     grid = gm.grid
     flat = _flat_solver(grid)
@@ -245,6 +269,9 @@ def solve_poisson_phi(rhs: np.ndarray, dir_top: np.ndarray,
     B[:, :, 0] = dir_top
     B[:, :, -1] = neu_bottom
     W = flat.solve(B)
+    start = None if chain is None else chain.correction
+    if start is not None:
+        W += start
     # the warm start's weighted residual; its top row is exactly zero
     R = rhs + laplace_phi(W, gm)
     R[:, :, 0] = 0.0
@@ -268,7 +295,10 @@ def solve_poisson_phi(rhs: np.ndarray, dir_top: np.ndarray,
                              Operator(precond, (n, n)), target)
     interior, bottom = _residual_norms(r.reshape(shape))
     if interior <= target and bottom <= target:
-        W += e.reshape(shape)
+        e = e.reshape(shape)
+        W += e
+        if chain is not None:
+            chain.correction = e if start is None else start + e
         return W
     raise SolverConvergenceError(
         f"poisson solve stalled: residual {interior:.3e} (bottom flux "

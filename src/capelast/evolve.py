@@ -29,6 +29,15 @@ evolved, and v3 = F_3j = 0 on the flat bottom are carried by the scheme,
 so the recorded ``v3_bot`` and ``F3_bot`` measure its drift there.
 ``run`` stops with a named reason when a stepped state is no longer finite.
 
+Pressure solves.  The four pressure problems of a step differ by O(dt) in
+data and geometry, so they share one ``Chain``: stage 2's solve starts
+cold, from the flat solve of its data, and stage 3's, stage 4's and the
+new pressure's each start from the flat solve of their own data plus the
+Krylov correction the solve before reached.  The projection solve starts
+cold.  The chain is made per step and nothing of it outlives the step, so
+a step is a function of ``(state, gm, dt)`` alone and a restart from a
+snapshot is exact.
+
 The step is guarded by dt <= 0.5 * min(advective, capillary, vertical)
 bounds.  The vertical bound compares the transport speed w = v.Nb - dt(phi)
 against the local node gap: w vanishes on both boundary planes, so the
@@ -47,6 +56,7 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord, conserved_energy, higher_energy, rt_monitor
 from .elliptic import (
     DEFAULT_TOL,
+    Chain,
     StageFields,
     each_gradient_column,
     pressure_rhs,
@@ -72,13 +82,15 @@ class Tendencies:
 
 
 def tendencies(state: State, gm: GraphMap, solver_tol: float = DEFAULT_TOL,
-               q: np.ndarray | None = None) -> Tendencies:
+               q: np.ndarray | None = None,
+               chain: Chain | None = None) -> Tendencies:
     """Right-hand sides of the evolution, with the stage pressure.
 
     ``q`` short-circuits the pressure solve when the caller already holds
     the pressure consistent with this state (e.g. the first RK stage).
     Without it the pressure is solved as in ``State.pressure``, from the
-    bundle the tendencies read too, and that bundle is dropped first.
+    bundle the tendencies read too, and that bundle is dropped first; the
+    solve starts from and updates ``chain`` (see ``solve_poisson_phi``).
 
     The pressure source and every tendency term read one ``StageFields``
     bundle, so v and F are dealiased and differentiated once per stage.
@@ -109,7 +121,7 @@ def tendencies(state: State, gm: GraphMap, solver_tol: float = DEFAULT_TOL,
     if q is None:
         dir_top = -state.sigma * mean_curvature(state.psi, g)
         q = solve_poisson_phi(rhs, dir_top, np.zeros((g.nx, g.ny)), gm,
-                              tol=solver_tol)
+                              tol=solver_tol, chain=chain)
     v_dot -= grad_phi_stack(q, gm)
     # the graph map was built with psi_t = v . N
     return Tendencies(psi_dot=gm.psi_t, v_dot=g.truncate(v_dot),
@@ -168,8 +180,11 @@ def step_rk4(state: State, gm: GraphMap, dt: float,
     """One classical four-stage step from ``state``, whose map is ``gm``.
 
     Returns the advanced state, with a freshly solved pressure, and its
-    graph map.  A dt above ``cfl_limit`` raises CFLError; a NaN bound
-    raises NonFiniteStateError naming the field that is not finite.
+    graph map.  The pressure solves of stages 3 and 4 and of the new state
+    each start from the Krylov correction of the solve before it; nothing
+    is carried from one step to the next.  A dt above ``cfl_limit`` raises
+    CFLError; a NaN bound raises NonFiniteStateError naming the field that
+    is not finite.
     """
     grid, cutoff = gm.grid, gm.cutoff
     bound = cfl_limit(state, gm)
@@ -181,6 +196,7 @@ def step_rk4(state: State, gm: GraphMap, dt: float,
             suggested_dt=bound)
 
     k = tendencies(state, gm, solver_tol=solver_tol, q=state.q)
+    chain = Chain()     # stage 2 starts cold
     total = (k.psi_dot, k.v_dot, k.F_dot)   # ((k1 + 2 k2) + 2 k3) + k4
     for c, w in ((0.5, 2), (0.5, 2), (1.0, 1)):
         h = c * dt
@@ -189,7 +205,7 @@ def step_rk4(state: State, gm: GraphMap, dt: float,
                       q=state.q, sigma=state.sigma)
         del k   # one stage's tendencies alive at a time
         k = tendencies(stage, stage.graphmap(cutoff, grid),
-                       solver_tol=solver_tol)
+                       solver_tol=solver_tol, chain=chain)
         total = tuple(acc + w * dot for acc, dot in
                       zip(total, (k.psi_dot, k.v_dot, k.F_dot)))
     del k, stage
@@ -202,7 +218,7 @@ def step_rk4(state: State, gm: GraphMap, dt: float,
     new.v = project_divfree(new.v, new.graphmap(cutoff, grid),
                             tol=solver_tol)
     gm_new = new.graphmap(cutoff, grid)
-    new.q = new.pressure(gm_new, solver_tol)
+    new.q = new.pressure(gm_new, solver_tol, chain=chain)
     return new, gm_new
 
 

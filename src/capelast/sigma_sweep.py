@@ -112,12 +112,11 @@ def sweep_sigma(base: RunConfig, sigmas,
     if len(sigmas) < 2:
         raise ConfigError(
             f"a sigma sweep needs at least two values, got {len(sigmas)}")
-    if any(s < 0 for s in sigmas):
-        raise ConfigError("sigma values must be >= 0")
     if any(s2 > s1 for s1, s2 in zip(sigmas, sigmas[1:])):
         raise ConfigError("sigma list must be non-increasing")
 
-    # every member's settings are checked before the first one runs
+    # every member's settings, sigma >= 0 included, are checked by its
+    # InitSpec before the first member runs
     cfgs = [replace(base, init=replace(base.init, sigma=s)) for s in sigmas]
     members: list[SweepMember] = []
     for s, cfg in zip(sigmas, cfgs):

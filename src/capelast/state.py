@@ -19,6 +19,7 @@ import numpy as np
 from . import fieldio
 from .elliptic import (
     DEFAULT_TOL,
+    Chain,
     pressure_rhs,
     project_divfree,
     solve_poisson_phi,
@@ -76,18 +77,20 @@ class State:
         return build_graphmap(self.psi, self.surface_velocity(grid),
                               cutoff, grid)
 
-    def pressure(self, gm: GraphMap, tol: float) -> np.ndarray:
+    def pressure(self, gm: GraphMap, tol: float,
+                 chain: Chain | None = None) -> np.ndarray:
         """The pressure of this state on its map ``gm``, to ``tol``: the
         momentum-balance source, the capillary Dirichlet datum -sigma kappa
         on top and a zero Neumann datum on the flat bottom.  The momentum
         balance there gives sum_{k,l} F_lk d_l^phi F_3k, which vanishes
         with F_3k, since d_1^phi and d_2^phi are tangential there.  The
-        source streams the gradient of F one column at a time."""
+        source streams the gradient of F one column at a time.  The solve
+        starts from and updates ``chain`` (see ``solve_poisson_phi``)."""
         g = gm.grid
         rhs = pressure_rhs(stage_fields(self.v, self.F, gm))
         dir_top = -self.sigma * mean_curvature(self.psi, g)
         return solve_poisson_phi(rhs, dir_top, np.zeros((g.nx, g.ny)), gm,
-                                 tol=tol)
+                                 tol=tol, chain=chain)
 
 
 def zero_state(grid: Grid, sigma: float) -> State:

@@ -50,7 +50,7 @@ def test_traced_matvecs_are_the_solver_operator_applications(monkeypatch):
     g = make_grid(16, 16, 9, 1.0)
     X1, X2, X3 = g.mesh_volume()
     psi = 0.05 * np.cos(X1[:, :, 0] + X2[:, :, 0])
-    cut = make_cutoff(g, g.b / 8, 0.05, strict=False)
+    cut = make_cutoff(g)
     gm = build_graphmap(psi, np.zeros_like(psi), cut, g)
     applied = [0]
     apply_op = elliptic._apply_bc_operator

@@ -59,7 +59,7 @@ def test_higher_energy_builds_no_graphmap(monkeypatch):
     import capelast.state
 
     g = make_grid(16, 16, 9, 1.0)
-    cut = make_cutoff(g, 0.1, 0.0, strict=False)
+    cut = make_cutoff(g)
     hist = _shear_history(g, cut)
     built = []
     original = capelast.state.build_graphmap
@@ -75,7 +75,7 @@ def test_higher_energy_builds_no_graphmap(monkeypatch):
 
 def test_higher_energy_cases():
     g = make_grid(16, 16, 9, 1.0)
-    cut = make_cutoff(g, 0.1, 0.0, strict=False)
+    cut = make_cutoff(g)
     # rest: zero
     hist0 = History(maxlen=6)
     for k in range(6):
@@ -146,7 +146,7 @@ def compatible_history(g, cut, nslices=7, dt=0.01, eps=0.02, base_amp=0.1):
 
 def test_transport_residual_compatible_family():
     g = make_grid(32, 32, 17, 1.0, dealias=False)
-    cut = make_cutoff(g, 0.125, 0.12, strict=False)
+    cut = make_cutoff(g)
     hist = compatible_history(g, cut)
     r = transport_residual(Calculus(hist, cut, g), "q")
     assert r <= 1e-8, r
@@ -154,7 +154,7 @@ def test_transport_residual_compatible_family():
 
 def test_lemma_checks_flat_and_wavy():
     g = make_grid(16, 16, 13, 1.0, dealias=False)
-    cut = make_cutoff(g, 0.1, 0.0, strict=False)
+    cut = make_cutoff(g)
     hist0 = History(maxlen=6)
     for k in range(6):
         s = zero_state(g, 0.0)
@@ -165,7 +165,7 @@ def test_lemma_checks_flat_and_wavy():
         assert row["residual"] <= 1e-12, row
 
     gw = make_grid(32, 32, 17, 1.0, dealias=False)
-    cutw = make_cutoff(gw, 0.125, 0.12, strict=False)
+    cutw = make_cutoff(gw)
     histw = compatible_history(gw, cutw)
     gmw = histw.newest.graphmap(cutw, gw)
     for row in lemma_checks(histw, gmw, gw):
@@ -176,7 +176,7 @@ def test_lemma_residuals_decay_under_refinement():
     rows = {}
     for (nx, nz) in ((16, 13), (32, 17)):
         g = make_grid(nx, nx, nz, 1.0, dealias=False)
-        cut = make_cutoff(g, g.b / 8, 0.12, strict=False)
+        cut = make_cutoff(g)
         hist = compatible_history(g, cut)
         gm = hist.newest.graphmap(cut, g)
         rows[(nx, nz)] = {f"{r['lemma']}:{r['case']}": r["residual"]

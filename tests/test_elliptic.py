@@ -7,6 +7,7 @@ import capelast.evolve
 import capelast.state
 from capelast import CapelastError, SolverConvergenceError, elliptic, make_grid
 from capelast.elliptic import (
+    Chain,
     Operator,
     _apply_bc_operator,
     gmres,
@@ -33,7 +34,7 @@ from capelast.state import InitSpec
 def wavy_gm(grid, amp=0.05, kx=1, ky=1):
     X1s, X2s = grid.mesh_surface()
     psi = amp * np.cos(kx * X1s + ky * X2s)
-    cut = make_cutoff(grid, grid.b / 8, amp, strict=False)
+    cut = make_cutoff(grid)
     return build_graphmap(psi, np.zeros_like(psi), cut, grid)
 
 
@@ -233,18 +234,18 @@ def residuals_over_target(W, rhs, dir_top, neu_bottom, gm, tol):
     return g.norm0(res) / target, g.norm0(flux) / target
 
 
-def krylov_problem():
+def krylov_problem(amp=0.05):
     """A curved 16x16x9 problem that the flat warm start does not settle."""
     g = make_grid(16, 16, 9, 1.0)
-    gm = wavy_gm(g, amp=0.05)
+    gm = wavy_gm(g, amp=amp)
     X1, X2, X3 = g.mesh_volume()
     rhs = np.cos(X1) * np.sin(X2) * (1 + X3)
     return rhs, 0.1 * np.cos(X2[:, :, 0]), 0.2 * np.sin(X1[:, :, 0]), gm, g
 
 
-def test_each_krylov_iteration_applies_each_operator_once(monkeypatch):
-    # the warm start's residual takes one laplace_phi, each iteration one
-    # operator and one flat solve, and the cycle's end one of each
+def counted_operators(monkeypatch):
+    """Count the solver's ``laplace_phi`` applications and flat solves;
+    returns the dict of counts."""
     calls = {"laplace": 0, "flat": 0}
     lap = elliptic.laplace_phi
     flat_solve = elliptic._FlatSolver.solve
@@ -259,10 +260,74 @@ def test_each_krylov_iteration_applies_each_operator_once(monkeypatch):
 
     monkeypatch.setattr(elliptic, "laplace_phi", counted_lap)
     monkeypatch.setattr(elliptic._FlatSolver, "solve", counted_flat)
+    return calls
+
+
+def test_each_krylov_iteration_applies_each_operator_once(monkeypatch):
+    # the warm start's residual takes one laplace_phi, each iteration one
+    # operator and one flat solve, and the cycle's end one of each
+    calls = counted_operators(monkeypatch)
     rhs, dir_top, neu, gm, g = krylov_problem()
     W = solve_poisson_phi(rhs, dir_top, neu, gm, tol=1e-11)
     assert calls["flat"] >= 3          # the solve made Krylov iterations
     assert calls["laplace"] == calls["flat"]
+    interior, bottom = residuals_over_target(W, rhs, dir_top, neu, gm, 1e-11)
+    assert interior <= 1.0 and bottom <= 1.0
+
+
+def counted_gmres(monkeypatch):
+    """Route ``elliptic.gmres`` through a wrapper; returns the list of
+    each call's iteration count."""
+    iterations = []
+    original = elliptic.gmres
+
+    def counting(*args):
+        out = original(*args)
+        iterations.append(out[2])
+        return out
+
+    monkeypatch.setattr(elliptic, "gmres", counting)
+    return iterations
+
+
+def test_cold_solve_is_the_empty_chain_solve():
+    # the default start and an empty chain are the same cold solve; the
+    # chain then holds the correction the solve reached, zero on top
+    rhs, dir_top, neu, gm, g = krylov_problem()
+    chain = Chain()
+    W = solve_poisson_phi(rhs, dir_top, neu, gm, tol=1e-11)
+    assert np.array_equal(
+        solve_poisson_phi(rhs, dir_top, neu, gm, tol=1e-11, chain=chain), W)
+    assert chain.correction.shape == W.shape
+    assert not chain.correction[:, :, 0].any()
+
+
+def test_solve_from_its_own_correction_runs_no_krylov_iteration(monkeypatch):
+    # given the correction of its own problem, a solve's warm start meets
+    # the target: one flat solve, one laplace_phi and no GMRES call
+    rhs, dir_top, neu, gm, g = krylov_problem()
+    chain = Chain()
+    W = solve_poisson_phi(rhs, dir_top, neu, gm, tol=1e-11, chain=chain)
+    correction = chain.correction
+    calls = counted_operators(monkeypatch)
+    gmres_calls = counted_gmres(monkeypatch)
+    W2 = solve_poisson_phi(rhs, dir_top, neu, gm, tol=1e-11, chain=chain)
+    assert calls == {"laplace": 1, "flat": 1} and gmres_calls == []
+    assert np.array_equal(W2, W) and chain.correction is correction
+
+
+def test_correction_of_a_nearby_surface_saves_krylov_iterations(monkeypatch):
+    # the correction of a slightly moved surface starts the solve closer
+    # than the flat solve does, and the result still meets its target
+    *_, gm_near, _ = krylov_problem(amp=0.05)
+    rhs, dir_top, neu, gm, g = krylov_problem(amp=0.051)
+    chain = Chain()
+    solve_poisson_phi(rhs, dir_top, neu, gm_near, tol=1e-11, chain=chain)
+    iterations = counted_gmres(monkeypatch)
+    solve_poisson_phi(rhs, dir_top, neu, gm, tol=1e-11)
+    W = solve_poisson_phi(rhs, dir_top, neu, gm, tol=1e-11, chain=chain)
+    cold, chained = iterations
+    assert 0 < chained < cold
     interior, bottom = residuals_over_target(W, rhs, dir_top, neu, gm, 1e-11)
     assert interior <= 1.0 and bottom <= 1.0
 
@@ -367,8 +432,9 @@ def test_solve_returns_the_verified_field(monkeypatch):
     ratios = []
     solve = elliptic.solve_poisson_phi
 
-    def checked(rhs, dir_top, neu_bottom, gm, tol=elliptic.DEFAULT_TOL):
-        W = solve(rhs, dir_top, neu_bottom, gm, tol=tol)
+    def checked(rhs, dir_top, neu_bottom, gm, tol=elliptic.DEFAULT_TOL,
+                chain=None):
+        W = solve(rhs, dir_top, neu_bottom, gm, tol=tol, chain=chain)
         ratios.append(residuals_over_target(W, rhs, dir_top, neu_bottom, gm,
                                             tol))
         return W

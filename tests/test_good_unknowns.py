@@ -79,7 +79,7 @@ def test_multiindex_validation():
 
 def test_tangential_derivative_cases():
     g = make_grid(16, 16, 9, 1.0, dealias=False)
-    cut = make_cutoff(g, 0.1, 0.1, strict=False)
+    cut = make_cutoff(g)
     X1, X2, X3 = g.mesh_volume()
 
     def psi_fn(t):
@@ -120,7 +120,7 @@ def test_tangential_derivative_cases():
 
 def test_named_series_stacked_once_and_read_only():
     g = make_grid(8, 8, 9, 1.0, dealias=False)
-    cut = make_cutoff(g, 0.1, 0.1, strict=False)
+    cut = make_cutoff(g)
     psi_fn, v_fn, f_fn = wavy_setup(g)
     calc = Calculus(make_history(g, cut, 5, 0.05, psi_fn, v_fn, f_fn), cut, g)
     for name in ("q", "v2", "phi", "inv_d3phi"):
@@ -134,7 +134,7 @@ def test_named_series_stacked_once_and_read_only():
 
 def test_good_unknown_flat_and_phi_identity():
     g = make_grid(16, 16, 9, 1.0, dealias=False)
-    cut = make_cutoff(g, 0.1, 0.1, strict=False)
+    cut = make_cutoff(g)
     psi_fn, v_fn, f_fn = wavy_setup(g, moving=True)
     hist = make_history(g, cut, 6, 0.05, psi_fn, v_fn, f_fn)
     alpha = MultiIndex(0, 1, 0)
@@ -155,7 +155,7 @@ def test_good_unknown_flat_and_phi_identity():
 def test_remainders_collapse_flat_static():
     # psi = 0 frozen and constant v: every remainder term dies
     g = make_grid(16, 16, 9, 1.0, dealias=False)
-    cut = make_cutoff(g, 0.1, 0.0, strict=False)
+    cut = make_cutoff(g)
     X1, X2, X3 = g.mesh_volume()
     zero = np.zeros((16, 16))
     const_v = np.stack([np.ones((16, 16, 9)), 0.5 * np.ones((16, 16, 9)),
@@ -212,7 +212,7 @@ def test_remainder_C_matches_the_separate_formulas(moving):
     # tangential formula bit for bit, and C_3 differs from the vertical one
     # only by d3 f [D^alpha, 1, U], zero up to rounding
     g = make_grid(32, 32, 17, 1.0, dealias=False)
-    cut = make_cutoff(g, 0.125, 0.1, strict=False)
+    cut = make_cutoff(g)
     psi_fn, v_fn, f_fn = wavy_setup(g, moving=moving)
     calc = Calculus(make_history(g, cut, 6, 0.05, psi_fn, v_fn, f_fn), cut, g)
     for alpha in (MultiIndex(0, 1, 0), MultiIndex(1, 0, 1),
@@ -230,7 +230,7 @@ def test_remainder_C_matches_the_separate_formulas(moving):
 def test_order_one_triple_brackets_vanish():
     # first-order Leibniz: spatial unit-index brackets die to aliasing level
     g = make_grid(32, 32, 17, 1.0, dealias=False)
-    cut = make_cutoff(g, 0.125, 0.1, strict=False)
+    cut = make_cutoff(g)
     psi_fn, v_fn, f_fn = wavy_setup(g)
     hist = make_history(g, cut, 6, 0.05, psi_fn, v_fn, f_fn)
     calc = Calculus(hist, cut, g)
@@ -245,7 +245,7 @@ def test_order_one_triple_brackets_vanish():
 def test_identity_residuals_spatial_static():
     # static manufactured data: all four identities close to spectral level
     g = make_grid(32, 32, 17, 1.0, dealias=False)
-    cut = make_cutoff(g, 0.125, 0.1, strict=False)
+    cut = make_cutoff(g)
     psi_fn, v_fn, f_fn = wavy_setup(g, moving=False)
     hist = make_history(g, cut, 6, 0.05, psi_fn, v_fn, f_fn)
     calc = Calculus(hist, cut, g)
@@ -260,7 +260,7 @@ def test_identity_residual_time_order():
     # alpha0 = 1: residual decays with the interpolant order as dt shrinks;
     # brisk time frequencies keep the signal above the spatial floor
     g = make_grid(16, 16, 17, 1.0, dealias=False)
-    cut = make_cutoff(g, 0.1, 0.1, strict=False)
+    cut = make_cutoff(g)
     psi_fn, v_fn, f_fn = wavy_setup(g, moving=True, freq=3.0)
     alpha = MultiIndex(1, 0, 0)
     dts = (0.12, 0.06, 0.03)
@@ -277,7 +277,7 @@ def test_top_order_alpha_accepted():
     # operations accept |alpha| up to 4 even though only |alpha| <= 2 is
     # gated; a static setup keeps the top-order residual spectrally small
     g = make_grid(16, 16, 13, 1.0, dealias=False)
-    cut = make_cutoff(g, 0.1, 0.1, strict=False)
+    cut = make_cutoff(g)
     psi_fn, v_fn, f_fn = wavy_setup(g, moving=False)
     hist = make_history(g, cut, 6, 0.05, psi_fn, v_fn, f_fn)
     alpha = MultiIndex(0, 2, 2)
@@ -290,7 +290,7 @@ def test_top_order_alpha_accepted():
 
 def test_curl_commutators_trivial_and_steady():
     g = make_grid(16, 16, 13, 1.0, dealias=False)
-    cut = make_cutoff(g, 0.1, 0.05, strict=False)
+    cut = make_cutoff(g)
     X1, X2, X3 = g.mesh_volume()
     zero = np.zeros((16, 16))
     const_v = np.stack([np.ones((16, 16, 13)), np.zeros((16, 16, 13)),
@@ -340,7 +340,7 @@ BATTERY_ALPHAS = (MultiIndex(0, 1, 0), MultiIndex(0, 0, 1),
 
 def battery_setup():
     g = make_grid(16, 16, 9, 1.0, dealias=False)
-    return g, make_cutoff(g, 0.125, 0.06 * 1.6 * 1.4, strict=False)
+    return g, make_cutoff(g)
 
 
 @pytest.mark.parametrize("history", ["static", "moving"])

@@ -28,7 +28,7 @@ def battery():
     g = make_grid(32, 32, 17, 1.0, dealias=False)
     X1s, X2s = g.mesh_surface()
     psi = 0.1 * np.cos(X1s) + 0.05 * np.sin(X2s)
-    cut = make_cutoff(g, g.b / 8, float(np.abs(psi).max()), strict=False)
+    cut = make_cutoff(g)
     gm = build_graphmap(psi, np.zeros_like(psi), cut, g)
     return g, gm
 
@@ -69,7 +69,7 @@ def test_strict_cutoff_rejects_a_binding_slope_bound():
 
 def test_cutoff_relaxed_mode_shallow():
     g = make_grid(8, 8, 9, 1.0)
-    cut = make_cutoff(g, 0.1, 1.0, strict=False)
+    cut = make_cutoff(g)
     assert abs(np.abs(cut.chi_prime).max() - 1.5) <= 1e-6
 
 
@@ -91,7 +91,7 @@ def test_surface_normal_matches_interior_on_sigma():
     g = make_grid(16, 16, 9, 1.0)
     X1s, _ = g.mesh_surface()
     psi = 0.1 * np.cos(X1s)
-    cut = make_cutoff(g, 0.1, 0.1, strict=False)
+    cut = make_cutoff(g)
     gm = build_graphmap(psi, np.zeros_like(psi), cut, g)
     expected_N1 = 0.1 * np.sin(X1s)
     assert np.abs(gm.N[0] - expected_N1).max() <= 1e-12
@@ -105,7 +105,7 @@ def test_surface_normal_matches_interior_on_sigma():
 def test_degenerate_map_rejected():
     g = make_grid(8, 8, 9, 1.0)
     X1s, _ = g.mesh_surface()
-    cut = make_cutoff(g, 0.1, 0.0, strict=False)
+    cut = make_cutoff(g)
     steep = (1.05 / np.abs(cut.chi_prime).max()) * np.cos(X1s)
     with pytest.raises(DegenerateMapError):
         build_graphmap(steep, np.zeros_like(steep), cut, g)
@@ -115,7 +115,7 @@ def test_nan_surface_is_named():
     g = make_grid(8, 8, 9, 1.0)
     psi = np.full((8, 8), 1e-3)
     psi[3, 5] = np.nan
-    cut = make_cutoff(g, 0.1, 1e-3, strict=False)
+    cut = make_cutoff(g)
     with pytest.raises(NonFiniteStateError, match="psi is not finite"):
         build_graphmap(psi, np.zeros_like(psi), cut, g)
 
@@ -160,7 +160,7 @@ def test_pullback_chain_rule_oracle():
     g = make_grid(16, 16, 17, 1.0, dealias=False)
     X1s, _ = g.mesh_surface()
     psi = 0.1 * np.cos(X1s)
-    cut = make_cutoff(g, 0.1, 0.1, strict=False)
+    cut = make_cutoff(g)
     gm = build_graphmap(psi, np.zeros_like(psi), cut, g)
     X1, X2, _ = g.mesh_volume()
 
@@ -197,7 +197,7 @@ def test_advection_speed_vanishes_on_boundaries():
     g = make_grid(16, 16, 9, 1.0)
     X1s, _ = g.mesh_surface()
     psi = 0.05 * np.cos(X1s)
-    cut = make_cutoff(g, 0.1, 0.05, strict=False)
+    cut = make_cutoff(g)
     X1, X2, X3 = g.mesh_volume()
     v = np.stack([np.cos(X2), np.zeros_like(X1), np.sin(X1) * (X3 + 1.0)])
     # kinematic psi_t := (v . N)|_Sigma

@@ -21,7 +21,7 @@ elliptic.gmres = lambda *args: calls.append(1) or gmres(*args)
 g = make_grid(16, 16, 9, 1.0)
 X1, X2, X3 = g.mesh_volume()
 psi = 0.05 * np.cos(X1[:, :, 0] + X2[:, :, 0])
-cut = make_cutoff(g, g.b / 8, 0.05, strict=False)
+cut = make_cutoff(g)
 gm = build_graphmap(psi, np.zeros_like(psi), cut, g)
 elliptic.solve_poisson_phi(np.cos(X1) * np.sin(X2) * (1 + X3),
                            0.1 * np.cos(X2[:, :, 0]),

@@ -43,7 +43,8 @@ def test_verdict_compares_two_distances(sigmas, verdict):
 def test_sigma_list_validation():
     with pytest.raises(ConfigError):
         sweep_sigma(small_config(), [1e-3, 1e-2])
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError,
+                       match="sigma must be finite and >= 0, got -0.001"):
         sweep_sigma(small_config(), [1e-2, -1e-3])
 
 

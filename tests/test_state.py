@@ -72,8 +72,7 @@ def test_stream_recipe_compatibility():
     g = spec.make_grid()
     state = zero_state(g, spec.sigma)
     state.psi = spec.build_psi0(g)
-    cut = make_cutoff(g, g.b / 8, float(np.abs(state.psi).max()),
-                      strict=False)
+    cut = make_cutoff(g)
     gm0 = build_graphmap(state.psi, np.zeros_like(state.psi), cut, g)
     state.v = StreamRecipe(amp=0.3, k=1, profile="sinh").build(g, gm0)
     state.F[0] = StreamRecipe(amp=0.1, k=1, profile="confined").build(g, gm0)

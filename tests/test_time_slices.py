@@ -15,7 +15,7 @@ P = np.polynomial.Polynomial((1.0, 1.0, -2.0, 0.5, 0.3, -0.2))
 
 def grid_and_cutoff():
     g = make_grid(16, 16, 9, 1.0, dealias=False)
-    return g, make_cutoff(g, 0.1, 0.1, strict=False)
+    return g, make_cutoff(g)
 
 
 def q_history(g, q_fn):
