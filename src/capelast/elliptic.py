@@ -8,7 +8,8 @@ the chart tolerates, the flat operator is within O(|psi|) of the full one
 and the loop converges in a handful of iterations.  The flat operator is
 also separable, so it is factored once per grid in an eigenbasis of its
 vertical rows: a flat solve is one real nz x nz product on each side of a
-diagonal scaling of the tangential spectrum, with no per-mode matrices.
+diagonal scaling of the grid's trigonometric coefficients, with no
+per-mode matrices and no FFT.
 
 Unknowns live on the full grid; the top plane carries a Dirichlet row, the
 bottom plane the twisted Neumann row d3^phi W.  The Krylov operator is
@@ -64,7 +65,8 @@ import numpy as np
 
 from .errors import CapelastError, SolverConvergenceError
 from .graphmap import GraphMap, div_phi, grad_phi_stack, laplace_phi
-from .grid import Grid, irfft2, rfft2
+# no solve calls rfft2 or irfft2; perfbench/tracing.py requires the binding
+from .grid import Grid, irfft2, rfft2  # noqa: F401
 
 
 DEFAULT_TOL = 1e-11
@@ -79,8 +81,10 @@ class _FlatSolver:
     the k = 0 operator (Dirichlet row e_0, interior rows -D^2, Neumann row
     Dz[-1]) and P = diag(0, 1, ..., 1, 0).  With Q^-1 P = V Lam V^-1 factored
     once, A_k^-1 = V (I + k^2 Lam)^-1 V^-1 Q^-1, so a solve is one real
-    nz x nz product on each side of a diagonal scaling of the tangential
-    spectrum (Lynch, Rice and Thomas, 1964; Haidvogel and Zang, 1979).
+    nz x nz product on each side of a diagonal scaling of the coefficients
+    in the grid's orthonormal trigonometric basis (Lynch, Rice and Thomas,
+    1964; Haidvogel and Zang, 1979).  The basis is taken and undone by
+    tangential matrix products, so a solve is six GEMMs and a scaling.
     """
 
     def __init__(self, grid: Grid):
@@ -101,9 +105,11 @@ class _FlatSolver:
                 "non-negative vertical eigenbasis")
         self.lam = lam
         self.V = V
-        self.L = np.linalg.solve(V, Qinv)
+        self.LT = np.ascontiguousarray(np.linalg.solve(V, Qinv).T)
+        self.VT = np.ascontiguousarray(V.T)
         # the d_tan wavenumbers (Nyquist zeroed), so the flat case
-        # preconditions exactly
+        # preconditions exactly; on ksq's half layout, which
+        # ``Grid.scale_modes`` reads for both trigonometric blocks
         self.S = 1.0 / (1.0 + grid.ksq[:, :, None] * lam)
         # per-plane residual weights: sqrt of the norm0 quadrature weight on
         # interior planes, of the surface weight on the bottom plane; the
@@ -115,9 +121,9 @@ class _FlatSolver:
     def solve(self, B: np.ndarray) -> np.ndarray:
         """B carries (interior rhs; top Dirichlet; bottom Neumann) stacked."""
         g = self.grid
-        Bh = rfft2(B @ self.L.T, axes=(0, 1))
-        Bh *= self.S
-        W = irfft2(Bh, s=(g.nx, g.ny), axes=(0, 1)) @ self.V.T
+        C = g.to_modes(B @ self.LT)
+        g.scale_modes(C, self.S)
+        W = g.from_modes(C) @ self.VT
         W[:, :, 0] = B[:, :, 0]    # the Dirichlet row is the identity
         return W
 

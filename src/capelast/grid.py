@@ -21,10 +21,13 @@ derivatives of real data stay real) and the 2/3 rule
 (``dealias_tangential``).  At the lengths used here a matrix product
 beats an FFT pair: a derivative of one 64 x 64 x 33 field takes about 0.4 ms
 against 1.2-2.5 ms (one OpenBLAS 0.3.31 thread on a 2-vCPU x86 VM), and the
-two are about even near n = 256.  FFTs, from ``numpy.fft``, remain where a
-modal basis is the algorithm, the flat Poisson solve and ``sobolev_norm``'s
-Parseval sums, and both read ``Grid.ksq``, the derivative's squared
-wavenumbers on the rfft2 layout.
+two are about even near n = 256.  Where a modal basis is the algorithm, the
+flat Poisson solve and ``sobolev_norm``'s Parseval sums, the grid gives one
+real orthonormal trigonometric basis per axis (``trig_basis``), applied the
+same way: ``to_modes`` and its transpose ``from_modes``.  Its rows mirror
+the rfft layout, so both read ``Grid.ksq``, the derivative's squared
+wavenumbers on the rfft2 layout, through ``scale_modes``.  FFTs run only
+while a grid is built.
 """
 
 from __future__ import annotations
@@ -64,6 +67,21 @@ def _no_nyquist(k: np.ndarray, n: int) -> np.ndarray:
     """``k`` with the Nyquist mode n/2 of an even n set to 0: the
     derivative's wavenumbers, so derivatives of real data stay real."""
     return np.where(2 * k == n, 0.0, k)
+
+
+def trig_basis(n: int) -> np.ndarray:
+    """The real orthonormal trigonometric basis of an axis of even length n,
+    one mode per row: cos kx for k = 0..n/2, then sin kx for k = n/2-1 down
+    to 1.  Row r carries |k| = min(r, n - r), as position r of the fft
+    layout does, so the cos rows are the rfft half spectrum and the sin
+    rows read it backwards from k = n/2 - 1."""
+    x = 2.0 * np.pi * np.arange(n) / n
+    k = _wavenumbers(n, n)
+    T = np.cos(np.outer(k, x))
+    T[n // 2 + 1:] = np.sin(np.outer(k[n // 2 + 1:], x))
+    T *= math.sqrt(2.0 / n)
+    T[[0, n // 2]] /= math.sqrt(2.0)
+    return T
 
 
 def chebyshev_nodes(n: int) -> np.ndarray:
@@ -140,6 +158,7 @@ class Grid:
         self.x3[-1] = -self.b
         self.wz = clenshaw_curtis_weights(self.nz) * (self.b / 2.0)
         self.Dz = chebyshev_diff_matrix(self.nz) * (2.0 / self.b)
+        self._DzT = np.ascontiguousarray(self.Dz.T)
         # the derivative's squared wavenumbers on the rfft2 layout of the
         # tangential pair: axis 0 full, axis 1 half
         k1 = _no_nyquist(_wavenumbers(self.nx, self.nx), self.nx)
@@ -148,6 +167,7 @@ class Grid:
         self._d1, self._d2 = self.separable(
             lambda k, n: 1j * _no_nyquist(k, n))
         self._keep = self.separable(lambda k, n: k <= n // 3)   # 2/3 rule
+        self._trig = (trig_basis(self.nx), trig_basis(self.ny))
 
     # -- geometry helpers -------------------------------------------------
 
@@ -177,7 +197,7 @@ class Grid:
         if f.shape[-1] != self.nz:
             raise GridError(
                 f"vertical length {f.shape[-1]} does not match grid ({self.nz})")
-        return np.tensordot(f, self.Dz, axes=([-1], [1]))
+        return f @ self._DzT
 
     # -- quadrature -------------------------------------------------------
 
@@ -205,30 +225,24 @@ class Grid:
         Surface fields (ndim 2) take tangential derivatives only; anything
         with more dimensions is a volume field, or a stack of them with
         trailing (nx, ny, nz), and a stack returns sqrt(sum_c ||f_c||_s^2).
-        By Parseval the tangential sum over multi-indices (m1, m2) with
-        m1 + m2 = j is the homogeneous weight sum_{p+q=j} (k1^2)^p (k2^2)^q
-        on the half spectrum.  The vertical ladder acts on that spectrum,
-        since d_vert commutes with the tangential transform, so each
-        component takes one transform.  A stack is transformed one
-        component at a time, which keeps each transform in cache (about 20%
-        faster than one transform of a 3 x 3 stack at 64 x 64 x 33, one FFT
-        worker on a 2-vCPU x86 VM), and a zero component is skipped.
+        In the orthonormal trigonometric basis Parseval is a plain sum of
+        squared coefficients times the cell area, and the tangential sum
+        over multi-indices (m1, m2) with m1 + m2 = j is the homogeneous
+        weight sum_{p+q=j} (k1^2)^p (k2^2)^q on ``ksq``'s layout.  The
+        vertical ladder acts on the coefficients, since d_vert commutes with
+        the tangential transform, so each component takes one transform and
+        s real products with Dz^T.  A zero component is skipped.
         """
         if s not in (0, 1, 2, 3, 4):
             raise GridError(f"sobolev order must be in 0..4, got {s}")
         surface = f.ndim == 2
         k1sq = self.ksq[:, :1]                         # (nx, 1)
-        k2sq = self.ksq[0]                             # (nyr,)
-        nyr = k2sq.size
-        count = np.full(nyr, 2.0)
-        count[0] = 1.0
-        if self.ny % 2 == 0:
-            count[-1] = 1.0
-        norm = 4.0 * np.pi**2 / (self.nx * self.ny) ** 2
+        k2sq = self.ksq[0]                             # (ny/2 + 1,)
+        cell = 4.0 * np.pi**2 / (self.nx * self.ny)
         # W[J] = sum over j <= J of the homogeneous weights of order j
-        h = np.ones((self.nx, nyr))
+        h = np.ones(self.ksq.shape)
         W = [h]
-        b_pow = np.ones(nyr)
+        b_pow = np.ones(k2sq.size)
         for _ in range(s):
             b_pow = b_pow * k2sq
             h = k1sq * h + b_pow
@@ -237,15 +251,37 @@ class Grid:
         for g in (f,) if surface else f.reshape(-1, *f.shape[-3:]):
             if not g.any():
                 continue
-            G = rfft2(g, axes=(0, 1))
+            G = self.to_modes(g)
             for m3 in range(1 if surface else s + 1):
                 if m3:
-                    G = G @ self.Dz.T
-                P = np.abs(G) ** 2
+                    G = G @ self._DzT
+                P = G * G
                 if not surface:
                     P = P @ self.wz
-                total += norm * float(np.sum(count * W[s - m3] * P))
+                total += cell * float(np.sum(self.scale_modes(P, W[s - m3])))
         return float(np.sqrt(max(total, 0.0)))
+
+    # -- trigonometric coefficients -----------------------------------------
+
+    def to_modes(self, f: np.ndarray) -> np.ndarray:
+        """Coefficients of ``f`` in the ``trig_basis`` of both tangential
+        axes; the shapes are those of ``apply_tangential``."""
+        return self.apply_separable(f, self._trig)
+
+    def from_modes(self, c: np.ndarray) -> np.ndarray:
+        """The field of coefficients ``c``: the inverse of ``to_modes``, by
+        the transposed bases."""
+        return self.apply_separable(c, tuple(T.T for T in self._trig))
+
+    def scale_modes(self, c: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """Multiply coefficients ``c`` with leading (nx, ny) axes, in place,
+        by a table on ``ksq``'s half layout (nx, ny/2 + 1, ...): the cos
+        block of axis 2 reads the table as it is, the sin block through a
+        reversed slice.  Returns ``c``."""
+        h = self.ny // 2 + 1
+        c[:, :h] *= table
+        c[:, h:] *= table[:, h - 2:0:-1]
+        return c
 
     # -- tangential matrices ------------------------------------------------
 

@@ -119,6 +119,8 @@ def constraint_residuals(state: State, gm: GraphMap) -> ConstraintResiduals:
     FN = 0.0
     F3b = 0.0
     for j in range(3):
+        if not state.F[j].any():
+            continue    # each of its residuals is an exact zero
         div_F = max(div_F, g.norm0(div_phi(state.F[j], gm)))
         top = state.F[j][:, :, :, 0]
         FN = max(FN, float(np.abs(top[0] * gm.N[0] + top[1] * gm.N[1]

@@ -75,7 +75,7 @@ def test_traced_matvecs_are_the_solver_operator_applications(monkeypatch):
     assert tracer.counts["elliptic.matvecs"] == applied[0]
 
 
-@pytest.mark.parametrize("name", ["capillary_32", "oblique_64"])
+@pytest.mark.parametrize("name", ["capillary_32", "elastic_32", "oblique_64"])
 def test_seed_zero_episode_passes_its_gates(name):
     # the run gates, the chart battery and the reference fingerprints
     workloads = load_perfbench("workloads")

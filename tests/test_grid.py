@@ -5,6 +5,10 @@ from hypothesis import strategies as st
 from scipy import fft
 
 from capelast import GridError, make_grid
+from capelast.evolve import _record, step_rk4
+from capelast.grid import trig_basis
+from capelast.recipes import StreamRecipe
+from capelast.state import History, InitSpec, build_initial_data
 
 
 @pytest.fixture(scope="module")
@@ -293,3 +297,74 @@ def test_ksq_is_the_derivative_spectrum_on_the_rfft2_layout(nx, ny):
     k2 = np.fft.rfftfreq(ny, 1.0 / ny)
     k1[nx // 2] = k2[-1] = 0.0      # Nyquist zeroed, as d_tan has it
     assert np.array_equal(g.ksq, k1[:, None] ** 2 + k2[None, :] ** 2)
+
+
+@pytest.mark.parametrize("nx, ny", [(4, 4), (12, 18), (64, 32)])
+def test_trig_basis_is_orthonormal_and_diagonalises_the_derivative(nx, ny):
+    g = make_grid(nx, ny, 5, 1.0)
+    for n in (nx, ny):
+        T = trig_basis(n)
+        assert np.abs(T @ T.T - np.eye(n)).max() <= 1e-14
+    # row r of an axis carries the wavenumber of position r of the fft
+    # layout; ksq holds axis 1's in full and axis 2's on the half spectrum
+    for r, row in enumerate(trig_basis(nx)):
+        f = np.outer(row, np.ones(ny))
+        ksq = g.ksq[r, 0]
+        out = g.d_tan(g.d_tan(f, 1), 1)
+        assert np.abs(out + ksq * f).max() <= 1e-12 * max(1.0, ksq)
+    for r, row in enumerate(trig_basis(ny)):
+        f = np.outer(np.ones(nx), row)
+        ksq = g.ksq[0, min(r, ny - r)]
+        out = g.d_tan(g.d_tan(f, 2), 2)
+        assert np.abs(out + ksq * f).max() <= 1e-12 * max(1.0, ksq)
+
+
+@pytest.mark.parametrize("shape", ["surface", "volume", "stack3"])
+def test_modes_are_the_trig_coefficients_and_scale_by_the_ksq_layout(shape):
+    g = make_grid(12, 18, 7, 1.0)
+    rng = np.random.default_rng(5)
+    vol = (g.nx, g.ny, g.nz)
+    f = {"surface": lambda: rng.standard_normal((g.nx, g.ny)),
+         "volume": lambda: rng.standard_normal(vol),
+         "stack3": lambda: rng.standard_normal((3,) + vol)}[shape]()
+    ax1 = 0 if f.ndim == 2 else f.ndim - 3
+    c = g.to_modes(f)
+    ref = np.moveaxis(np.tensordot(trig_basis(g.nx), f, axes=([1], [ax1])),
+                      0, ax1)
+    ref = np.moveaxis(np.tensordot(trig_basis(g.ny), ref,
+                                   axes=([1], [ax1 + 1])), 0, ax1 + 1)
+    assert np.abs(c - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.abs(g.from_modes(c) - f).max() <= 1e-13 * np.abs(f).max()
+    if f.ndim == 2:
+        # scaled by -ksq, the coefficients are those of d1^2 f + d2^2 f
+        lap = g.d_tan(g.d_tan(f, 1), 1) + g.d_tan(g.d_tan(f, 2), 2)
+        scaled = g.scale_modes(c.copy(), -g.ksq)
+        assert np.abs(scaled - g.to_modes(lap)).max() <= 1e-12 * np.abs(
+            scaled).max()
+
+
+def test_a_step_and_its_record_make_no_fft(monkeypatch):
+    # every FFT belongs to grid construction: once the state is built, a
+    # step (pressure solves, flat preconditioner, dealiasing) and its
+    # diagnostics record (E_high's Sobolev norms) run on matrix products
+    spec = InitSpec(
+        nx=16, ny=12, nz=9, b=1.0, sigma=0.1,
+        psi_modes=((1, 0, 1e-2, 0.0), (1, 1, 5e-3, 0.3), (0, 2, 4e-3, 1.1)),
+        v_recipe=StreamRecipe(amp=0.3, k=1, profile="sinh", plane="yz"),
+        F_recipes=(StreamRecipe(amp=0.1, k=1, profile="confined", plane="xz"),
+                   None, None))
+    state, gm = build_initial_data(spec)
+    hist = History()
+    hist.push(state)
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("numpy.fft called after grid construction")
+
+    for name in np.fft.__all__:
+        if callable(getattr(np.fft, name)):
+            monkeypatch.setattr(np.fft, name, no_fft)
+    new, gm = step_rk4(state, gm, 0.01)
+    hist.push(new)
+    rec = _record(new, gm, hist, 0.01, 1)
+    assert np.isfinite(rec.E_high) and rec.E_high > 0.0
+    assert rec.div_F > 0.0

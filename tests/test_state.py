@@ -109,6 +109,37 @@ def test_constraint_residuals_constant_divergence():
     assert abs(res.div_v - np.sqrt(4 * np.pi**2 * g.b)) <= 1e-10
 
 
+def test_constraint_residuals_differentiate_only_nonzero_columns(monkeypatch):
+    # a zero column of F adds exact zeros to every maximum, so skipping it
+    # leaves each residual bit for bit as the sum over all columns has it
+    import capelast.state
+    from capelast.graphmap import div_phi
+    spec = InitSpec(nx=8, ny=8, nz=9, b=1.0, sigma=0.1,
+                    psi_modes=((1, 1, 1e-2, 0.3),),
+                    F_recipes=(None, StreamRecipe(amp=0.1, k=1,
+                                                  profile="confined"), None))
+    state, gm = build_initial_data(spec)
+    g = gm.grid
+    assert [bool(state.F[j].any()) for j in range(3)] == [False, True, False]
+    calls = []
+
+    def counted(X, gm):
+        calls.append(X)
+        return div_phi(X, gm)
+
+    monkeypatch.setattr(capelast.state, "div_phi", counted)
+    res = constraint_residuals(state, gm)
+    assert len(calls) == 2          # v and the one nonzero column
+    top = [state.F[j][:, :, :, 0] for j in range(3)]
+    assert res.div_F == max(g.norm0(div_phi(state.F[j], gm))
+                            for j in range(3))
+    assert res.FN_top == max(float(np.abs(t[0] * gm.N[0] + t[1] * gm.N[1]
+                                          + t[2] * gm.N[2]).max())
+                             for t in top)
+    assert res.F3_bottom == max(float(np.abs(state.F[j][2][:, :, -1]).max())
+                                for j in range(3))
+
+
 def test_history_contract():
     g = make_grid(8, 8, 9, 1.0)
     h = History(maxlen=5)
