@@ -39,6 +39,8 @@ def conserved_energy(state: State, gm: GraphMap) -> float:
     g = gm.grid
     e = 0.5 * g.quad_volume(sum(state.v[i] ** 2 for i in range(3)) * gm.d3phi)
     for j in range(3):
+        if not state.F[j].any():
+            continue    # its energy is an exact zero
         e += 0.5 * g.quad_volume(
             sum(state.F[j][i] ** 2 for i in range(3)) * gm.d3phi)
     p1 = g.d_tan(state.psi, 1)

@@ -2,41 +2,52 @@
 
 Graph maps.  ``step_rk4(state, gm, dt)`` takes ``gm``, the map of
 ``state``, and uses it for the CFL check and the first stage.  It builds
-one map for each of the other three stages, one for the projection of the
-updated velocity, and one for the projected state; it returns that last
-map with the new state, and the new pressure is solved on it.  ``run``
-starts from the map ``build_initial_data`` returns, records each step with
-the map the step returned and hands it to the next step, and builds no map
-itself.
+one map for each of the other three stages and one for the projection of
+the updated velocity, four in all.  The projected state's map is the
+projection's map with psi_t and dt(phi), the only fields that read the
+velocity, replaced by ``with_surface_velocity``; the step returns it with
+the new state, and the new pressure is solved on it.  ``run`` starts from
+the map ``build_initial_data`` returns, records each step with the map the
+step returned and hands it to the next step, and builds no map itself.
 
-Stages.  The first stage reuses the state's pressure.  The other three
-are one loop over (c, w) = (1/2, 2), (1/2, 2), (1, 1): build the stage
-state y + c dt k from the previous stage's tendencies k, drop k, evaluate
-the stage on its own map and add w k into the sum k1 + 2 k2 + 2 k3 + k4,
-so one stage's ``Tendencies`` is alive at a time.  Each stage dealiases v
-and F and takes the twisted gradient of v once, and feeds that one bundle
-to both the pressure source and the tendencies.  The twisted gradient of F
-is formed one column at a time and never stored: each column's 3x3 stack
-feeds the pressure source and every tendency term that reads it in one
-pass, and is dropped before the next column; a zero column of F is never
-formed, and its tendency, linear in it, stays exactly zero.  Every
-q-independent term is formed before the pressure solve, which runs with
-the capillary Dirichlet datum; each tendency is truncated once, as a sum,
-F's after the bundle is dropped.  After the combined update the velocity
-is projected back to divergence-free and ``State.pressure`` solves the new
-pressure.  Nothing is overwritten: the kinematic surface equation is
-evolved, and v3 = F_3j = 0 on the flat bottom are carried by the scheme,
-so the recorded ``v3_bot`` and ``F3_bot`` measure its drift there.
-``run`` stops with a named reason when a stepped state is no longer finite.
+Stages.  The first stage reuses the state's pressure.  Within ``run`` it
+is handed over whole: the post-step pressure pass of a step that is not
+the last solves the new pressure as part of the new state's tendencies,
+which read the same bundle and give the same q, and the next step takes
+those tendencies as its k1 through a ``Handoff`` record.  A step reads the
+record only for the very state object whose k1 it holds, and otherwise
+computes k1 as a bare step does, so the handoff changes no bit.  The
+other three stages are one loop over (c, w) = (1/2, 2), (1/2, 2), (1, 1):
+build the stage state y + c dt k from the previous stage's tendencies k,
+drop k, evaluate the stage on its own map and add w k into the sum
+k1 + 2 k2 + 2 k3 + k4, so one stage's ``Tendencies`` is alive at a time.
+A column of F that is an exact zero at the start of the step has exactly
+zero tendencies, so it is formed in none of the stage states, the sum or
+the update.  Each stage dealiases v and F and takes the twisted gradient
+of v once, and feeds that one bundle to both the pressure source and the
+tendencies.  The twisted gradient of F is formed one column at a time and
+never stored: each column's 3x3 stack feeds the pressure source and every
+tendency term that reads it in one pass, and is dropped before the next
+column; a zero column of F is never formed, and its tendency, linear in
+it, stays exactly zero.  Every q-independent term is formed before the
+pressure solve, which runs with the capillary Dirichlet datum; each
+tendency is truncated once, as a sum, F's after the bundle is dropped.
+After the combined update the velocity is projected back to
+divergence-free and the new pressure is solved.  Nothing is overwritten:
+the kinematic surface equation is evolved, and v3 = F_3j = 0 on the flat
+bottom are carried by the scheme, so the recorded ``v3_bot`` and
+``F3_bot`` measure its drift there.  ``run`` stops with a named reason
+when a stepped state is no longer finite.
 
 Pressure solves.  The four pressure problems of a step differ by O(dt) in
 data and geometry, so they share one ``Chain``: stage 2's solve starts
 cold, from the flat solve of its data, and stage 3's, stage 4's and the
 new pressure's each start from the flat solve of their own data plus the
 Krylov correction the solve before reached.  The projection solve starts
-cold.  The chain is made per step and nothing of it outlives the step, so
-a step is a function of ``(state, gm, dt)`` alone and a restart from a
-snapshot is exact.
+cold.  The chain is made per step and nothing of a solve outlives the
+step: what a handoff carries is the new state's own tendencies, a function
+of that state alone.  So a step is a function of ``(state, gm, dt)`` alone
+and a restart from a snapshot is exact.
 
 The step is guarded by dt <= 0.5 * min(advective, capillary, vertical)
 bounds.  The vertical bound compares the transport speed w = v.Nb - dt(phi)
@@ -66,7 +77,14 @@ from .elliptic import (
     truncate_columns,
 )
 from .errors import CapelastError, CFLError, ConfigError, NonFiniteStateError
-from .graphmap import Cutoff, GraphMap, advection_speed, grad_phi_stack, mean_curvature
+from .graphmap import (
+    Cutoff,
+    GraphMap,
+    advection_speed,
+    grad_phi_stack,
+    mean_curvature,
+    with_surface_velocity,
+)
 from .grid import Grid
 from .state import History, InitSpec, State, build_initial_data, constraint_residuals
 
@@ -88,9 +106,12 @@ def tendencies(state: State, gm: GraphMap, solver_tol: float = DEFAULT_TOL,
 
     ``q`` short-circuits the pressure solve when the caller already holds
     the pressure consistent with this state (e.g. the first RK stage).
-    Without it the pressure is solved as in ``State.pressure``, from the
-    bundle the tendencies read too, and that bundle is dropped first; the
-    solve starts from and updates ``chain`` (see ``solve_poisson_phi``).
+    Without it the pressure is solved as in ``State.pressure``: the same
+    source, from the bundle the tendencies read too and dropped first, the
+    same datum, and a solve that starts from and updates ``chain`` (see
+    ``solve_poisson_phi``), so q is the same to the bit.  ``step_rk4``
+    solves its new state's pressure this way when it hands the tendencies
+    on as the next step's first stage.
 
     The pressure source and every tendency term read one ``StageFields``
     bundle, so v and F are dealiased and differentiated once per stage.
@@ -142,7 +163,7 @@ def _pressure_free_terms(sf: StageFields):
     v_dot += u[2] * Dv[2]
     np.negative(v_dot, out=v_dot)
     # a zero column is never fed, so its tendency stays exactly zero
-    F_dot = np.zeros_like(F)
+    F_dot = np.zeros(F.shape)
 
     def column(k, DF_k):
         nonlocal v_dot
@@ -175,16 +196,55 @@ def cfl_limit(state: State, gm: GraphMap) -> float:
     return 0.5 * float(np.min(terms))
 
 
+@dataclass
+class Handoff:
+    """The first-stage tendencies of a state, carried from the step that
+    made the state to the step that starts from it.
+
+    A step given the record takes ``k1`` as its first stage only when
+    ``state`` is the very object it steps, computes k1 otherwise, and then
+    empties the record.  With ``onward`` set it solves its new state's
+    pressure as part of that state's tendencies and leaves them here with
+    the new state; without it, it solves the pressure alone.
+    """
+
+    state: State | None = None
+    k1: Tendencies | None = None
+    onward: bool = True
+
+
+def _live(k: Tendencies, columns) -> tuple:
+    """psi_dot, v_dot and the F_dot columns in ``columns``: the parts of a
+    stage's tendencies that are not exact zeros."""
+    return (k.psi_dot, k.v_dot, *(k.F_dot[j] for j in columns))
+
+
+def _advance(y: State, t: float, a: float, dots, columns) -> State:
+    """The state at ``t`` equal to y + a * dots, with ``dots`` in ``_live``
+    order; the columns of F outside ``columns`` are exact zeros."""
+    psi_dot, v_dot, *F_dots = dots
+    F = np.zeros(y.F.shape)
+    for j, F_dot in zip(columns, F_dots):
+        np.add(y.F[j], a * F_dot, out=F[j])
+    return State(t=t, psi=y.psi + a * psi_dot, v=y.v + a * v_dot, F=F,
+                 q=y.q, sigma=y.sigma)
+
+
 def step_rk4(state: State, gm: GraphMap, dt: float,
-             solver_tol: float = DEFAULT_TOL) -> tuple[State, GraphMap]:
+             solver_tol: float = DEFAULT_TOL,
+             handoff: Handoff | None = None) -> tuple[State, GraphMap]:
     """One classical four-stage step from ``state``, whose map is ``gm``.
 
     Returns the advanced state, with a freshly solved pressure, and its
     graph map.  The pressure solves of stages 3 and 4 and of the new state
-    each start from the Krylov correction of the solve before it; nothing
-    is carried from one step to the next.  A dt above ``cfl_limit`` raises
-    CFLError; a NaN bound raises NonFiniteStateError naming the field that
-    is not finite.
+    each start from the Krylov correction of the solve before it; no solve
+    carries anything from one step to the next.  ``handoff`` carries the
+    first stage instead (see ``Handoff``): its k1 equals the one this step
+    would compute, bit for bit, so the result is a function of
+    ``(state, gm, dt)`` with or without it.  A column of F that is an exact
+    zero in ``state`` has an exactly zero tendency in every stage, so it is
+    never formed.  A dt above ``cfl_limit`` raises CFLError; a NaN bound
+    raises NonFiniteStateError naming the field that is not finite.
     """
     grid, cutoff = gm.grid, gm.cutoff
     bound = cfl_limit(state, gm)
@@ -195,30 +255,38 @@ def step_rk4(state: State, gm: GraphMap, dt: float,
             f"dt = {dt:g} exceeds the stability bound {bound:g}",
             suggested_dt=bound)
 
-    k = tendencies(state, gm, solver_tol=solver_tol, q=state.q)
+    if handoff is None:
+        handoff = Handoff(onward=False)
+    if handoff.state is state:
+        k = handoff.k1
+    else:
+        k = tendencies(state, gm, solver_tol=solver_tol, q=state.q)
+    handoff.state = handoff.k1 = None   # one k1 alive at a time
+    columns = tuple(j for j in range(3) if state.F[j].any())
     chain = Chain()     # stage 2 starts cold
-    total = (k.psi_dot, k.v_dot, k.F_dot)   # ((k1 + 2 k2) + 2 k3) + k4
+    total = _live(k, columns)   # ((k1 + 2 k2) + 2 k3) + k4
     for c, w in ((0.5, 2), (0.5, 2), (1.0, 1)):
         h = c * dt
-        stage = State(t=state.t + h, psi=state.psi + h * k.psi_dot,
-                      v=state.v + h * k.v_dot, F=state.F + h * k.F_dot,
-                      q=state.q, sigma=state.sigma)
+        stage = _advance(state, state.t + h, h, _live(k, columns), columns)
         del k   # one stage's tendencies alive at a time
         k = tendencies(stage, stage.graphmap(cutoff, grid),
                        solver_tol=solver_tol, chain=chain)
         total = tuple(acc + w * dot for acc, dot in
-                      zip(total, (k.psi_dot, k.v_dot, k.F_dot)))
+                      zip(total, _live(k, columns)))
     del k, stage
 
-    sixth = dt / 6.0
-    new = State(t=state.t + dt, psi=state.psi + sixth * total[0],
-                v=state.v + sixth * total[1], F=state.F + sixth * total[2],
-                q=state.q, sigma=state.sigma)
+    new = _advance(state, state.t + dt, dt / 6.0, total, columns)
     del total
-    new.v = project_divfree(new.v, new.graphmap(cutoff, grid),
-                            tol=solver_tol)
     gm_new = new.graphmap(cutoff, grid)
-    new.q = new.pressure(gm_new, solver_tol, chain=chain)
+    new.v = project_divfree(new.v, gm_new, tol=solver_tol)
+    # only psi_t and dt(phi) read the projected velocity
+    gm_new = with_surface_velocity(gm_new, new.surface_velocity(grid))
+    if handoff.onward:
+        k1 = tendencies(new, gm_new, solver_tol=solver_tol, chain=chain)
+        new.q = k1.q
+        handoff.state, handoff.k1 = new, k1
+    else:
+        new.q = new.pressure(gm_new, solver_tol, chain=chain)
     return new, gm_new
 
 
@@ -313,9 +381,12 @@ def run(config: RunConfig) -> RunResult:
         probes.append((state.t, config.probe(state, grid)))
     aborted = None
 
+    handoff = Handoff()
     for n in range(nsteps):
+        handoff.onward = n < nsteps - 1     # the last step hands nothing on
         try:
-            state, gm = step_rk4(state, gm, dt, solver_tol=config.solver_tol)
+            state, gm = step_rk4(state, gm, dt, solver_tol=config.solver_tol,
+                                 handoff=handoff)
             _check_finite(state)
         except CapelastError as exc:
             aborted = f"{type(exc).__name__}: {exc}"

@@ -19,7 +19,7 @@ chart validity is guarded pointwise by ``build_graphmap``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -122,15 +122,26 @@ def build_graphmap(psi: np.ndarray, psi_t: np.ndarray, cutoff: Cutoff,
 
     d1phi = chi * d1psi[:, :, None]
     d2phi = chi * d2psi[:, :, None]
-    dtphi = chi * psi_t[:, :, None]
     inv = 1.0 / d3phi
 
     N = np.stack([-d1psi, -d2psi, np.ones_like(psi)])
     return GraphMap(grid=grid, cutoff=cutoff, psi_t=psi_t,
                     phi=phi, d1phi=d1phi, d2phi=d2phi, d3phi=d3phi,
-                    dtphi=dtphi, inv_d3phi=inv,
+                    dtphi=_dtphi(psi_t, cutoff), inv_d3phi=inv,
                     a31=-d1phi * inv, a32=-d2phi * inv,
                     N=N, c0=c0)
+
+
+def _dtphi(psi_t: np.ndarray, cutoff: Cutoff) -> np.ndarray:
+    """dt(phi) = chi dt(psi), the one field of a map read from psi_t."""
+    return cutoff.chi[None, None, :] * psi_t[:, :, None]
+
+
+def with_surface_velocity(gm: GraphMap, psi_t: np.ndarray) -> GraphMap:
+    """The map of ``gm``'s surface with time derivative ``psi_t``: bit for
+    bit ``build_graphmap(psi, psi_t, gm.cutoff, gm.grid)``, with every
+    field that depends on psi alone shared with ``gm``."""
+    return replace(gm, psi_t=psi_t, dtphi=_dtphi(psi_t, gm.cutoff))
 
 
 def flat_graphmap(grid: Grid) -> GraphMap:

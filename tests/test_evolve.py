@@ -11,14 +11,22 @@ import capelast.graphmap
 import capelast.state
 from capelast import CFLError, Grid, NonFiniteStateError, SolverConvergenceError
 from capelast.elliptic import pressure_rhs, stage_fields
-from capelast.evolve import RunConfig, cfl_limit, run, step_rk4, tendencies
+from capelast.evolve import (
+    Handoff,
+    RunConfig,
+    _record,
+    cfl_limit,
+    run,
+    step_rk4,
+    tendencies,
+)
 from capelast.graphmap import (
     grad_phi_stack,
     material_derivative,
     mean_curvature,
 )
 from capelast.recipes import RandomRecipe, ShearRecipe, StreamRecipe
-from capelast.state import InitSpec, build_initial_data
+from capelast.state import History, InitSpec, build_initial_data
 
 from test_elliptic import residuals_over_target
 
@@ -312,8 +320,9 @@ def test_nan_entering_a_step_is_named(component):
 
 
 def test_run_builds_each_step_map_once(monkeypatch):
-    # initial data build two maps; a step builds stages k2-k4, the
-    # projection map and the post-step map, which the next step reuses
+    # initial data build two maps; a step builds stages k2-k4 and the
+    # projection map, and takes the post-step map from the projection's
+    # with psi_t and dt(phi) replaced; the next step reuses it
     builds = []
     original = capelast.state.build_graphmap
 
@@ -324,7 +333,7 @@ def test_run_builds_each_step_map_once(monkeypatch):
     monkeypatch.setattr(capelast.state, "build_graphmap", counting)
     res = run(RunConfig(init=capillary_spec(), t_final=0.06, dt=0.02))
     assert res.aborted is None and len(res.diagnostics) == 4
-    assert len(builds) == 5 * 3 + 2
+    assert len(builds) == 4 * 3 + 2
 
 
 def test_run_records_the_pressure_of_its_final_state():
@@ -459,3 +468,78 @@ def test_tendencies_peak_memory_in_volume_fields():
     finally:
         tracemalloc.stop()
     assert peak / (g.nx * g.ny * g.nz * 8) <= 55
+
+
+def assert_same_bits(a, b):
+    for name in ("psi", "v", "F", "q"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert a.t == b.t
+
+
+@pytest.mark.parametrize("spec", [oblique_spec, capillary_spec])
+def test_run_equals_bare_steps_bit_for_bit(spec):
+    # run hands each step's post-step tendencies to the next step as its
+    # first stage; a loop of bare steps computes every k1 afresh
+    cfg = RunConfig(init=spec(), t_final=0.03, dt=0.01)
+    res = run(cfg)
+    assert res.aborted is None and len(res.history) == 4
+    dt = res.diagnostics[-1].dt
+    state, gm = build_initial_data(cfg.init, tol=cfg.solver_tol)
+    hist = History()
+    hist.push(state)
+    rows = [_record(state, gm, hist, dt, cfg.kmax).csv_row()]
+    for _ in range(3):
+        state, gm = step_rk4(state, gm, dt, solver_tol=cfg.solver_tol)
+        hist.push(state)
+        rows.append(_record(state, gm, hist, dt, cfg.kmax).csv_row())
+    for i in range(4):
+        assert_same_bits(res.history[i], hist[i])
+    assert [d.csv_row() for d in res.diagnostics] == rows
+
+
+def test_run_evaluates_one_stage_bundle_per_step(monkeypatch):
+    # a step's post-step pressure pass is the next step's first stage: n
+    # steps read 4n + 2 bundles (the initial pressure, the first k1, three
+    # stages and one post-step pass per step) and make the 4n tendency
+    # calls of four stages a step
+    bundles, stages = [], []
+    original_fields = capelast.elliptic.stage_fields
+    original_tendencies = capelast.evolve.tendencies
+
+    def counting_fields(*args, **kwargs):
+        bundles.append(1)
+        return original_fields(*args, **kwargs)
+
+    def counting_tendencies(*args, **kwargs):
+        stages.append(1)
+        return original_tendencies(*args, **kwargs)
+
+    for module in (capelast.evolve, capelast.state):
+        monkeypatch.setattr(module, "stage_fields", counting_fields)
+    monkeypatch.setattr(capelast.evolve, "tendencies", counting_tendencies)
+    n = 3
+    res = run(RunConfig(init=capillary_spec(), t_final=0.06, dt=0.02))
+    assert res.aborted is None and len(res.diagnostics) == n + 1
+    assert len(bundles) == 4 * n + 2
+    assert len(stages) == 4 * n
+
+
+def test_a_handoff_for_another_state_is_ignored():
+    # the record is read only for the very state object it was made for
+    state, gm = build_initial_data(oblique_spec())
+    bare, gm_bare = step_rk4(state, gm, 0.01)
+    handoff = Handoff()
+    new, gm_new = step_rk4(state, gm, 0.01, handoff=handoff)
+    assert_same_bits(new, bare)
+    assert handoff.state is new and handoff.k1.q is new.q
+    # the record holds the k1 of new, not of state
+    again, _ = step_rk4(state, gm, 0.01, handoff=handoff)
+    assert_same_bits(again, bare)
+    assert handoff.state is again
+    # nor is it read for an equal copy of the state it was made for
+    twin = replace(state)
+    handoff = Handoff(state=state, onward=False,
+                      k1=tendencies(new, gm_new, q=new.q))
+    again, _ = step_rk4(twin, gm, 0.01, handoff=handoff)
+    assert_same_bits(again, bare)
+    assert handoff.state is None and handoff.k1 is None
