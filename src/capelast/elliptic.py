@@ -193,8 +193,10 @@ def gmres(A: Operator, b: np.ndarray, M: Operator,
     iterations = 0
     while beta > target and math.isfinite(beta) and iterations < MAX_ITER:
         m = min(RESTART, MAX_ITER - iterations)
-        # rows are written as the basis grows; the pages of unused rows
-        # are never touched and cost no resident memory
+        # rows are written as the basis grows.  The heap keeps the pages
+        # of freed arrays (``capelast._keep_freed_memory``), so the basis
+        # reuses resident pages without faulting them in; only unused rows
+        # past what the heap held before stay untouched and non-resident
         V = np.empty((m + 1, b.size))
         np.divide(r, beta, out=V[0])
         H = np.zeros((m + 1, m))

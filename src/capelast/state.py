@@ -33,6 +33,7 @@ from .graphmap import (
     div_phi,
     make_cutoff,
     mean_curvature,
+    with_surface_velocity,
 )
 from .grid import Grid, check_dims, make_grid
 
@@ -180,9 +181,11 @@ class InitSpec:
 def build_initial_data(spec: InitSpec, tol: float = DEFAULT_TOL):
     """Construct (state, gm) satisfying the compatibility constraints.
 
-    Recipes are projected to divergence-free fields and the initial
-    pressure is ``State.pressure``.  The projection and the pressure solve
-    run to the solver tolerance ``tol``.  Data whose v3 or F_3j exceeds
+    One map is built: recipes are projected to divergence-free fields on
+    the map of psi0 with zero dt(psi), and ``gm`` is that map with the
+    state's own dt(psi) (``with_surface_velocity``).  The initial pressure
+    is ``State.pressure``.  The projection and the pressure solve run to
+    the solver tolerance ``tol``.  Data whose v3 or F_3j exceeds
     ``BOTTOM_MAX`` on the flat bottom raise ConfigError naming the field:
     they are rejected, not overwritten.  ``gm.cutoff`` is
     ``make_cutoff(grid)``, which depends on the grid alone.
@@ -206,7 +209,7 @@ def build_initial_data(spec: InitSpec, tol: float = DEFAULT_TOL):
             raise ConfigError(
                 f"initial {name} is {gap:.3g} on the bottom plane; the flat "
                 f"bottom needs {name} = 0 (at most {BOTTOM_MAX:g})")
-    gm = state.graphmap(gm0.cutoff, grid)
+    gm = with_surface_velocity(gm0, state.surface_velocity(grid))
     state.q = state.pressure(gm, tol)
     return state, gm
 

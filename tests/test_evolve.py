@@ -320,9 +320,10 @@ def test_nan_entering_a_step_is_named(component):
 
 
 def test_run_builds_each_step_map_once(monkeypatch):
-    # initial data build two maps; a step builds stages k2-k4 and the
+    # initial data build one map and take the start map from it with
+    # psi_t and dt(phi) replaced; a step builds stages k2-k4 and the
     # projection map, and takes the post-step map from the projection's
-    # with psi_t and dt(phi) replaced; the next step reuses it
+    # the same way; the next step reuses it
     builds = []
     original = capelast.state.build_graphmap
 
@@ -333,7 +334,7 @@ def test_run_builds_each_step_map_once(monkeypatch):
     monkeypatch.setattr(capelast.state, "build_graphmap", counting)
     res = run(RunConfig(init=capillary_spec(), t_final=0.06, dt=0.02))
     assert res.aborted is None and len(res.diagnostics) == 4
-    assert len(builds) == 4 * 3 + 2
+    assert len(builds) == 4 * 3 + 1
 
 
 def test_run_records_the_pressure_of_its_final_state():
