@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -12,12 +12,12 @@ from .graphmap import GraphMap, div_phi, dphi
 from .grid import Grid
 from .state import History, State
 
-CSV_COLUMNS = ("t", "E_cons", "E_high", "div_v", "div_F", "FN_top",
-               "v3_bot", "F3_bot", "rt_min", "dt")
-
 
 @dataclass
 class DiagnosticsRecord:
+    """One row of diagnostics.csv; its fields, in order, are the columns.
+    div_v .. F3_bot are the keys of ``state.constraint_residuals``."""
+
     t: float
     E_cons: float
     E_high: float
@@ -31,6 +31,9 @@ class DiagnosticsRecord:
 
     def csv_row(self) -> str:
         return ",".join(f"{getattr(self, c):.16e}" for c in CSV_COLUMNS)
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 def conserved_energy(state: State, gm: GraphMap) -> float:

@@ -356,9 +356,7 @@ def _record(state, gm, hist, dt, kmax) -> DiagnosticsRecord:
     except CapelastError:
         ehigh = float("nan")
     return DiagnosticsRecord(
-        t=state.t, E_cons=conserved_energy(state, gm), E_high=ehigh,
-        div_v=res.div_v, div_F=res.div_F, FN_top=res.FN_top,
-        v3_bot=res.v3_bottom, F3_bot=res.F3_bottom,
+        t=state.t, E_cons=conserved_energy(state, gm), E_high=ehigh, **res,
         rt_min=rt_monitor(state.q, gm.grid), dt=dt)
 
 

@@ -415,6 +415,8 @@ def curl_commutator_residuals(calc: Calculus):
     adv_curlF = np.zeros_like(state.v)
     rhs2 = np.zeros_like(state.v)
     for Fk in state.F:
+        if not Fk.any():
+            continue    # each of its terms is an exact zero
         DFk = grad_phi_stack(Fk, gmn)
         G += _along(Fk, DFk)
         adv_curlF += _along(Fk, grad_phi_stack(levi_civita(DFk), gmn))

@@ -50,7 +50,6 @@ def run_distance(r1: RunResult, r2: RunResult) -> float:
 class SweepMember:
     sigma: float
     rt_min: float
-    aborted: str | None
     result: RunResult
 
 
@@ -61,12 +60,11 @@ class SweepReport:
     limit_distances: list[tuple[float, float]]        # (sigma_i, d(sigma_i, 0))
     rt_required: float
     rt_ok: bool
-    monotone: bool | None
     verdict: str
 
     @property
     def aborted(self) -> bool:
-        return any(m.aborted for m in self.members)
+        return any(m.result.aborted for m in self.members)
 
     def csv_rows(self):
         rows = ["sigma_i,sigma_j,distance,rt_min_i,verdict"]
@@ -122,14 +120,13 @@ def sweep_sigma(base: RunConfig, sigmas,
     for s, cfg in zip(sigmas, cfgs):
         result = run(cfg)
         rt_min = min(d.rt_min for d in result.diagnostics)
-        members.append(SweepMember(sigma=s, rt_min=rt_min,
-                                   aborted=result.aborted, result=result))
+        members.append(SweepMember(sigma=s, rt_min=rt_min, result=result))
         log.info("sweep member sigma=%g: rt_min=%.4f aborted=%s",
                  s, rt_min, result.aborted)
 
     positive = [m for m in members if m.sigma > 0.0]
     zero = next((m for m in members if m.sigma == 0.0), None)
-    aborted = any(m.aborted for m in members)
+    aborted = any(m.result.aborted for m in members)
     pair, limit = [], []
     if not aborted:
         pair = [(m1.sigma, m2.sigma, run_distance(m1.result, m2.result))
@@ -143,16 +140,17 @@ def sweep_sigma(base: RunConfig, sigmas,
     ds = ([d for (_, d) in limit] if zero is not None
           else [d for (_, _, d) in pair])
     if aborted:
-        verdict, monotone = "void (member aborted)", None
+        verdict = "void (member aborted)"
     elif not rt_ok:
-        verdict, monotone = "withheld (sign condition violated)", None
+        verdict = "withheld (sign condition violated)"
     elif not strict:
-        verdict, monotone = "trivial (non-strict sigma list)", None
+        verdict = "trivial (non-strict sigma list)"
     elif len(ds) < 2:
-        verdict, monotone = "trivial (fewer than two distances)", None
+        verdict = "trivial (fewer than two distances)"
+    elif all(d1 > d2 for d1, d2 in zip(ds, ds[1:])):
+        verdict = "monotone decreasing"
     else:
-        monotone = all(d1 > d2 for d1, d2 in zip(ds, ds[1:]))
-        verdict = "monotone decreasing" if monotone else "not monotone"
+        verdict = "not monotone"
     return SweepReport(members=members, pair_distances=pair,
                        limit_distances=limit, rt_required=rt_c0,
-                       rt_ok=rt_ok, monotone=monotone, verdict=verdict)
+                       rt_ok=rt_ok, verdict=verdict)

@@ -100,20 +100,10 @@ def zero_state(grid: Grid, sigma: float) -> State:
                  F=np.zeros((3, 3) + n), q=np.zeros(n), sigma=sigma)
 
 
-@dataclass
-class ConstraintResiduals:
-    div_v: float
-    div_F: float
-    FN_top: float
-    F3_bottom: float
-    v3_bottom: float
-
-    def max(self) -> float:
-        return max(self.div_v, self.div_F, self.FN_top, self.F3_bottom,
-                   self.v3_bottom)
-
-
-def constraint_residuals(state: State, gm: GraphMap) -> ConstraintResiduals:
+def constraint_residuals(state: State, gm: GraphMap) -> dict[str, float]:
+    """The five constraint residuals of ``state`` on its map ``gm``, keyed
+    by their ``DiagnosticsRecord`` field names: div_v, div_F, FN_top,
+    v3_bot and F3_bot."""
     g = gm.grid
     div_v = g.norm0(div_phi(state.v, gm))
     div_F = 0.0
@@ -128,8 +118,8 @@ def constraint_residuals(state: State, gm: GraphMap) -> ConstraintResiduals:
                                   + top[2] * gm.N[2]).max()))
         F3b = max(F3b, float(np.abs(state.F[j][2][:, :, -1]).max()))
     v3b = float(np.abs(state.v[2][:, :, -1]).max())
-    return ConstraintResiduals(div_v=div_v, div_F=div_F, FN_top=FN,
-                               F3_bottom=F3b, v3_bottom=v3b)
+    return {"div_v": div_v, "div_F": div_F, "FN_top": FN, "v3_bot": v3b,
+            "F3_bot": F3b}
 
 
 # -- initial data ------------------------------------------------------------

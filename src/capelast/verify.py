@@ -64,11 +64,11 @@ def battery_surface(grid):
     return 0.1 * np.cos(X1s) + 0.05 * np.sin(X2s)
 
 
-def compatible_history(grid, cutoff, nslices=7, dt=0.01, eps=0.02,
-                       freq=1.0, t0=0.2):
-    """Surface motion with the exactly matching stream velocity.
+def compatible_history(grid, cutoff):
+    """Surface motion with the exactly matching stream velocity: seven
+    slices 0.01 apart from t = 0.2.
 
-    psi(t) = psi0 + eps g(t) sin(x1); v is the twisted stream field whose
+    psi(t) = psi0 + 0.02 g(t) sin(x1); v is the twisted stream field whose
     kinematic trace equals dt(psi) pointwise, with an impermeable bottom.
     The probe field in the pressure slot is an analytic scalar.
     """
@@ -76,26 +76,25 @@ def compatible_history(grid, cutoff, nslices=7, dt=0.01, eps=0.02,
     X1, X2, X3 = grid.mesh_volume()
     base = battery_surface(grid)
     mu = (X3 + grid.b) / grid.b
-    hist = History(maxlen=nslices)
-    w = 1.1 * freq
-    for k in range(nslices):
-        t = t0 + k * dt
-        gt, gdot = np.sin(w * t), w * np.cos(w * t)
-        psi = base + eps * gt * np.sin(X1s)
+    hist = History(maxlen=7)
+    for k in range(7):
+        t = 0.2 + k * 0.01
+        gt, gdot = np.sin(1.1 * t), 1.1 * np.cos(1.1 * t)
+        psi = base + 0.02 * gt * np.sin(X1s)
         gm0 = build_graphmap(psi, np.zeros_like(psi), cutoff, grid)
-        theta = eps * gdot * np.cos(X1) * mu
+        theta = 0.02 * gdot * np.cos(X1) * mu
         v = np.stack([dphi(theta, 3, gm0), np.zeros_like(theta),
                       -dphi(theta, 1, gm0)])
-        f = ((1.0 + 0.3 * np.sin(0.9 * freq * t))
+        f = ((1.0 + 0.3 * np.sin(0.9 * t))
              * np.cos(X1) * np.cos(X2) * (1.0 + X3) ** 2)
         hist.push(State(t=t, psi=psi, v=v, F=np.zeros((3, 3) + theta.shape),
                         q=f, sigma=0.0))
     return hist
 
 
-def moving_history(grid, cutoff, nslices=6, dt=0.05, freq=3.0, t0=0.3):
+def moving_history(grid, cutoff, nslices=6, dt=0.05, freq=3.0):
     """Independently prescribed analytic (psi, v, f) with explicit psi_t,
-    for the derivative-exchange identities."""
+    from t = 0.3, for the derivative-exchange identities."""
     X1s, X2s = grid.mesh_surface()
     X1, X2, X3 = grid.mesh_volume()
     base = 0.06 * (np.cos(X1s) + 0.6 * np.sin(X2s))
@@ -109,7 +108,7 @@ def moving_history(grid, cutoff, nslices=6, dt=0.05, freq=3.0, t0=0.3):
          + 0.2 * np.sin(X2) * (1 + X3))
     hist = History(maxlen=nslices)
     for k in range(nslices):
-        t = t0 + k * dt
+        t = 0.3 + k * dt
         gt = 1.0 + 0.4 * np.sin(w1 * t + 0.2)
         psi = base * gt
         psi_t = base * 0.4 * w1 * np.cos(w1 * t + 0.2)
@@ -121,23 +120,29 @@ def moving_history(grid, cutoff, nslices=6, dt=0.05, freq=3.0, t0=0.3):
     return hist
 
 
-def static_history(grid, cutoff, nslices=6, dt=0.05):
-    """The first slice of ``moving_history`` frozen for ``nslices`` slices.
+def _frozen_history(first: State, nslices: int) -> History:
+    """``first`` repeated for ``nslices`` slices 0.05 apart, with psi_t = 0.
 
-    Every slice shares that one slice's arrays, which are made read-only so
+    Every slice shares that one state's arrays, which are made read-only so
     that a stray in-place write fails instead of changing all slices."""
-    first = moving_history(grid, cutoff, nslices, dt, freq=0.0)[0]
     psi_t = np.zeros_like(first.psi)
     for a in (first.psi, first.v, first.F, first.q, psi_t):
         a.flags.writeable = False
     frozen = History(maxlen=nslices)
     for k in range(nslices):
-        frozen.push(replace(first, t=first.t + k * dt, psi_t=psi_t))
+        frozen.push(replace(first, t=first.t + k * 0.05, psi_t=psi_t))
     return frozen
 
 
-def steady_sheared_history(grid, cutoff, nslices=6, dt=0.05):
-    """Frozen wavy surface with sheared v and a nontrivial F column."""
+def static_history(grid, cutoff, nslices=6):
+    """The first slice of ``moving_history`` frozen for ``nslices`` slices."""
+    return _frozen_history(
+        moving_history(grid, cutoff, nslices, freq=0.0)[0], nslices)
+
+
+def steady_sheared_history(grid, cutoff, nslices=6):
+    """Frozen wavy surface with sheared v and a nontrivial F column, from
+    t = 0."""
     X1s, _ = grid.mesh_surface()
     X1, X2, X3 = grid.mesh_volume()
     psi = 0.05 * np.cos(X1s)
@@ -146,12 +151,8 @@ def steady_sheared_history(grid, cutoff, nslices=6, dt=0.05):
     F = np.zeros((3, 3) + X1.shape)
     F[0, 0] = 0.2 * np.cos(X2) * (1 + X3)
     F[0, 2] = 0.1 * np.sin(X1) * X3 * (1 + X3)
-    hist = History(maxlen=nslices)
-    for k in range(nslices):
-        hist.push(State(t=dt * k, psi=psi, v=v, F=F,
-                        q=np.zeros_like(X1), sigma=0.0,
-                        psi_t=np.zeros_like(psi)))
-    return hist
+    return _frozen_history(State(t=0.0, psi=psi, v=v, F=F,
+                                 q=np.zeros_like(X1), sigma=0.0), nslices)
 
 
 # -- batteries -----------------------------------------------------------------

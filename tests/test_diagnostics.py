@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from capelast import InsufficientHistoryError, make_grid
+from capelast import InsufficientHistoryError, make_grid, verify
 from capelast.diagnostics import (
     CSV_COLUMNS,
     conserved_energy,
@@ -13,9 +13,9 @@ from capelast.diagnostics import (
 )
 from capelast.evolve import RunConfig, run
 from capelast.good_unknowns import Calculus
-from capelast.graphmap import build_graphmap, dphi, flat_graphmap, make_cutoff
+from capelast.graphmap import flat_graphmap, make_cutoff
 from capelast.recipes import ShearRecipe
-from capelast.state import History, InitSpec, State, build_initial_data, zero_state
+from capelast.state import History, InitSpec, build_initial_data, zero_state
 
 
 def test_conserved_energy_examples():
@@ -122,32 +122,10 @@ def test_rt_monitor_exact_fixtures():
     assert rt_monitor(X3, g) == pytest.approx(-1.0, abs=1e-12)
 
 
-def compatible_history(g, cut, nslices=7, dt=0.01, eps=0.02, base_amp=0.1):
-    """psi(t) = base + eps g(t) sin(x1) with the exactly matching stream
-    velocity, so the kinematic and bottom conditions hold discretely."""
-    X1s, X2s = g.mesh_surface()
-    X1, X2, X3 = g.mesh_volume()
-    base = base_amp * np.cos(X1s) + 0.5 * base_amp * np.sin(X2s)
-    mu = (X3 + g.b) / g.b
-    hist = History(maxlen=nslices)
-    for k in range(nslices):
-        t = 0.2 + k * dt
-        gt, gdot = np.sin(1.1 * t), 1.1 * np.cos(1.1 * t)
-        psi = base + eps * gt * np.sin(X1s)
-        gm0 = build_graphmap(psi, np.zeros_like(psi), cut, g)
-        theta = eps * gdot * np.cos(X1) * mu
-        v = np.stack([dphi(theta, 3, gm0), np.zeros_like(theta),
-                      -dphi(theta, 1, gm0)])
-        f = (1.0 + 0.3 * np.sin(0.9 * t)) * np.cos(X1) * (1.0 + X3) ** 2
-        hist.push(State(t=t, psi=psi, v=v, F=np.zeros((3, 3) + theta.shape),
-                        q=f, sigma=0.0))
-    return hist
-
-
 def test_transport_residual_compatible_family():
     g = make_grid(32, 32, 17, 1.0, dealias=False)
     cut = make_cutoff(g)
-    hist = compatible_history(g, cut)
+    hist = verify.compatible_history(g, cut)
     r = transport_residual(Calculus(hist, cut, g), "q")
     assert r <= 1e-8, r
 
@@ -166,7 +144,7 @@ def test_lemma_checks_flat_and_wavy():
 
     gw = make_grid(32, 32, 17, 1.0, dealias=False)
     cutw = make_cutoff(gw)
-    histw = compatible_history(gw, cutw)
+    histw = verify.compatible_history(gw, cutw)
     gmw = histw.newest.graphmap(cutw, gw)
     for row in lemma_checks(histw, gmw, gw):
         assert row["residual"] <= 1e-8, row
@@ -177,7 +155,7 @@ def test_lemma_residuals_decay_under_refinement():
     for (nx, nz) in ((16, 13), (32, 17)):
         g = make_grid(nx, nx, nz, 1.0, dealias=False)
         cut = make_cutoff(g)
-        hist = compatible_history(g, cut)
+        hist = verify.compatible_history(g, cut)
         gm = hist.newest.graphmap(cut, g)
         rows[(nx, nz)] = {f"{r['lemma']}:{r['case']}": r["residual"]
                           for r in lemma_checks(hist, gm, g)}
