@@ -38,7 +38,8 @@ CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 def conserved_energy(state: State, gm: GraphMap) -> float:
     """(1/2) sum_k int |F_k|^2 d3phi + (1/2) int |v|^2 d3phi
-    + sigma int_Sigma sqrt(1 + |grad psi|^2)."""
+    + sigma int_Sigma sqrt(1 + |grad psi|^2), on the state's map ``gm``,
+    whose normal N = (-d1 psi, -d2 psi, 1) supplies grad psi."""
     g = gm.grid
     e = 0.5 * g.quad_volume(sum(state.v[i] ** 2 for i in range(3)) * gm.d3phi)
     for j in range(3):
@@ -46,8 +47,7 @@ def conserved_energy(state: State, gm: GraphMap) -> float:
             continue    # its energy is an exact zero
         e += 0.5 * g.quad_volume(
             sum(state.F[j][i] ** 2 for i in range(3)) * gm.d3phi)
-    p1 = g.d_tan(state.psi, 1)
-    p2 = g.d_tan(state.psi, 2)
+    p1, p2 = gm.N[0], gm.N[1]   # -grad psi; the squares drop the sign
     e += state.sigma * g.quad_surface(np.sqrt(1.0 + p1 * p1 + p2 * p2))
     return float(e)
 

@@ -114,9 +114,8 @@ class _FlatSolver:
         # per-plane residual weights: sqrt of the norm0 quadrature weight on
         # interior planes, of the surface weight on the bottom plane; the
         # top row's residual is exactly zero
-        cell = 4.0 * np.pi**2 / (grid.nx * grid.ny)
-        self.row_weight = np.sqrt(cell * grid.wz)
-        self.row_weight[[0, -1]] = math.sqrt(cell)
+        self.row_weight = np.sqrt(grid.cell * grid.wz)
+        self.row_weight[[0, -1]] = math.sqrt(grid.cell)
 
     def solve(self, B: np.ndarray) -> np.ndarray:
         """B carries (interior rhs; top Dirichlet; bottom Neumann) stacked."""

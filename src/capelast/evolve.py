@@ -13,7 +13,7 @@ step returned and hands it to the next step, and builds no map itself.
 Stages.  The first stage reuses the state's pressure.  Within ``run`` it
 is handed over whole: the post-step pressure pass of a step that is not
 the last solves the new pressure as part of the new state's tendencies,
-which read the same bundle and give the same q, and the next step takes
+by the same ``State.pressure`` as a bare step, and the next step takes
 those tendencies as its k1 through a ``Handoff`` record.  A step reads the
 record only for the very state object whose k1 it holds, and otherwise
 computes k1 as a bare step does, so the handoff changes no bit.  The
@@ -30,9 +30,9 @@ never stored: each column's 3x3 stack feeds the pressure source and every
 tendency term that reads it in one pass, and is dropped before the next
 column; a zero column of F is never formed, and its tendency, linear in
 it, stays exactly zero.  Every q-independent term is formed before the
-pressure solve, which runs with the capillary Dirichlet datum; each
-tendency is truncated once, as a sum, F's after the bundle is dropped.
-After the combined update the velocity is projected back to
+pressure solve, which ``State.pressure`` poses from the bundle's source;
+each tendency is truncated once, as a sum, F's after the bundle is
+dropped.  After the combined update the velocity is projected back to
 divergence-free and the new pressure is solved.  Nothing is overwritten:
 the kinematic surface equation is evolved, and v3 = F_3j = 0 on the flat
 bottom are carried by the scheme, so the recorded ``v3_bot`` and
@@ -72,7 +72,6 @@ from .elliptic import (
     each_gradient_column,
     pressure_rhs,
     project_divfree,
-    solve_poisson_phi,
     stage_fields,
     truncate_columns,
 )
@@ -82,11 +81,14 @@ from .graphmap import (
     GraphMap,
     advection_speed,
     grad_phi_stack,
-    mean_curvature,
     with_surface_velocity,
 )
 from .grid import Grid
 from .state import History, InitSpec, State, build_initial_data, constraint_residuals
+# State.pressure poses the pressure problem, so nothing here calls these
+# two; perfbench/tracing.py requires the bindings
+from .elliptic import solve_poisson_phi  # noqa: F401
+from .graphmap import mean_curvature  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -106,12 +108,11 @@ def tendencies(state: State, gm: GraphMap, solver_tol: float = DEFAULT_TOL,
 
     ``q`` short-circuits the pressure solve when the caller already holds
     the pressure consistent with this state (e.g. the first RK stage).
-    Without it the pressure is solved as in ``State.pressure``: the same
-    source, from the bundle the tendencies read too and dropped first, the
-    same datum, and a solve that starts from and updates ``chain`` (see
-    ``solve_poisson_phi``), so q is the same to the bit.  ``step_rk4``
-    solves its new state's pressure this way when it hands the tendencies
-    on as the next step's first stage.
+    Without it the pressure is ``State.pressure``, handed the source formed
+    from the bundle the tendencies read too, after the bundle is dropped;
+    the solve starts from and updates ``chain``.  ``step_rk4`` solves its
+    new state's pressure this way when it hands the tendencies on as the
+    next step's first stage.
 
     The pressure source and every tendency term read one ``StageFields``
     bundle, so v and F are dealiased and differentiated once per stage.
@@ -140,9 +141,7 @@ def tendencies(state: State, gm: GraphMap, solver_tol: float = DEFAULT_TOL,
     del sf, column
     F_dot = truncate_columns(F_dot, columns, g)
     if q is None:
-        dir_top = -state.sigma * mean_curvature(state.psi, g)
-        q = solve_poisson_phi(rhs, dir_top, np.zeros((g.nx, g.ny)), gm,
-                              tol=solver_tol, chain=chain)
+        q = state.pressure(gm, solver_tol, chain=chain, rhs=rhs)
     v_dot -= grad_phi_stack(q, gm)
     # the graph map was built with psi_t = v . N
     return Tendencies(psi_dot=gm.psi_t, v_dot=g.truncate(v_dot),

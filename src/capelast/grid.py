@@ -148,6 +148,7 @@ class Grid:
     wz: np.ndarray = field(init=False, repr=False)
     Dz: np.ndarray = field(init=False, repr=False)
     ksq: np.ndarray = field(init=False, repr=False)
+    cell: float = field(init=False, repr=False)   # tangential quadrature cell
 
     def __post_init__(self):
         self.x1 = 2.0 * np.pi * np.arange(self.nx) / self.nx
@@ -157,6 +158,7 @@ class Grid:
         self.x3[0] = 0.0
         self.x3[-1] = -self.b
         self.wz = clenshaw_curtis_weights(self.nz) * (self.b / 2.0)
+        self.cell = 4.0 * np.pi**2 / (self.nx * self.ny)
         self.Dz = chebyshev_diff_matrix(self.nz) * (2.0 / self.b)
         self._DzT = np.ascontiguousarray(self.Dz.T)
         # the derivative's squared wavenumbers on the rfft2 layout of the
@@ -203,13 +205,11 @@ class Grid:
 
     def quad_volume(self, f: np.ndarray) -> float:
         """Integral over Omega.  Any weight (e.g. d3(phi)) must be premultiplied."""
-        cell = 4.0 * np.pi**2 / (self.nx * self.ny)
-        return float(cell * np.sum(f * self.wz))
+        return float(self.cell * np.sum(f * self.wz))
 
     def quad_surface(self, f: np.ndarray) -> float:
         """Integral over one horizontal plane (top or bottom alike)."""
-        cell = 4.0 * np.pi**2 / (self.nx * self.ny)
-        return float(cell * np.sum(f))
+        return float(self.cell * np.sum(f))
 
     # -- norms ------------------------------------------------------------
 
@@ -238,7 +238,6 @@ class Grid:
         surface = f.ndim == 2
         k1sq = self.ksq[:, :1]                         # (nx, 1)
         k2sq = self.ksq[0]                             # (ny/2 + 1,)
-        cell = 4.0 * np.pi**2 / (self.nx * self.ny)
         # W[J] = sum over j <= J of the homogeneous weights of order j
         h = np.ones(self.ksq.shape)
         W = [h]
@@ -258,7 +257,8 @@ class Grid:
                 P = G * G
                 if not surface:
                     P = P @ self.wz
-                total += cell * float(np.sum(self.scale_modes(P, W[s - m3])))
+                total += self.cell * float(
+                    np.sum(self.scale_modes(P, W[s - m3])))
         return float(np.sqrt(max(total, 0.0)))
 
     # -- trigonometric coefficients -----------------------------------------

@@ -79,16 +79,21 @@ class State:
                               cutoff, grid)
 
     def pressure(self, gm: GraphMap, tol: float,
-                 chain: Chain | None = None) -> np.ndarray:
+                 chain: Chain | None = None,
+                 rhs: np.ndarray | None = None) -> np.ndarray:
         """The pressure of this state on its map ``gm``, to ``tol``: the
         momentum-balance source, the capillary Dirichlet datum -sigma kappa
         on top and a zero Neumann datum on the flat bottom.  The momentum
         balance there gives sum_{k,l} F_lk d_l^phi F_3k, which vanishes
-        with F_3k, since d_1^phi and d_2^phi are tangential there.  The
-        source streams the gradient of F one column at a time.  The solve
-        starts from and updates ``chain`` (see ``solve_poisson_phi``)."""
+        with F_3k, since d_1^phi and d_2^phi are tangential there.  This is
+        the one place the pressure problem is posed.  ``rhs`` is the source
+        when the caller has already formed it from this state's bundle on
+        ``gm``, as ``evolve.tendencies`` does; otherwise it is formed here,
+        streaming the gradient of F one column at a time.  The solve starts
+        from and updates ``chain`` (see ``solve_poisson_phi``)."""
         g = gm.grid
-        rhs = pressure_rhs(stage_fields(self.v, self.F, gm))
+        if rhs is None:
+            rhs = pressure_rhs(stage_fields(self.v, self.F, gm))
         dir_top = -self.sigma * mean_curvature(self.psi, g)
         return solve_poisson_phi(rhs, dir_top, np.zeros((g.nx, g.ny)), gm,
                                  tol=tol, chain=chain)

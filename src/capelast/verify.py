@@ -70,12 +70,15 @@ def compatible_history(grid, cutoff):
 
     psi(t) = psi0 + 0.02 g(t) sin(x1); v is the twisted stream field whose
     kinematic trace equals dt(psi) pointwise, with an impermeable bottom.
-    The probe field in the pressure slot is an analytic scalar.
+    The probe field in the pressure slot is an analytic scalar.  Every
+    slice shares one read-only zero F.
     """
     X1s, _ = grid.mesh_surface()
     X1, X2, X3 = grid.mesh_volume()
     base = battery_surface(grid)
     mu = (X3 + grid.b) / grid.b
+    F = np.zeros((3, 3) + X1.shape)
+    F.flags.writeable = False
     hist = History(maxlen=7)
     for k in range(7):
         t = 0.2 + k * 0.01
@@ -87,14 +90,14 @@ def compatible_history(grid, cutoff):
                       -dphi(theta, 1, gm0)])
         f = ((1.0 + 0.3 * np.sin(0.9 * t))
              * np.cos(X1) * np.cos(X2) * (1.0 + X3) ** 2)
-        hist.push(State(t=t, psi=psi, v=v, F=np.zeros((3, 3) + theta.shape),
-                        q=f, sigma=0.0))
+        hist.push(State(t=t, psi=psi, v=v, F=F, q=f, sigma=0.0))
     return hist
 
 
-def moving_history(grid, cutoff, nslices=6, dt=0.05, freq=3.0):
-    """Independently prescribed analytic (psi, v, f) with explicit psi_t,
-    from t = 0.3, for the derivative-exchange identities."""
+def _moving_states(grid, times, freq):
+    """Independently prescribed analytic (psi, v, f) with explicit psi_t at
+    each of ``times``, with time frequencies scaled by ``freq``.  Every
+    state shares one read-only zero F."""
     X1s, X2s = grid.mesh_surface()
     X1, X2, X3 = grid.mesh_volume()
     base = 0.06 * (np.cos(X1s) + 0.6 * np.sin(X2s))
@@ -106,17 +109,25 @@ def moving_history(grid, cutoff, nslices=6, dt=0.05, freq=3.0):
         np.sin(X1 + X2) * X3 * (X3 + 1.0)])
     Q = (np.cos(X1) * np.cos(X2) * (1.0 + X3) ** 3
          + 0.2 * np.sin(X2) * (1 + X3))
-    hist = History(maxlen=nslices)
-    for k in range(nslices):
-        t = 0.3 + k * dt
+    F = np.zeros((3, 3) + Q.shape)
+    F.flags.writeable = False
+    for t in times:
         gt = 1.0 + 0.4 * np.sin(w1 * t + 0.2)
         psi = base * gt
         psi_t = base * 0.4 * w1 * np.cos(w1 * t + 0.2)
         ht = 1.0 + 0.3 * np.cos(w2 * t)
         v = 0.2 * ht * V
         f = (1.0 + 0.3 * np.sin(w3 * t)) * Q
-        hist.push(State(t=t, psi=psi, v=v, F=np.zeros((3, 3) + f.shape),
-                        q=f, sigma=0.0, psi_t=psi_t))
+        yield State(t=t, psi=psi, v=v, F=F, q=f, sigma=0.0, psi_t=psi_t)
+
+
+def moving_history(grid, cutoff, nslices=6, dt=0.05):
+    """The moving analytic data, ``nslices`` slices ``dt`` apart from
+    t = 0.3, for the derivative-exchange identities."""
+    hist = History(maxlen=nslices)
+    for state in _moving_states(
+            grid, [0.3 + k * dt for k in range(nslices)], freq=3.0):
+        hist.push(state)
     return hist
 
 
@@ -135,9 +146,10 @@ def _frozen_history(first: State, nslices: int) -> History:
 
 
 def static_history(grid, cutoff, nslices=6):
-    """The first slice of ``moving_history`` frozen for ``nslices`` slices."""
-    return _frozen_history(
-        moving_history(grid, cutoff, nslices, freq=0.0)[0], nslices)
+    """The moving data's state at t = 0.3 with every time frequency zero,
+    frozen for ``nslices`` slices."""
+    (first,) = _moving_states(grid, (0.3,), freq=0.0)
+    return _frozen_history(first, nslices)
 
 
 def steady_sheared_history(grid, cutoff, nslices=6):
@@ -242,7 +254,7 @@ def alinhac_battery(nx=32, ny=32, nz=17, hist_len=6) -> list[VerifyRow]:
     dts = (0.12, 0.06, 0.03)
     rs = []
     for dt in dts:
-        h = moving_history(grid, cut, nslices=hist_len, dt=dt, freq=3.0)
+        h = moving_history(grid, cut, nslices=hist_len, dt=dt)
         rs.append(alinhac_residual(Calculus(h, cut, grid), "q",
                                    MultiIndex(1, 0, 0), "tau1"))
     del h  # the last history would otherwise live through the curl rows

@@ -1,10 +1,13 @@
 """No dead code under ``src/capelast``: every module-level import is used,
-and every function parameter is read.
+every function parameter is read, and every definition is used.
 
 The check walks each module's syntax tree.  A name counts as used or read
 when some expression of the module (for an import) or of the function body
-(for a parameter) loads it.  What stays on purpose though nothing reads it
-is listed below, each with its reason.
+(for a parameter) loads it.  A module-level function, class or constant,
+or a method, counts as used when some expression of the package loads its
+name, as a name or as an attribute, when its module exports it in
+``__all__``, or when the benchmark tracer names it.  What stays on purpose
+though nothing reads it is listed below, each with its reason.
 """
 
 import ast
@@ -25,8 +28,17 @@ UNREAD_PARAMETERS = {
         "every recipe builds from (grid, gm); random modes need no map",
     ("verify", "moving_history", "cutoff"):
         "perfbench/workloads.py passes a cutoff to every history builder",
+    ("verify", "static_history", "cutoff"):
+        "perfbench/workloads.py passes a cutoff to every history builder",
     ("verify", "steady_sheared_history", "cutoff"):
         "perfbench/workloads.py passes a cutoff to every history builder",
+}
+
+# (module, definition) -> why it stays though nothing in the package uses it
+UNUSED_DEFINITIONS = {
+    ("state", "load_state"):
+        "the restart API the roadmap's third aim asks for; a resumed run "
+        "will call it",
 }
 
 
@@ -75,6 +87,29 @@ def _functions(tree):
     yield from walk(tree, "")
 
 
+def _definitions(tree):
+    """The qualified name of each module-level function, class and
+    constant and each method.  Dunder names are left out: Python itself
+    calls or reads them."""
+    def named(name):
+        return not (name.startswith("__") and name.endswith("__"))
+
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield stmt.name
+        if isinstance(stmt, ast.ClassDef):
+            yield from (f"{stmt.name}.{m.name}" for m in stmt.body
+                        if isinstance(m, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))
+                        and named(m.name))
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target])
+            yield from (n.id for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name) and named(n.id))
+
+
 def _parameters(fn) -> list:
     a = fn.args
     params = [*a.posonlyargs, *a.args, *a.kwonlyargs]
@@ -99,6 +134,25 @@ def dead_imports(bindings) -> list:
     return found
 
 
+def dead_definitions(traced) -> list:
+    """(module, qualified name) for each definition nothing uses.  A
+    method is used when its own name is loaded; ``traced`` holds the names
+    the benchmark tracer binds."""
+    modules = list(_modules())
+    loaded = set(traced)
+    for _, tree in modules:
+        loaded |= _loaded(tree)
+        loaded |= {n.attr for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute)
+                   and isinstance(n.ctx, ast.Load)}
+    found = []
+    for module, tree in modules:
+        used = loaded | _exported(tree)
+        found += [(module, name) for name in _definitions(tree)
+                  if name.rpartition(".")[2] not in used]
+    return found
+
+
 def dead_parameters() -> list:
     """(module, function, parameter) for each parameter no body reads."""
     found = []
@@ -120,3 +174,13 @@ def test_every_function_parameter_is_read():
     assert [d for d in dead if d not in UNREAD_PARAMETERS] == []
     # an allowlist entry whose parameter is read again, or gone, is stale
     assert sorted(set(UNREAD_PARAMETERS) - set(dead)) == []
+
+
+def test_every_definition_is_used():
+    tracing = load_perfbench("tracing")
+    traced = set(tracing.FFT_FUNCTIONS).union(
+        *tracing.REQUIRED_BINDINGS.values())
+    dead = dead_definitions(traced)
+    assert [d for d in dead if d not in UNUSED_DEFINITIONS] == []
+    # an allowlist entry that is used again, or gone, is stale
+    assert sorted(set(UNUSED_DEFINITIONS) - set(dead)) == []

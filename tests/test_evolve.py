@@ -10,7 +10,7 @@ import capelast.evolve
 import capelast.graphmap
 import capelast.state
 from capelast import CFLError, Grid, NonFiniteStateError, SolverConvergenceError
-from capelast.elliptic import pressure_rhs, stage_fields
+from capelast.elliptic import Chain, pressure_rhs, stage_fields
 from capelast.evolve import (
     Handoff,
     RunConfig,
@@ -544,3 +544,40 @@ def test_a_handoff_for_another_state_is_ignored():
     again, _ = step_rk4(twin, gm, 0.01, handoff=handoff)
     assert_same_bits(again, bare)
     assert handoff.state is None and handoff.k1 is None
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_tendencies_solve_the_pressure_of_state_pressure(warm):
+    # one routine poses the pressure problem: the tendencies' q equals
+    # State.pressure's bit for bit, from a cold chain and from one warmed
+    # on the previous state's map, and both chains end with one correction
+    state, gm = build_initial_data(oblique_spec())
+    new, gm_new = step_rk4(state, gm, 0.01)
+    start = Chain()
+    if warm:
+        state.pressure(gm, 1e-11, chain=start)
+        assert start.correction is not None
+    chains = [Chain(start.correction), Chain(start.correction)]
+    q = tendencies(new, gm_new, solver_tol=1e-11, chain=chains[0]).q
+    assert q.tobytes() == new.pressure(gm_new, 1e-11,
+                                       chain=chains[1]).tobytes()
+    assert chains[0].correction is not None
+    assert (chains[0].correction.tobytes()
+            == chains[1].correction.tobytes())
+
+
+def test_a_step_poses_no_pressure_problem_of_its_own(monkeypatch):
+    # the stages and the handed-on post-step pass reach the solver and the
+    # capillary datum only through State.pressure
+    state, gm = build_initial_data(oblique_spec())
+    bare, _ = step_rk4(state, gm, 0.01)
+
+    def raising(*args, **kwargs):
+        raise AssertionError("evolve posed a pressure problem itself")
+
+    for name in ("solve_poisson_phi", "mean_curvature"):
+        monkeypatch.setattr(capelast.evolve, name, raising)
+    handoff = Handoff()
+    new, _ = step_rk4(state, gm, 0.01, handoff=handoff)
+    assert_same_bits(new, bare)
+    assert handoff.state is new

@@ -12,24 +12,28 @@ from capelast.cli import main
 
 def test_alinhac_battery_frees_its_histories_before_the_curl_rows(
         monkeypatch):
-    # every moving history (the one static_history freezes a slice of and
-    # the three dt-order histories) is dead once the curl rows start
+    # the static history and the three dt-order histories are dead once
+    # the curl rows start
     refs, seen = [], []
-    moving, curl = verify.moving_history, verify.curl_commutator_residuals
+    curl = verify.curl_commutator_residuals
 
-    def recording(*args, **kwargs):
-        hist = moving(*args, **kwargs)
-        refs.append(weakref.ref(hist))
-        return hist
+    def recording(build):
+        def wrapper(*args, **kwargs):
+            hist = build(*args, **kwargs)
+            refs.append((build.__name__, weakref.ref(hist)))
+            return hist
+        return wrapper
 
     def checking(calc):
-        seen.append([r() is None for r in refs])
+        seen.append([(name, r() is None) for name, r in refs])
         return curl(calc)
 
-    monkeypatch.setattr(verify, "moving_history", recording)
+    for name in ("static_history", "moving_history"):
+        monkeypatch.setattr(verify, name, recording(getattr(verify, name)))
     monkeypatch.setattr(verify, "curl_commutator_residuals", checking)
     assert len(verify.alinhac_battery(16, 16, 9)) == 23
-    assert seen == [[True] * 4]
+    assert seen == [[("static_history", True)]
+                    + [("moving_history", True)] * 3]
 
 
 def test_alinhac_battery_rejects_a_short_history():
