@@ -4,11 +4,13 @@ Graph maps.  ``step_rk4(state, gm, dt)`` takes ``gm``, the map of
 ``state``, and uses it for the CFL check and the first stage.  It builds
 one map for each of the other three stages and one for the projection of
 the updated velocity, four in all.  The projected state's map is the
-projection's map with psi_t and dt(phi), the only fields that read the
-velocity, replaced by ``with_surface_velocity``; the step returns it with
-the new state, and the new pressure is solved on it.  ``run`` starts from
-the map ``build_initial_data`` returns, records each step with the map the
-step returned and hands it to the next step, and builds no map itself.
+projection's map with psi_t = v . N attached by ``with_surface_velocity``:
+psi_t is the only field of a map that reads the velocity, and dt(phi) is
+formed from it the first time it is read, so the projection's map never
+forms one.  The step returns that map with the new state, and the new
+pressure is solved on it.  ``run`` starts from the map
+``build_initial_data`` returns, records each step with the map the step
+returned and hands it to the next step, and builds no map itself.
 
 Stages.  The first stage reuses the state's pressure.  Within ``run`` it
 is handed over whole: the post-step pressure pass of a step that is not
@@ -278,8 +280,8 @@ def step_rk4(state: State, gm: GraphMap, dt: float,
     del total
     gm_new = new.graphmap(cutoff, grid)
     new.v = project_divfree(new.v, gm_new, tol=solver_tol)
-    # only psi_t and dt(phi) read the projected velocity
-    gm_new = with_surface_velocity(gm_new, new.surface_velocity(grid))
+    # only psi_t reads the projected velocity
+    gm_new = with_surface_velocity(gm_new, new.surface_velocity(gm_new))
     if handoff.onward:
         k1 = tendencies(new, gm_new, solver_tol=solver_tol, chain=chain)
         new.q = k1.q

@@ -6,6 +6,11 @@ the geometry bundle (phi, its derivatives, the cofactor row, normals), and
 the operators grad/div/curl twisted by the map, the material derivative,
 and the mean-curvature operator for the capillary boundary condition.
 
+Surface slopes.  ``build_graphmap`` is the one place the surface psi is
+differentiated: the map keeps its slopes in the normal
+N = (-d1 psi, -d2 psi, 1), and the mean curvature and the kinematic value
+v . N read them from there.
+
 Cutoff.  The classical choice is a bump that is identically 1 near the top
 and 0 near the bottom.  Piecewise profiles of that kind have limited
 Chebyshev regularity and were measured to leave O(1e-4) commutator residuals
@@ -20,6 +25,7 @@ chart validity is guarded pointwise by ``build_graphmap``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -77,27 +83,36 @@ class GraphMap:
 
     Immutable after construction; rows 1 and 2 of the cofactor matrix are
     the identity, so only row 3 (a31, a32, a33) is stored, a33 as
-    ``inv_d3phi``.
+    ``inv_d3phi``.  ``dtphi`` is formed from ``psi_t`` the first time it
+    is read.
     """
 
     grid: Grid
     cutoff: Cutoff
-    psi_t: np.ndarray
+    psi_t: np.ndarray | None
     phi: np.ndarray
     d1phi: np.ndarray
     d2phi: np.ndarray
     d3phi: np.ndarray
-    dtphi: np.ndarray
     inv_d3phi: np.ndarray
     a31: np.ndarray
     a32: np.ndarray
     N: np.ndarray        # surface normal (-d1psi, -d2psi, 1) on Sigma
     c0: float
 
+    @cached_property
+    def dtphi(self) -> np.ndarray:
+        """dt(phi) = chi dt(psi), the one field of a map read from psi_t."""
+        return self.cutoff.chi[None, None, :] * self.psi_t[:, :, None]
 
-def build_graphmap(psi: np.ndarray, psi_t: np.ndarray, cutoff: Cutoff,
-                   grid: Grid) -> GraphMap:
-    """Assemble the geometry for a surface psi with time derivative psi_t."""
+
+def build_graphmap(psi: np.ndarray, psi_t: np.ndarray | None,
+                   cutoff: Cutoff, grid: Grid) -> GraphMap:
+    """Assemble the geometry for a surface psi with time derivative psi_t.
+
+    A caller whose psi_t reads the map passes None and attaches it with
+    ``with_surface_velocity``; such a map has no dt(phi) until then.
+    """
     if psi.shape != (grid.nx, grid.ny):
         raise GridError(f"psi shape {psi.shape} does not match grid")
     # the chart checks below compare against NaN as False and would pass
@@ -127,21 +142,15 @@ def build_graphmap(psi: np.ndarray, psi_t: np.ndarray, cutoff: Cutoff,
     N = np.stack([-d1psi, -d2psi, np.ones_like(psi)])
     return GraphMap(grid=grid, cutoff=cutoff, psi_t=psi_t,
                     phi=phi, d1phi=d1phi, d2phi=d2phi, d3phi=d3phi,
-                    dtphi=_dtphi(psi_t, cutoff), inv_d3phi=inv,
-                    a31=-d1phi * inv, a32=-d2phi * inv,
+                    inv_d3phi=inv, a31=-d1phi * inv, a32=-d2phi * inv,
                     N=N, c0=c0)
-
-
-def _dtphi(psi_t: np.ndarray, cutoff: Cutoff) -> np.ndarray:
-    """dt(phi) = chi dt(psi), the one field of a map read from psi_t."""
-    return cutoff.chi[None, None, :] * psi_t[:, :, None]
 
 
 def with_surface_velocity(gm: GraphMap, psi_t: np.ndarray) -> GraphMap:
     """The map of ``gm``'s surface with time derivative ``psi_t``: bit for
     bit ``build_graphmap(psi, psi_t, gm.cutoff, gm.grid)``, with every
     field that depends on psi alone shared with ``gm``."""
-    return replace(gm, psi_t=psi_t, dtphi=_dtphi(psi_t, gm.cutoff))
+    return replace(gm, psi_t=psi_t)
 
 
 def flat_graphmap(grid: Grid) -> GraphMap:
@@ -217,12 +226,14 @@ def material_derivative(f_t: np.ndarray, f: np.ndarray, v: np.ndarray,
             + w * gm.inv_d3phi * g.d_vert(f))
 
 
-def mean_curvature(psi: np.ndarray, grid: Grid) -> np.ndarray:
-    """kappa = div( grad(psi) / sqrt(1 + |grad(psi)|^2) ) on the surface.
+def mean_curvature(gm: GraphMap) -> np.ndarray:
+    """kappa = div( grad(psi) / sqrt(1 + |grad(psi)|^2) ) on the surface of
+    ``gm``, whose slopes grad(psi) = (-N1, -N2) the map already holds.
 
     Callers impose the capillary condition as q = -sigma * kappa.
     """
-    p1 = grid.d_tan(psi, 1)
-    p2 = grid.d_tan(psi, 2)
+    grid = gm.grid
+    p1 = -gm.N[0]
+    p2 = -gm.N[1]
     denom = np.sqrt(1.0 + p1 * p1 + p2 * p2)
     return grid.d_tan(p1 / denom, 1) + grid.d_tan(p2 / denom, 2)

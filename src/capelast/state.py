@@ -65,18 +65,19 @@ class State:
         attr, *index = FIELDS[name]
         return getattr(self, attr)[tuple(index)]
 
-    def surface_velocity(self, grid: Grid) -> np.ndarray:
-        """dt(psi): the explicit override if present, else v . N on Sigma."""
+    def surface_velocity(self, gm: GraphMap) -> np.ndarray:
+        """dt(psi): the explicit override if present, else v . N on Sigma,
+        with N the normal of ``gm``, the map of this state's surface."""
         if self.psi_t is not None:
             return self.psi_t
-        d1 = grid.d_tan(self.psi, 1)
-        d2 = grid.d_tan(self.psi, 2)
         vtop = self.v[:, :, :, 0]
-        return -vtop[0] * d1 - vtop[1] * d2 + vtop[2]
+        return vtop[0] * gm.N[0] + vtop[1] * gm.N[1] + vtop[2]
 
     def graphmap(self, cutoff: Cutoff, grid: Grid) -> GraphMap:
-        return build_graphmap(self.psi, self.surface_velocity(grid),
-                              cutoff, grid)
+        """The map of this state's surface, with dt(psi) its
+        ``surface_velocity`` on that map."""
+        gm = build_graphmap(self.psi, None, cutoff, grid)
+        return with_surface_velocity(gm, self.surface_velocity(gm))
 
     def pressure(self, gm: GraphMap, tol: float,
                  chain: Chain | None = None,
@@ -94,7 +95,7 @@ class State:
         g = gm.grid
         if rhs is None:
             rhs = pressure_rhs(stage_fields(self.v, self.F, gm))
-        dir_top = -self.sigma * mean_curvature(self.psi, g)
+        dir_top = -self.sigma * mean_curvature(gm)
         return solve_poisson_phi(rhs, dir_top, np.zeros((g.nx, g.ny)), gm,
                                  tol=tol, chain=chain)
 
@@ -177,8 +178,8 @@ def build_initial_data(spec: InitSpec, tol: float = DEFAULT_TOL):
     """Construct (state, gm) satisfying the compatibility constraints.
 
     One map is built: recipes are projected to divergence-free fields on
-    the map of psi0 with zero dt(psi), and ``gm`` is that map with the
-    state's own dt(psi) (``with_surface_velocity``).  The initial pressure
+    the map of psi0, built without a dt(psi), and ``gm`` is that map with
+    the state's own dt(psi) (``with_surface_velocity``).  The initial pressure
     is ``State.pressure``.  The projection and the pressure solve run to
     the solver tolerance ``tol``.  Data whose v3 or F_3j exceeds
     ``BOTTOM_MAX`` on the flat bottom raise ConfigError naming the field:
@@ -187,8 +188,7 @@ def build_initial_data(spec: InitSpec, tol: float = DEFAULT_TOL):
     """
     grid = spec.make_grid()
     psi0 = spec.build_psi0(grid)
-    zero_surf = np.zeros((grid.nx, grid.ny))
-    gm0 = build_graphmap(psi0, zero_surf, make_cutoff(grid), grid)
+    gm0 = build_graphmap(psi0, None, make_cutoff(grid), grid)
 
     def realize(recipe):
         if recipe is None:
@@ -204,7 +204,7 @@ def build_initial_data(spec: InitSpec, tol: float = DEFAULT_TOL):
             raise ConfigError(
                 f"initial {name} is {gap:.3g} on the bottom plane; the flat "
                 f"bottom needs {name} = 0 (at most {BOTTOM_MAX:g})")
-    gm = with_surface_velocity(gm0, state.surface_velocity(grid))
+    gm = with_surface_velocity(gm0, state.surface_velocity(gm0))
     state.q = state.pressure(gm, tol)
     return state, gm
 

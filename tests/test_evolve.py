@@ -282,6 +282,24 @@ def test_step_dealiases_once_per_stage(monkeypatch):
     assert len(calls) <= 22
 
 
+def test_a_step_differentiates_each_surface_field_once(monkeypatch):
+    # the stage maps hold psi's slopes, and the mean curvature and v . N
+    # read them there: no surface field is differentiated along an axis
+    # twice in a step
+    state, gm = build_initial_data(oblique_spec())
+    seen = []
+    original = Grid.d_tan
+
+    def recording(self, f, axis):
+        if f.ndim == 2:
+            seen.append((f.tobytes(), axis))
+        return original(self, f, axis)
+
+    monkeypatch.setattr(Grid, "d_tan", recording)
+    step_rk4(state, gm, 0.01, handoff=Handoff())
+    assert seen and len(set(seen)) == len(seen)
+
+
 def test_blow_up_is_named(monkeypatch):
     original = capelast.evolve.step_rk4
 
@@ -351,7 +369,7 @@ def test_run_records_the_pressure_of_its_final_state():
     g = res.grid
     gm = final.graphmap(res.cutoff, g)
     rhs = pressure_rhs(stage_fields(final.v, final.F, gm))
-    dir_top = -final.sigma * mean_curvature(final.psi, g)
+    dir_top = -final.sigma * mean_curvature(gm)
     interior, bottom = residuals_over_target(
         final.q, rhs, dir_top, np.zeros((g.nx, g.ny)), gm, cfg.solver_tol)
     assert interior <= 1.0 and bottom <= 1.0

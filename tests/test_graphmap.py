@@ -213,13 +213,30 @@ def test_advection_speed_vanishes_on_boundaries():
 def test_mean_curvature_values():
     g = make_grid(32, 16, 9, 1.0)
     X1s, _ = g.mesh_surface()
-    assert np.abs(mean_curvature(np.zeros((32, 16)), g)).max() == 0.0
+    assert np.abs(mean_curvature(flat_graphmap(g))).max() == 0.0
     psi = 0.1 * np.cos(X1s)
-    kappa = mean_curvature(psi, g)
+    kappa = mean_curvature(build_graphmap(psi, None, make_cutoff(g), g))
     # 1d formula psi'' / (1 + psi'^2)^(3/2): -0.1 at x1 = 0, 0 at x1 = pi/2
     assert abs(kappa[0, 0] + 0.1) <= 1e-10
     i_quarter = 8  # x1 = pi/2 on a 32-point grid
     assert abs(kappa[i_quarter, 0]) <= 1e-10
+    # a surface that depends on x2, against the closed form
+    # ((1 + py^2) pxx - 2 px py pxy + (1 + px^2) pyy) / (1 + |grad psi|^2)^1.5,
+    # which reads psi_y in the denominator and in the cross term
+    for n, tol in ((32, 1e-9), (64, 1e-12)):
+        g = make_grid(n, n, 9, 1.0)
+        X, Y = g.mesh_surface()
+        psi = (0.1 * np.cos(X + 0.3) + 0.05 * np.sin(2 * Y)
+               + 0.04 * np.cos(X + Y))
+        px = -0.1 * np.sin(X + 0.3) - 0.04 * np.sin(X + Y)
+        py = 0.1 * np.cos(2 * Y) - 0.04 * np.sin(X + Y)
+        pxx = -0.1 * np.cos(X + 0.3) - 0.04 * np.cos(X + Y)
+        pyy = -0.2 * np.sin(2 * Y) - 0.04 * np.cos(X + Y)
+        pxy = -0.04 * np.cos(X + Y)
+        exact = (((1 + py**2) * pxx - 2 * px * py * pxy + (1 + px**2) * pyy)
+                 / (1 + px**2 + py**2) ** 1.5)
+        kappa = mean_curvature(build_graphmap(psi, None, make_cutoff(g), g))
+        assert np.abs(kappa - exact).max() <= tol, n
 
 
 # -- operator lemma battery ---------------------------------------------------

@@ -6,11 +6,13 @@ import pytest
 
 from capelast import ConfigError, InsufficientHistoryError, make_grid
 from capelast.elliptic import _apply_bc_operator
+from capelast.evolve import step_rk4
 from capelast.graphmap import (
     GraphMap,
     build_graphmap,
     make_cutoff,
     mean_curvature,
+    with_surface_velocity,
 )
 from capelast.recipes import ShearRecipe, StreamRecipe, parse_recipe, recipe_to_text
 from capelast.state import (
@@ -23,6 +25,8 @@ from capelast.state import (
     save_state,
     zero_state,
 )
+
+from test_evolve import oblique_spec
 
 
 def test_zero_initial_data():
@@ -57,7 +61,7 @@ def test_wavy_pressure_against_dense_oracle():
         A[:, j] = _apply_bc_operator(e.reshape(8, 8, 9), gm).ravel()
         e[j] = 0.0
     B = np.zeros((8, 8, 9))
-    B[:, :, 0] = -spec.sigma * mean_curvature(state.psi, grid)
+    B[:, :, 0] = -spec.sigma * mean_curvature(gm)
     q_dense = np.linalg.solve(A, B.ravel()).reshape(8, 8, 9)
     assert grid.norm0(state.q - q_dense) <= 1e-8
     # spot value: the pressure under a crest is set by the curvature there
@@ -185,6 +189,37 @@ def _same_cutoff(a, b):
             and a.chi_prime.tobytes() == b.chi_prime.tobytes())
 
 
+def assert_same_map(a, b):
+    """Every field of two graph maps is bit for bit equal, dtphi (formed on
+    first read, so not a dataclass field) included."""
+    names = [f.name for f in fields(GraphMap)
+             if f.name not in ("grid", "cutoff")]
+    for name in names + ["dtphi"]:
+        assert (np.asarray(getattr(a, name)).tobytes()
+                == np.asarray(getattr(b, name)).tobytes()), name
+
+
+def test_maps_equal_a_full_build_bit_for_bit():
+    # a state's map and a step's returned map equal a full build of the
+    # surface with v . N formed from psi's own derivatives, and
+    # with_surface_velocity equals a full build with its psi_t
+    state, gm = build_initial_data(oblique_spec())
+    new, gm_new = step_rk4(state, gm, 0.01)
+    g, cut = gm.grid, gm.cutoff
+    for s, returned in ((state, gm), (new, gm_new)):
+        # the kinematic value as formed before the map held the slopes
+        vtop = s.v[:, :, :, 0]
+        vN = (-vtop[0] * g.d_tan(s.psi, 1) - vtop[1] * g.d_tan(s.psi, 2)
+              + vtop[2])
+        full = build_graphmap(s.psi, vN, cut, g)
+        assert_same_map(s.graphmap(cut, g), full)
+        assert_same_map(returned, full)
+        p = np.sin(s.psi) + 0.5    # any surface field
+        assert_same_map(
+            with_surface_velocity(build_graphmap(s.psi, None, cut, g), p),
+            build_graphmap(s.psi, p, cut, g))
+
+
 def test_run_cutoff_depends_on_the_grid_alone(tmp_path):
     # initial data on different surfaces share one cutoff, so a dump's
     # manifest is enough to rebuild a run's graph map
@@ -206,12 +241,7 @@ def test_run_cutoff_depends_on_the_grid_alone(tmp_path):
 
     save_state(state, gm.grid, tmp_path)
     loaded, grid = load_state(tmp_path)
-    rebuilt = loaded.graphmap(make_cutoff(grid), grid)
-    for f in fields(GraphMap):
-        if f.name in ("grid", "cutoff"):
-            continue
-        assert (np.asarray(getattr(rebuilt, f.name)).tobytes()
-                == np.asarray(getattr(gm, f.name)).tobytes()), f.name
+    assert_same_map(loaded.graphmap(make_cutoff(grid), grid), gm)
 
 
 def test_load_state_without_dealias_key_dealiases(tmp_path):
