@@ -3,11 +3,12 @@
 Graph maps.  ``step_rk4(state, gm, dt)`` takes ``gm``, the map of
 ``state``, and uses it for the CFL check and the first stage.  It builds
 one map for each of the other three stages and one for the projection of
-the updated velocity, four in all.  The projected state's map is the
-projection's map with psi_t = v . N attached by ``with_surface_velocity``:
-psi_t is the only field of a map that reads the velocity, and dt(phi) is
-formed from it the first time it is read, so the projection's map never
-forms one.  The step returns that map with the new state, and the new
+the updated velocity, four in all.  The projection's map is built without
+a psi_t, since the projection reads no dt(phi).  The projected state's map
+is that map with psi_t = v . N of the projected velocity attached by
+``with_surface_velocity``: psi_t is the only field of a map that reads the
+velocity, so the new state's v . N is formed once, after the
+projection.  The step returns that map with the new state, and the new
 pressure is solved on it.  ``run`` starts from the map
 ``build_initial_data`` returns, records each step with the map the step
 returned and hands it to the next step, and builds no map itself.
@@ -82,6 +83,7 @@ from .graphmap import (
     Cutoff,
     GraphMap,
     advection_speed,
+    build_graphmap,
     grad_phi_stack,
     with_surface_velocity,
 )
@@ -278,9 +280,9 @@ def step_rk4(state: State, gm: GraphMap, dt: float,
 
     new = _advance(state, state.t + dt, dt / 6.0, total, columns)
     del total
-    gm_new = new.graphmap(cutoff, grid)
+    # the projection reads no dt(phi); psi_t waits for the projected v
+    gm_new = build_graphmap(new.psi, None, cutoff, grid)
     new.v = project_divfree(new.v, gm_new, tol=solver_tol)
-    # only psi_t reads the projected velocity
     gm_new = with_surface_velocity(gm_new, new.surface_velocity(gm_new))
     if handoff.onward:
         k1 = tendencies(new, gm_new, solver_tol=solver_tol, chain=chain)

@@ -32,8 +32,9 @@ caller's ``Calculus`` instead of building its own, so a battery that
 checks many identities on one history builds one ``Calculus`` and passes
 it to each.  The identities share their terms through it as well
 (``Calculus.shared``): each named series is stacked once; the series of
-d3 f, of d_i^phi f (i = 1, 2, 3), of D_t^phi f and of d1 f and d2 f, and
-d_i^phi d3^phi f at the newest slice, are built once per field; the
+d3 f, of d_i^phi f (i = 1, 2, 3, each on the shared d3 f), of D_t^phi f
+and of d1 f and d2 f, and the twisted gradient of d3^phi f at the newest
+slice (d_i^phi d3^phi f for every i at once), are built once per field; the
 advection-speed and v . N series once per ``Calculus``; and D^alpha(phi),
 the unit split B and the good unknown once per alpha, for all four
 identities of that alpha.  Shared terms are read-only, so a row's bits do
@@ -268,9 +269,10 @@ def _d3_series(calc: Calculus, fieldname) -> np.ndarray:
 
 
 def _dphi_series(calc: Calculus, fieldname, i: int) -> np.ndarray:
-    """The d_i^phi f series."""
-    return calc.shared(("dphi", fieldname, i, None), lambda: calc.op_series(
-        calc.series(fieldname), lambda f, g: dphi(f, i, g)))
+    """The d_i^phi f series, on the shared d3 f series."""
+    return calc.shared(("dphi", fieldname, i, None), lambda: np.stack([
+        dphi(f, i, g, d3f) for f, g, d3f in zip(
+            calc.series(fieldname), calc.gms, _d3_series(calc, fieldname))]))
 
 
 def _dtan_series(calc: Calculus, fieldname, t: int) -> np.ndarray:
@@ -316,9 +318,10 @@ def remainder_C(calc: Calculus, fieldname, alpha: MultiIndex,
     C = (calc.bracket3(N * U, D3f, alpha)
          + D3f[-1] * calc.bracket3(N, U, alpha)
          - N[-1] * D3f[-1] * B)
-    didj = calc.shared(("d_i d3^phi", fieldname, i, None), lambda: dphi(
-        _dphi_series(calc, fieldname, 3)[-1], i, calc.gm))
-    return _D_alpha_phi(calc, alpha) * didj + C
+    grad_d3 = calc.shared(("grad d3^phi", fieldname, None, None),
+                          lambda: grad_phi_stack(
+                              _dphi_series(calc, fieldname, 3)[-1], calc.gm))
+    return _D_alpha_phi(calc, alpha) * grad_d3[i - 1] + C
 
 
 def remainder_D(calc: Calculus, fieldname, alpha: MultiIndex) -> np.ndarray:

@@ -6,6 +6,11 @@ the geometry bundle (phi, its derivatives, the cofactor row, normals), and
 the operators grad/div/curl twisted by the map, the material derivative,
 and the mean-curvature operator for the capillary boundary condition.
 
+Twisted derivative.  ``dphi`` is the one formula of d_i^phi: the twisted
+gradient, and with it the curl and the Laplacian every RK stage, pressure
+source and projection run, takes its components from ``dphi``, so the
+structure checks that measure ``dphi`` measure the step's operator.
+
 Surface slopes.  ``build_graphmap`` is the one place the surface psi is
 differentiated: the map keeps its slopes in the normal
 N = (-d1 psi, -d2 psi, 1), and the mean curvature and the kinematic value
@@ -161,27 +166,32 @@ def flat_graphmap(grid: Grid) -> GraphMap:
 
 # -- twisted operators ----------------------------------------------------
 
-def dphi(f: np.ndarray, i: int, gm: GraphMap) -> np.ndarray:
-    """Twisted partial derivative of a scalar volume field, i in {1, 2, 3}."""
-    g = gm.grid
-    if i == 3:
-        return gm.inv_d3phi * g.d_vert(f)
-    d3f = g.d_vert(f)
-    coef = gm.a31 if i == 1 else gm.a32
-    return g.d_tan(f, i) + coef * d3f
+def dphi(f: np.ndarray, i: int, gm: GraphMap, d3f: np.ndarray | None = None,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """Twisted partial derivative d_i^phi, i in {1, 2, 3}, of a scalar
+    volume field or of every field in a leading-axis stack.
+
+    The one formula of the twisted derivative:
+    d_i^phi f = a3i d3 f + d_i f for i = 1, 2 and d3^phi f = d3 f / d3 phi.
+    ``d3f`` is d3 f when the caller holds it already; the result is
+    written into ``out`` when given.
+    """
+    if d3f is None:
+        d3f = gm.grid.d_vert(f)
+    out = np.multiply((gm.a31, gm.a32, gm.inv_d3phi)[i - 1], d3f, out=out)
+    if i < 3:
+        out += gm.grid.d_tan(f, i)
+    return out
 
 
 def grad_phi_stack(f: np.ndarray, gm: GraphMap) -> np.ndarray:
     """Twisted gradient of a scalar volume field or of every field in a
-    leading-axis stack; shape (3,) + f.shape."""
-    g = gm.grid
-    d3f = g.d_vert(f)
+    leading-axis stack; shape (3,) + f.shape.  Each component is ``dphi``
+    on one shared d3 f."""
+    d3f = gm.grid.d_vert(f)
     out = np.empty((3,) + f.shape)
-    np.multiply(gm.a31, d3f, out=out[0])
-    out[0] += g.d_tan(f, 1)
-    np.multiply(gm.a32, d3f, out=out[1])
-    out[1] += g.d_tan(f, 2)
-    np.multiply(gm.inv_d3phi, d3f, out=out[2])
+    for i in (1, 2, 3):
+        dphi(f, i, gm, d3f, out=out[i - 1])
     return out
 
 

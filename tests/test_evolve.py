@@ -349,10 +349,27 @@ def test_run_builds_each_step_map_once(monkeypatch):
         builds.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(capelast.state, "build_graphmap", counting)
+    for module in (capelast.state, capelast.evolve):
+        monkeypatch.setattr(module, "build_graphmap", counting)
     res = run(RunConfig(init=capillary_spec(), t_final=0.06, dt=0.02))
     assert res.aborted is None and len(res.diagnostics) == 4
     assert len(builds) == 4 * 3 + 1
+
+
+def test_a_step_forms_each_surface_velocity_once(monkeypatch):
+    # v . N is formed for stages k2-k4 and for the projected new state;
+    # the projection's map carries none, and k1 reads the state's map
+    state, gm = build_initial_data(capillary_spec())
+    calls = []
+    original = capelast.state.State.surface_velocity
+
+    def counting(self, gm):
+        calls.append(1)
+        return original(self, gm)
+
+    monkeypatch.setattr(capelast.state.State, "surface_velocity", counting)
+    step_rk4(state, gm, 0.02)
+    assert len(calls) == 4
 
 
 def test_run_records_the_pressure_of_its_final_state():
