@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .good_unknowns import Calculus, fornberg_weights
-from .graphmap import GraphMap, div_phi, dphi, grad_phi_stack
+from .graphmap import GraphMap, div_phi, grad_phi_stack
 from .grid import Grid
 from .state import History, State
 
@@ -39,7 +39,7 @@ CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 def conserved_energy(state: State, gm: GraphMap) -> float:
     """(1/2) sum_k int |F_k|^2 d3phi + (1/2) int |v|^2 d3phi
     + sigma int_Sigma sqrt(1 + |grad psi|^2), on the state's map ``gm``,
-    whose normal N = (-d1 psi, -d2 psi, 1) supplies grad psi."""
+    whose ``area`` is that area element."""
     g = gm.grid
     e = 0.5 * g.quad_volume(sum(state.v[i] ** 2 for i in range(3)) * gm.d3phi)
     for j in range(3):
@@ -47,22 +47,24 @@ def conserved_energy(state: State, gm: GraphMap) -> float:
             continue    # its energy is an exact zero
         e += 0.5 * g.quad_volume(
             sum(state.F[j][i] ** 2 for i in range(3)) * gm.d3phi)
-    p1, p2 = gm.N[0], gm.N[1]   # -grad psi; the squares drop the sign
-    e += state.sigma * g.quad_surface(np.sqrt(1.0 + p1 * p1 + p2 * p2))
+    e += state.sigma * g.quad_surface(gm.area)
     return float(e)
 
 
-def higher_energy(hist: History, grid: Grid, kmax: int = 1) -> float:
+def higher_energy(hist: History, gm: GraphMap, kmax: int = 1) -> float:
     """Truncated graded energy: sum over k <= kmax of the (4-k)-norms of
     dt^k of F, v, and sqrt(sigma) grad(psi), plus the pressure norms for
     k <= min(kmax, 3).
 
     dt^k at the newest slice is one Fornberg-weighted sum of the stored
-    slices; k = 0 reads the newest slice itself.
+    slices; k = 0 reads the newest slice itself, and its slopes from ``gm``,
+    the map of that slice: N[:2] = -grad psi, and a norm drops the sign.
     """
     hist.require(kmax + 1, f"higher energy with {kmax} time derivatives")
+    grid = gm.grid
     newest = hist.newest
-    v, F, q, psi = newest.v, newest.F, newest.q, newest.psi
+    v, F, q = newest.v, newest.F, newest.q
+    slopes = gm.N[:2]
     total = 0.0
     for k in range(kmax + 1):
         if k:
@@ -70,11 +72,12 @@ def higher_energy(hist: History, grid: Grid, kmax: int = 1) -> float:
             v, F, q, psi = (sum(wj * getattr(sl, name)
                                 for wj, sl in zip(w, hist))
                             for name in ("v", "F", "q", "psi"))
+            slopes = (grid.d_tan(psi, 1), grid.d_tan(psi, 2))
         s = 4 - k
         total += grid.sobolev_norm(v, s) + grid.sobolev_norm(F, s)
         total += math.sqrt(newest.sigma) * math.sqrt(
-            grid.sobolev_norm(grid.d_tan(psi, 1), s) ** 2
-            + grid.sobolev_norm(grid.d_tan(psi, 2), s) ** 2)
+            grid.sobolev_norm(slopes[0], s) ** 2
+            + grid.sobolev_norm(slopes[1], s) ** 2)
         if k <= 3:
             total += grid.sobolev_norm(q, s)
     return float(total)
@@ -92,12 +95,14 @@ def rt_monitor(q: np.ndarray, grid: Grid) -> float:
 
 # -- lemma residuals -----------------------------------------------------------
 
-def ibp_residual(f: np.ndarray, h: np.ndarray, gm: GraphMap, i: int) -> float:
+def ibp_residual(f: np.ndarray, h: np.ndarray, Df: np.ndarray,
+                 Dh: np.ndarray, gm: GraphMap, i: int) -> float:
     """Defect of int (d_i^phi f) h d3phi + int f (d_i^phi h) d3phi against
-    the surface terms, relative; the bottom term uses the outward normal."""
+    the surface terms, relative; the bottom term uses the outward normal.
+    ``Df`` and ``Dh`` are the twisted gradients of f and h on ``gm``."""
     g = gm.grid
-    lhs = (g.quad_volume(dphi(f, i, gm) * h * gm.d3phi)
-           + g.quad_volume(f * dphi(h, i, gm) * gm.d3phi))
+    lhs = (g.quad_volume(Df[i - 1] * h * gm.d3phi)
+           + g.quad_volume(f * Dh[i - 1] * gm.d3phi))
     surf = g.quad_surface(f[:, :, 0] * h[:, :, 0] * gm.N[i - 1])
     if i == 3:
         surf += g.quad_surface(f[:, :, -1] * h[:, :, -1] * (-1.0))
@@ -136,9 +141,11 @@ def lemma_checks(hist: History, gm: GraphMap, grid: Grid) -> list[dict]:
     X1, X2, X3 = grid.mesh_volume()
     probe = np.cos(X1) * np.cos(X2) * np.exp(X3)
     probe2 = np.sin(X2) * (1.0 + X3) ** 2
-    # one twisted Hessian H[i-1, j-1] = d_i^phi d_j^phi probe; each
-    # commutator [d_i^phi, d_j^phi] probe is relative to ||probe||_2
-    H = grad_phi_stack(grad_phi_stack(probe, gm), gm)
+    # one twisted gradient of each probe, and one twisted Hessian
+    # H[i-1, j-1] = d_i^phi d_j^phi probe; each commutator
+    # [d_i^phi, d_j^phi] probe is relative to ||probe||_2
+    G, G2 = grad_phi_stack(probe, gm), grad_phi_stack(probe2, gm)
+    H = grad_phi_stack(G, gm)
     scale = max(grid.sobolev_norm(probe, 2), 1e-300)
     for (i, j) in ((1, 2), (1, 3), (2, 3)):
         rows.append({"lemma": "commutation", "case": f"d{i}^phi,d{j}^phi",
@@ -146,7 +153,7 @@ def lemma_checks(hist: History, gm: GraphMap, grid: Grid) -> list[dict]:
                      / scale})
     for i in (1, 2, 3):
         rows.append({"lemma": "integration_by_parts", "case": f"i={i}",
-                     "residual": ibp_residual(probe, probe2, gm, i)})
+                     "residual": ibp_residual(probe, probe2, G, G2, gm, i)})
     if len(hist) >= 5:
         calc = Calculus(hist, gm.cutoff, grid)
         for key in ("q", "v1"):

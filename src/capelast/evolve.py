@@ -281,7 +281,7 @@ def step_rk4(state: State, gm: GraphMap, dt: float,
     new = _advance(state, state.t + dt, dt / 6.0, total, columns)
     del total
     # the projection reads no dt(phi); psi_t waits for the projected v
-    gm_new = build_graphmap(new.psi, None, cutoff, grid)
+    gm_new = build_graphmap(new.psi, cutoff, grid)
     new.v = project_divfree(new.v, gm_new, tol=solver_tol)
     gm_new = with_surface_velocity(gm_new, new.surface_velocity(gm_new))
     if handoff.onward:
@@ -355,7 +355,7 @@ def _check_finite(state: State):
 def _record(state, gm, hist, dt, kmax) -> DiagnosticsRecord:
     res = constraint_residuals(state, gm)
     try:
-        ehigh = higher_energy(hist, gm.grid, kmax=kmax)
+        ehigh = higher_energy(hist, gm, kmax=kmax)
     except CapelastError:
         ehigh = float("nan")
     return DiagnosticsRecord(

@@ -253,19 +253,13 @@ class Calculus:
             out = out + (count / alpha.total) * self.commutator(G, Hb, rest)
         return out
 
-    # -- per-slice twisted operators -----------------------------------------
-
-    def op_series(self, S: np.ndarray, op) -> np.ndarray:
-        """Apply op(field, gm) at each slice of a series."""
-        return np.stack([op(f, g) for f, g in zip(S, self.gms)])
-
 
 # -- shared terms -------------------------------------------------------------
 
 def _d3_series(calc: Calculus, fieldname) -> np.ndarray:
     """The d3 f series (plain vertical derivative)."""
-    return calc.shared(("d3", fieldname, None, None), lambda: calc.op_series(
-        calc.series(fieldname), lambda f, g: calc.grid.d_vert(f)))
+    return calc.shared(("d3", fieldname, None, None),
+                       lambda: calc.grid.d_vert(calc.series(fieldname)))
 
 
 def _dphi_series(calc: Calculus, fieldname, i: int) -> np.ndarray:
@@ -277,8 +271,8 @@ def _dphi_series(calc: Calculus, fieldname, i: int) -> np.ndarray:
 
 def _dtan_series(calc: Calculus, fieldname, t: int) -> np.ndarray:
     """The d_t f series, t in {1, 2}."""
-    return calc.shared(("d_tan", fieldname, t, None), lambda: calc.op_series(
-        calc.series(fieldname), lambda f, g: calc.grid.d_tan(f, t)))
+    return calc.shared(("d_tan", fieldname, t, None),
+                       lambda: calc.grid.d_tan(calc.series(fieldname), t))
 
 
 def _D_alpha_phi(calc: Calculus, alpha: MultiIndex) -> np.ndarray:

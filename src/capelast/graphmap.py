@@ -11,10 +11,13 @@ gradient, and with it the curl and the Laplacian every RK stage, pressure
 source and projection run, takes its components from ``dphi``, so the
 structure checks that measure ``dphi`` measure the step's operator.
 
-Surface slopes.  ``build_graphmap`` is the one place the surface psi is
-differentiated: the map keeps its slopes in the normal
-N = (-d1 psi, -d2 psi, 1), and the mean curvature and the kinematic value
-v . N read them from there.
+Surface geometry.  ``build_graphmap`` is the one place the surface psi
+is differentiated, and the map is the one owner of what follows from it:
+its slopes, kept in the normal N = (-d1 psi, -d2 psi, 1); its area element
+sqrt(1 + |grad psi|^2), which the mean curvature and the surface energy
+read; and the normal trace X . N on the top plane (``normal_trace``),
+which is both the kinematic value v . N and the tangency residual F_j . N.
+A map's psi_t comes only from ``with_surface_velocity``.
 
 Cutoff.  The classical choice is a bump that is identically 1 near the top
 and 0 near the bottom.  Piecewise profiles of that kind have limited
@@ -88,8 +91,8 @@ class GraphMap:
 
     Immutable after construction; rows 1 and 2 of the cofactor matrix are
     the identity, so only row 3 (a31, a32, a33) is stored, a33 as
-    ``inv_d3phi``.  ``dtphi`` is formed from ``psi_t`` the first time it
-    is read.
+    ``inv_d3phi``.  ``dtphi`` is formed from ``psi_t`` and ``area`` from
+    N the first time each is read.
     """
 
     grid: Grid
@@ -110,13 +113,17 @@ class GraphMap:
         """dt(phi) = chi dt(psi), the one field of a map read from psi_t."""
         return self.cutoff.chi[None, None, :] * self.psi_t[:, :, None]
 
+    @cached_property
+    def area(self) -> np.ndarray:
+        """The area element sqrt(1 + |grad psi|^2) of the surface."""
+        N = self.N
+        return np.sqrt(1.0 + N[0] * N[0] + N[1] * N[1])
 
-def build_graphmap(psi: np.ndarray, psi_t: np.ndarray | None,
-                   cutoff: Cutoff, grid: Grid) -> GraphMap:
-    """Assemble the geometry for a surface psi with time derivative psi_t.
 
-    A caller whose psi_t reads the map passes None and attaches it with
-    ``with_surface_velocity``; such a map has no dt(phi) until then.
+def build_graphmap(psi: np.ndarray, cutoff: Cutoff, grid: Grid) -> GraphMap:
+    """Assemble the geometry of a surface psi; the map's psi_t is None.
+
+    A map has no dt(phi) until ``with_surface_velocity`` attaches a psi_t.
     """
     if psi.shape != (grid.nx, grid.ny):
         raise GridError(f"psi shape {psi.shape} does not match grid")
@@ -145,23 +152,31 @@ def build_graphmap(psi: np.ndarray, psi_t: np.ndarray | None,
     inv = 1.0 / d3phi
 
     N = np.stack([-d1psi, -d2psi, np.ones_like(psi)])
-    return GraphMap(grid=grid, cutoff=cutoff, psi_t=psi_t,
+    return GraphMap(grid=grid, cutoff=cutoff, psi_t=None,
                     phi=phi, d1phi=d1phi, d2phi=d2phi, d3phi=d3phi,
                     inv_d3phi=inv, a31=-d1phi * inv, a32=-d2phi * inv,
                     N=N, c0=c0)
 
 
 def with_surface_velocity(gm: GraphMap, psi_t: np.ndarray) -> GraphMap:
-    """The map of ``gm``'s surface with time derivative ``psi_t``: bit for
-    bit ``build_graphmap(psi, psi_t, gm.cutoff, gm.grid)``, with every
-    field that depends on psi alone shared with ``gm``."""
+    """The map of ``gm``'s surface with time derivative ``psi_t``, the only
+    way a map gets one.  Every field that depends on psi alone is shared
+    with ``gm``."""
     return replace(gm, psi_t=psi_t)
 
 
 def flat_graphmap(grid: Grid) -> GraphMap:
-    """Geometry of the undeformed slab (psi = 0)."""
+    """Geometry of the undeformed slab (psi = 0), at rest."""
     zero = np.zeros((grid.nx, grid.ny))
-    return build_graphmap(zero, zero, make_cutoff(grid), grid)
+    return with_surface_velocity(build_graphmap(zero, make_cutoff(grid), grid),
+                                 zero)
+
+
+def normal_trace(X: np.ndarray, gm: GraphMap) -> np.ndarray:
+    """X . N on the top plane of a stacked vector field X, with N the
+    normal of ``gm``; N3 = 1, so the third component enters unscaled."""
+    top = X[:, :, :, 0]
+    return top[0] * gm.N[0] + top[1] * gm.N[1] + top[2]
 
 
 # -- twisted operators ----------------------------------------------------
@@ -238,12 +253,11 @@ def material_derivative(f_t: np.ndarray, f: np.ndarray, v: np.ndarray,
 
 def mean_curvature(gm: GraphMap) -> np.ndarray:
     """kappa = div( grad(psi) / sqrt(1 + |grad(psi)|^2) ) on the surface of
-    ``gm``, whose slopes grad(psi) = (-N1, -N2) the map already holds.
+    ``gm``, whose slopes grad(psi) = (-N1, -N2) and area element the map
+    already holds.
 
     Callers impose the capillary condition as q = -sigma * kappa.
     """
     grid = gm.grid
-    p1 = -gm.N[0]
-    p2 = -gm.N[1]
-    denom = np.sqrt(1.0 + p1 * p1 + p2 * p2)
-    return grid.d_tan(p1 / denom, 1) + grid.d_tan(p2 / denom, 2)
+    return (grid.d_tan(-gm.N[0] / gm.area, 1)
+            + grid.d_tan(-gm.N[1] / gm.area, 2))

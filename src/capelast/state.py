@@ -33,6 +33,7 @@ from .graphmap import (
     div_phi,
     make_cutoff,
     mean_curvature,
+    normal_trace,
     with_surface_velocity,
 )
 from .grid import Grid, check_dims, make_grid
@@ -70,13 +71,12 @@ class State:
         with N the normal of ``gm``, the map of this state's surface."""
         if self.psi_t is not None:
             return self.psi_t
-        vtop = self.v[:, :, :, 0]
-        return vtop[0] * gm.N[0] + vtop[1] * gm.N[1] + vtop[2]
+        return normal_trace(self.v, gm)
 
     def graphmap(self, cutoff: Cutoff, grid: Grid) -> GraphMap:
         """The map of this state's surface, with dt(psi) its
         ``surface_velocity`` on that map."""
-        gm = build_graphmap(self.psi, None, cutoff, grid)
+        gm = build_graphmap(self.psi, cutoff, grid)
         return with_surface_velocity(gm, self.surface_velocity(gm))
 
     def pressure(self, gm: GraphMap, tol: float,
@@ -119,9 +119,7 @@ def constraint_residuals(state: State, gm: GraphMap) -> dict[str, float]:
         if not state.F[j].any():
             continue    # each of its residuals is an exact zero
         div_F = max(div_F, g.norm0(div_phi(state.F[j], gm)))
-        top = state.F[j][:, :, :, 0]
-        FN = max(FN, float(np.abs(top[0] * gm.N[0] + top[1] * gm.N[1]
-                                  + top[2] * gm.N[2]).max()))
+        FN = max(FN, float(np.abs(normal_trace(state.F[j], gm)).max()))
         F3b = max(F3b, float(np.abs(state.F[j][2][:, :, -1]).max()))
     v3b = float(np.abs(state.v[2][:, :, -1]).max())
     return {"div_v": div_v, "div_F": div_F, "FN_top": FN, "v3_bot": v3b,
@@ -188,7 +186,7 @@ def build_initial_data(spec: InitSpec, tol: float = DEFAULT_TOL):
     """
     grid = spec.make_grid()
     psi0 = spec.build_psi0(grid)
-    gm0 = build_graphmap(psi0, None, make_cutoff(grid), grid)
+    gm0 = build_graphmap(psi0, make_cutoff(grid), grid)
 
     def realize(recipe):
         if recipe is None:

@@ -84,7 +84,7 @@ def compatible_history(grid, cutoff):
         t = 0.2 + k * 0.01
         gt, gdot = np.sin(1.1 * t), 1.1 * np.cos(1.1 * t)
         psi = base + 0.02 * gt * np.sin(X1s)
-        gm0 = build_graphmap(psi, np.zeros_like(psi), cutoff, grid)
+        gm0 = build_graphmap(psi, cutoff, grid)
         theta = 0.02 * gdot * np.cos(X1) * mu
         v = np.stack([dphi(theta, 3, gm0), np.zeros_like(theta),
                       -dphi(theta, 1, gm0)])
@@ -210,7 +210,7 @@ def operators_battery(nx=32, ny=32, nz=17) -> list[VerifyRow]:
 
     # pullback consistency on a wavy chart
     psi = battery_surface(grid)
-    gm = build_graphmap(psi, np.zeros_like(psi), make_cutoff(grid), grid)
+    gm = build_graphmap(psi, make_cutoff(grid), grid)
     W = np.cos(X1) * np.exp(gm.phi)
     exact3 = np.cos(X1) * np.exp(gm.phi)
     rows.append(VerifyRow("operators", "pullback chain rule", res,
@@ -295,7 +295,7 @@ def elliptic_battery() -> list[VerifyRow]:
     grid = make_grid(16, 16, 13, 1.0, dealias=False)
     X1s, X2s = grid.mesh_surface()
     psi = 0.05 * np.cos(X1s + X2s)
-    gm = build_graphmap(psi, np.zeros_like(psi), make_cutoff(grid), grid)
+    gm = build_graphmap(psi, make_cutoff(grid), grid)
     X1, X2, X3 = grid.mesh_volume()
     Y = np.stack([np.cos(X2) * (1 + X3), np.sin(X1), X3 * (1 + X3)])
     Y1 = project_divfree(Y, gm, tol=tol)

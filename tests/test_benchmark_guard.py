@@ -51,7 +51,7 @@ def test_traced_matvecs_are_the_solver_operator_applications(monkeypatch):
     X1, X2, X3 = g.mesh_volume()
     psi = 0.05 * np.cos(X1[:, :, 0] + X2[:, :, 0])
     cut = make_cutoff(g)
-    gm = build_graphmap(psi, np.zeros_like(psi), cut, g)
+    gm = build_graphmap(psi, cut, g)
     applied = [0]
     apply_op = elliptic._apply_bc_operator
 

@@ -13,7 +13,12 @@ from capelast.diagnostics import (
 )
 from capelast.evolve import RunConfig, run
 from capelast.good_unknowns import Calculus
-from capelast.graphmap import flat_graphmap, make_cutoff
+from capelast.graphmap import (
+    flat_graphmap,
+    grad_phi_stack,
+    make_cutoff,
+    mean_curvature,
+)
 from capelast.recipes import ShearRecipe
 from capelast.state import History, InitSpec, build_initial_data, zero_state
 
@@ -53,6 +58,23 @@ def _shear_history(g, cut, n=6, dt=0.05):
     return hist
 
 
+def test_energy_and_curvature_read_the_maps_area_element():
+    # the map's area element is the one sqrt(1 + |grad psi|^2): scaling
+    # it moves both the surface energy and the mean curvature
+    spec = InitSpec(nx=16, ny=16, nz=9, b=1.0, sigma=0.3,
+                    psi_modes=((1, 1, 0.02, 0.4),))
+    state, gm = build_initial_data(spec)
+    e0, kappa0 = conserved_energy(state, gm), mean_curvature(gm)
+    area = gm.area
+    gm.__dict__["area"] = area * (1.0 + 1e-3)
+    g = gm.grid
+    assert conserved_energy(state, gm) - e0 == pytest.approx(
+        1e-3 * spec.sigma * g.quad_surface(area), rel=1e-6)
+    assert np.abs(kappa0).max() > 0.0
+    assert np.allclose(mean_curvature(gm), kappa0 / (1.0 + 1e-3),
+                       rtol=1e-12, atol=1e-15)
+
+
 def test_higher_energy_builds_no_graphmap(monkeypatch):
     # the graded energy reads field series only; mapping every slice of
     # the history would be wasted work on each diagnostics record
@@ -61,6 +83,7 @@ def test_higher_energy_builds_no_graphmap(monkeypatch):
     g = make_grid(16, 16, 9, 1.0)
     cut = make_cutoff(g)
     hist = _shear_history(g, cut)
+    gm = hist.newest.graphmap(cut, g)
     built = []
     original = capelast.state.build_graphmap
 
@@ -69,7 +92,7 @@ def test_higher_energy_builds_no_graphmap(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(capelast.state, "build_graphmap", counting)
-    assert higher_energy(hist, g, kmax=1) > 0.0
+    assert higher_energy(hist, gm, kmax=1) > 0.0
     assert not built
 
 
@@ -82,11 +105,11 @@ def test_higher_energy_cases():
         s = zero_state(g, 1.0)
         s.t = 0.05 * k
         hist0.push(s)
-    assert higher_energy(hist0, g, kmax=1) == 0.0
+    assert higher_energy(hist0, hist0.newest.graphmap(cut, g), kmax=1) == 0.0
 
     # static shear: time derivatives vanish, the value is the field norm sum
     hist = _shear_history(g, cut)
-    e1 = higher_energy(hist, g, kmax=1)
+    e1 = higher_energy(hist, hist.newest.graphmap(cut, g), kmax=1)
     X1, X2, _ = g.mesh_volume()
     expect = (g.sobolev_norm(np.cos(X2), 4)
               + g.sobolev_norm(0.2 * np.cos(X2), 4))
@@ -96,7 +119,7 @@ def test_higher_energy_cases():
         short = History(maxlen=8)
         for k in range(3):
             short.push(hist[k])
-        higher_energy(short, g, kmax=4)
+        higher_energy(short, short.newest.graphmap(cut, g), kmax=4)
 
 
 @pytest.mark.parametrize("kmax, finite", [(0, True), (1, False)])
@@ -112,7 +135,8 @@ def test_first_record_energy_needs_kmax_plus_one_slices(kmax, finite):
     one = History()
     one.push(res.history[0])
     with pytest.raises(InsufficientHistoryError):
-        higher_energy(one, res.grid, kmax=1)
+        higher_energy(one, one.newest.graphmap(res.cutoff, res.grid),
+                      kmax=1)
 
 
 def test_rt_monitor_exact_fixtures():
@@ -171,7 +195,8 @@ def test_ibp_residual_is_relative():
     X1, X2, X3 = g.mesh_volume()
     f = np.cos(X1) * (1 + X3)
     h = np.sin(X2) * np.exp(X3)
-    assert ibp_residual(f, h, gm, 1) <= 1e-12
+    assert ibp_residual(f, h, grad_phi_stack(f, gm), grad_phi_stack(h, gm),
+                        gm, 1) <= 1e-12
 
 
 def test_csv_columns_contract():

@@ -35,7 +35,7 @@ def wavy_gm(grid, amp=0.05, kx=1, ky=1):
     X1s, X2s = grid.mesh_surface()
     psi = amp * np.cos(kx * X1s + ky * X2s)
     cut = make_cutoff(grid)
-    return build_graphmap(psi, np.zeros_like(psi), cut, grid)
+    return build_graphmap(psi, cut, grid)
 
 
 def test_zero_problem():
@@ -465,7 +465,7 @@ def test_solve_meets_the_bottom_flux_row():
     psi = spec.build_psi0(g)
     u = (g.x3 + g.b) / g.b
     cut = Cutoff(chi=u, chi_prime=g.Dz @ u)
-    gm = build_graphmap(psi, np.zeros_like(psi), cut, g)
+    gm = build_graphmap(psi, cut, g)
     bottom_d3phi = gm.d3phi[:, :, -1]
     assert 0.975 <= bottom_d3phi.min() and bottom_d3phi.max() <= 1.025
     assert np.ptp(bottom_d3phi) > 0.02

@@ -372,6 +372,27 @@ def test_a_step_forms_each_surface_velocity_once(monkeypatch):
     assert len(calls) == 4
 
 
+@pytest.mark.parametrize("kmax, surface_calls", [(0, 2), (1, 4)])
+def test_a_record_takes_the_slopes_from_its_map(monkeypatch, kmax,
+                                                 surface_calls):
+    # the map differentiates psi once per axis; a record reads those
+    # slopes and differentiates only dt psi (kmax >= 1) on the surface
+    res = run(RunConfig(init=oblique_spec(), t_final=0.02, dt=0.01))
+    state = res.final
+    calls = []
+    original = Grid.d_tan
+
+    def counting(self, f, axis):
+        if f.ndim == 2:
+            calls.append(axis)
+        return original(self, f, axis)
+
+    monkeypatch.setattr(Grid, "d_tan", counting)
+    gm = state.graphmap(res.cutoff, res.grid)
+    _record(state, gm, res.history, 0.01, kmax)
+    assert len(calls) == surface_calls
+
+
 def test_run_records_the_pressure_of_its_final_state():
     init = InitSpec(nx=16, ny=16, nz=9, b=1.0, sigma=0.1,
                     psi_modes=((1, 0, 5e-3, 0.0), (6, 5, 1e-4, 0.0)),

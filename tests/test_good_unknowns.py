@@ -14,6 +14,7 @@ from capelast.good_unknowns import (
     remainder_D,
 )
 from capelast.graphmap import dphi, make_cutoff
+from capelast.grid import Grid
 from capelast.state import History, State
 
 
@@ -181,7 +182,7 @@ def _reference_terms(calc, alpha):
     S = calc.series("q")
     U = calc.series("inv_d3phi")
     B = calc.unit_split_bracket(U * U, calc.series("d3phi"), alpha)
-    D3f = calc.op_series(S, lambda f, g: calc.grid.d_vert(f))
+    D3f = calc.grid.d_vert(S)
     return S, U, B, D3f
 
 
@@ -361,28 +362,26 @@ def test_shared_terms_change_no_bits(history):
 
 def test_alinhac_battery_builds_shared_terms_once(monkeypatch):
     # on the static history (the first Calculus of the battery) the unit
-    # split runs once per alpha and the d3 f series is stacked once
-    splits, stacks = [], []
-    split, op_series = Calculus.unit_split_bracket, Calculus.op_series
+    # split runs once per alpha and the d3 f series is one vertical
+    # derivative of the stacked q series
+    splits, d3_inputs = [], []
+    split, d_vert = Calculus.unit_split_bracket, Grid.d_vert
 
     def counting_split(self, *args):
         splits.append(self)
         return split(self, *args)
 
-    def recording_op_series(self, *args):
-        out = op_series(self, *args)
-        stacks.append((self, out))
-        return out
+    def recording_d_vert(self, f):
+        d3_inputs.append(f)
+        return d_vert(self, f)
 
     monkeypatch.setattr(Calculus, "unit_split_bracket", counting_split)
-    monkeypatch.setattr(Calculus, "op_series", recording_op_series)
+    monkeypatch.setattr(Grid, "d_vert", recording_d_vert)
     verify.alinhac_battery(16, 16, 9)
     static = splits[0]
-    g = static.grid
-    d3q = np.stack([g.d_vert(s.q) for s in static.hist])
+    q_series = static.series("q")
     assert sum(c is static for c in splits) == 5
-    assert sum(c is static and np.array_equal(out, d3q)
-               for c, out in stacks) == 1
+    assert sum(f is q_series for f in d3_inputs) == 1
 
 
 def test_static_history_shares_read_only_slices():

@@ -19,6 +19,7 @@ from capelast.graphmap import (
     make_cutoff,
     material_derivative,
     mean_curvature,
+    with_surface_velocity,
 )
 
 
@@ -29,7 +30,7 @@ def battery():
     X1s, X2s = g.mesh_surface()
     psi = 0.1 * np.cos(X1s) + 0.05 * np.sin(X2s)
     cut = make_cutoff(g)
-    gm = build_graphmap(psi, np.zeros_like(psi), cut, g)
+    gm = build_graphmap(psi, cut, g)
     return g, gm
 
 
@@ -92,7 +93,7 @@ def test_surface_normal_matches_interior_on_sigma():
     X1s, _ = g.mesh_surface()
     psi = 0.1 * np.cos(X1s)
     cut = make_cutoff(g)
-    gm = build_graphmap(psi, np.zeros_like(psi), cut, g)
+    gm = build_graphmap(psi, cut, g)
     expected_N1 = 0.1 * np.sin(X1s)
     assert np.abs(gm.N[0] - expected_N1).max() <= 1e-12
     # chi(0) = 1 makes the interior slope agree with -N on the top plane
@@ -108,7 +109,7 @@ def test_degenerate_map_rejected():
     cut = make_cutoff(g)
     steep = (1.05 / np.abs(cut.chi_prime).max()) * np.cos(X1s)
     with pytest.raises(DegenerateMapError):
-        build_graphmap(steep, np.zeros_like(steep), cut, g)
+        build_graphmap(steep, cut, g)
 
 
 def test_nan_surface_is_named():
@@ -117,7 +118,7 @@ def test_nan_surface_is_named():
     psi[3, 5] = np.nan
     cut = make_cutoff(g)
     with pytest.raises(NonFiniteStateError, match="psi is not finite"):
-        build_graphmap(psi, np.zeros_like(psi), cut, g)
+        build_graphmap(psi, cut, g)
 
 
 # -- twisted operators -------------------------------------------------------
@@ -170,7 +171,7 @@ def test_pullback_chain_rule_oracle():
     X1s, _ = g.mesh_surface()
     psi = 0.1 * np.cos(X1s)
     cut = make_cutoff(g)
-    gm = build_graphmap(psi, np.zeros_like(psi), cut, g)
+    gm = build_graphmap(psi, cut, g)
     X1, X2, _ = g.mesh_volume()
 
     def w(y3):
@@ -210,10 +211,10 @@ def test_advection_speed_vanishes_on_boundaries():
     X1, X2, X3 = g.mesh_volume()
     v = np.stack([np.cos(X2), np.zeros_like(X1), np.sin(X1) * (X3 + 1.0)])
     # kinematic psi_t := (v . N)|_Sigma
-    gm0 = build_graphmap(psi, np.zeros_like(psi), cut, g)
+    gm0 = build_graphmap(psi, cut, g)
     vN = (v[0][:, :, 0] * gm0.N[0] + v[1][:, :, 0] * gm0.N[1]
           + v[2][:, :, 0] * gm0.N[2])
-    gm = build_graphmap(psi, vN, cut, g)
+    gm = with_surface_velocity(gm0, vN)
     w = advection_speed(v, gm)
     assert np.abs(w[:, :, 0]).max() <= 1e-13   # top: v.N - psi_t = 0
     assert np.abs(w[:, :, -1]).max() <= 1e-13  # bottom: v3 = 0 there
@@ -224,7 +225,7 @@ def test_mean_curvature_values():
     X1s, _ = g.mesh_surface()
     assert np.abs(mean_curvature(flat_graphmap(g))).max() == 0.0
     psi = 0.1 * np.cos(X1s)
-    kappa = mean_curvature(build_graphmap(psi, None, make_cutoff(g), g))
+    kappa = mean_curvature(build_graphmap(psi, make_cutoff(g), g))
     # 1d formula psi'' / (1 + psi'^2)^(3/2): -0.1 at x1 = 0, 0 at x1 = pi/2
     assert abs(kappa[0, 0] + 0.1) <= 1e-10
     i_quarter = 8  # x1 = pi/2 on a 32-point grid
@@ -244,7 +245,7 @@ def test_mean_curvature_values():
         pxy = -0.04 * np.cos(X + Y)
         exact = (((1 + py**2) * pxx - 2 * px * py * pxy + (1 + px**2) * pyy)
                  / (1 + px**2 + py**2) ** 1.5)
-        kappa = mean_curvature(build_graphmap(psi, None, make_cutoff(g), g))
+        kappa = mean_curvature(build_graphmap(psi, make_cutoff(g), g))
         assert np.abs(kappa - exact).max() <= tol, n
 
 

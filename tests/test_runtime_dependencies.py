@@ -22,7 +22,7 @@ g = make_grid(16, 16, 9, 1.0)
 X1, X2, X3 = g.mesh_volume()
 psi = 0.05 * np.cos(X1[:, :, 0] + X2[:, :, 0])
 cut = make_cutoff(g)
-gm = build_graphmap(psi, np.zeros_like(psi), cut, g)
+gm = build_graphmap(psi, cut, g)
 elliptic.solve_poisson_phi(np.cos(X1) * np.sin(X2) * (1 + X3),
                            0.1 * np.cos(X2[:, :, 0]),
                            0.2 * np.sin(X1[:, :, 0]), gm, tol=1e-11)

@@ -77,7 +77,7 @@ def test_stream_recipe_compatibility():
     state = zero_state(g, spec.sigma)
     state.psi = spec.build_psi0(g)
     cut = make_cutoff(g)
-    gm0 = build_graphmap(state.psi, np.zeros_like(state.psi), cut, g)
+    gm0 = build_graphmap(state.psi, cut, g)
     state.v = StreamRecipe(amp=0.3, k=1, profile="sinh").build(g, gm0)
     state.F[0] = StreamRecipe(amp=0.1, k=1, profile="confined").build(g, gm0)
     res = constraint_residuals(state, gm0)
@@ -201,8 +201,7 @@ def assert_same_map(a, b):
 
 def test_maps_equal_a_full_build_bit_for_bit():
     # a state's map and a step's returned map equal a full build of the
-    # surface with v . N formed from psi's own derivatives, and
-    # with_surface_velocity equals a full build with its psi_t
+    # surface with v . N formed from psi's own derivatives
     state, gm = build_initial_data(oblique_spec())
     new, gm_new = step_rk4(state, gm, 0.01)
     g, cut = gm.grid, gm.cutoff
@@ -211,13 +210,23 @@ def test_maps_equal_a_full_build_bit_for_bit():
         vtop = s.v[:, :, :, 0]
         vN = (-vtop[0] * g.d_tan(s.psi, 1) - vtop[1] * g.d_tan(s.psi, 2)
               + vtop[2])
-        full = build_graphmap(s.psi, vN, cut, g)
+        full = with_surface_velocity(build_graphmap(s.psi, cut, g), vN)
         assert_same_map(s.graphmap(cut, g), full)
         assert_same_map(returned, full)
-        p = np.sin(s.psi) + 0.5    # any surface field
-        assert_same_map(
-            with_surface_velocity(build_graphmap(s.psi, None, cut, g), p),
-            build_graphmap(s.psi, p, cut, g))
+
+
+def test_kinematic_value_and_tangency_share_one_normal_trace(monkeypatch):
+    # v . N and the residual F_j . N on the top plane are one formula
+    import capelast.state
+
+    state, gm = build_initial_data(oblique_spec())
+    vN = state.surface_velocity(gm)
+    FN = constraint_residuals(state, gm)["FN_top"]
+    original = capelast.state.normal_trace
+    monkeypatch.setattr(capelast.state, "normal_trace",
+                        lambda X, gm: original(X, gm) + 1.0)
+    assert np.array_equal(state.surface_velocity(gm), vN + 1.0)
+    assert constraint_residuals(state, gm)["FN_top"] >= 1.0 - FN
 
 
 def test_run_cutoff_depends_on_the_grid_alone(tmp_path):

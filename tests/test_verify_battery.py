@@ -105,7 +105,7 @@ def test_the_batteries_check_the_twisted_derivative_the_step_runs(
     g = make_grid(16, 16, 9, 1.0, dealias=False)
     X1s, X2s = g.mesh_surface()
     psi = 0.1 * np.cos(X1s) + 0.05 * np.sin(X2s)
-    gm = build_graphmap(psi, np.zeros_like(psi), make_cutoff(g), g)
+    gm = build_graphmap(psi, make_cutoff(g), g)
     X1, X2, X3 = g.mesh_volume()
     f = np.cos(X1) * np.sin(X2) * (1 + X3) ** 2
     before = grad_phi_stack(f, gm)
