@@ -33,13 +33,14 @@ checks many identities on one history builds one ``Calculus`` and passes
 it to each.  The identities share their terms through it as well
 (``Calculus.shared``): each named series is stacked once; the series of
 d3 f, of d_i^phi f (i = 1, 2, 3, each on the shared d3 f), of D_t^phi f
-and of d1 f and d2 f, and the twisted gradient of d3^phi f at the newest
-slice (d_i^phi d3^phi f for every i at once), are built once per field; the
-advection-speed and v . N series once per ``Calculus``; and D^alpha(phi),
-the unit split B and the good unknown once per alpha, for all four
-identities of that alpha.  Shared terms are read-only, so a row's bits do
-not depend on which rows ran before it.  Without a time order D^alpha
-reads the newest slice alone, and the brackets multiply only that slice.
+and of d1 f and d2 f are built once per field; d_i^phi d3^phi f at the
+newest slice once per field and i, so a row forms only the component it
+reads; the advection-speed and v . N series once per ``Calculus``; and
+D^alpha(phi), the unit split B and the good unknown once per alpha, for
+all four identities of that alpha.  Shared terms are read-only, so a row's
+bits do not depend on which rows ran before it.  Without a time order
+D^alpha reads the newest slice alone, and the brackets multiply only that
+slice.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from .graphmap import (
     grad_phi_stack,
     levi_civita,
     material_derivative,
+    normal_flux,
 )
 from .grid import Grid
 from .state import History
@@ -312,10 +314,10 @@ def remainder_C(calc: Calculus, fieldname, alpha: MultiIndex,
     C = (calc.bracket3(N * U, D3f, alpha)
          + D3f[-1] * calc.bracket3(N, U, alpha)
          - N[-1] * D3f[-1] * B)
-    grad_d3 = calc.shared(("grad d3^phi", fieldname, None, None),
-                          lambda: grad_phi_stack(
-                              _dphi_series(calc, fieldname, 3)[-1], calc.gm))
-    return _D_alpha_phi(calc, alpha) * grad_d3[i - 1] + C
+    dd3 = calc.shared(("d_i^phi d3^phi", fieldname, i, None),
+                      lambda: dphi(_dphi_series(calc, fieldname, 3)[-1], i,
+                                   calc.gm))
+    return _D_alpha_phi(calc, alpha) * dd3 + C
 
 
 def remainder_D(calc: Calculus, fieldname, alpha: MultiIndex) -> np.ndarray:
@@ -340,8 +342,7 @@ def remainder_D(calc: Calculus, fieldname, alpha: MultiIndex) -> np.ndarray:
     # [D^alpha, v] . Nb = D^alpha(v . Nb) - v . D^alpha(Nb), where
     # D^alpha(Nb) = (-d1 D^alpha phi, -d2 D^alpha phi, 0)
     vN = calc.shared(("v.N", None, None, None), lambda: calc.series(
-        lambda state, g: state.v[2] - state.v[0] * g.d1phi
-        - state.v[1] * g.d2phi))
+        lambda state, g: normal_flux(state.v, g)))
     DPhi = _D_alpha_phi(calc, alpha)
     comm_vN = (calc.D_alpha(vN, alpha)
                + v[0] * calc.grid.d_tan(DPhi, 1)

@@ -17,7 +17,10 @@ its slopes, kept in the normal N = (-d1 psi, -d2 psi, 1); its area element
 sqrt(1 + |grad psi|^2), which the mean curvature and the surface energy
 read; and the normal trace X . N on the top plane (``normal_trace``),
 which is both the kinematic value v . N and the tangency residual F_j . N.
-A map's psi_t comes only from ``with_surface_velocity``.
+A map's psi_t comes only from ``with_surface_velocity``.  In the volume,
+the flux v . Nb through the level sets of phi is ``normal_flux``, the one
+form that the advection speed, the CFL bound and the remainder D read; it
+sums in another order than ``normal_trace``, so the two stay apart.
 
 Cutoff.  The classical choice is a bump that is identically 1 near the top
 and 0 near the bottom.  Piecewise profiles of that kind have limited
@@ -233,13 +236,19 @@ def laplace_phi(f: np.ndarray, gm: GraphMap) -> np.ndarray:
     return div_phi(grad_phi_stack(f, gm), gm)
 
 
+def normal_flux(v: np.ndarray, gm: GraphMap) -> np.ndarray:
+    """The flux v . Nb = v3 - v1 d1(phi) - v2 d2(phi) through the level
+    sets of phi, Nb = (-d1 phi, -d2 phi, 1), in the volume."""
+    return v[2] - v[0] * gm.d1phi - v[1] * gm.d2phi
+
+
 def advection_speed(v: np.ndarray, gm: GraphMap) -> np.ndarray:
     """The vertical transport factor w = v . Nb - dt(phi).
 
     Vanishes on Sigma when the kinematic condition holds and on Sigma_b
     when the bottom is impermeable.
     """
-    return v[2] - v[0] * gm.d1phi - v[1] * gm.d2phi - gm.dtphi
+    return normal_flux(v, gm) - gm.dtphi
 
 
 def material_derivative(f_t: np.ndarray, f: np.ndarray, v: np.ndarray,

@@ -214,10 +214,15 @@ class Grid:
     # -- norms ------------------------------------------------------------
 
     def norm0(self, f: np.ndarray) -> float:
-        """L2 norm: volume fields via quad_volume, surface via quad_surface."""
-        if f.ndim == 3:
+        """L2 norm of one volume field (quad_volume) or one surface field
+        (quad_surface); a stack is ``sobolev_norm(f, 0)``."""
+        if f.shape == (self.nx, self.ny, self.nz):
             return float(np.sqrt(max(self.quad_volume(f * f), 0.0)))
-        return float(np.sqrt(max(self.quad_surface(f * f), 0.0)))
+        if f.shape == (self.nx, self.ny):
+            return float(np.sqrt(max(self.quad_surface(f * f), 0.0)))
+        raise GridError(f"norm0 takes a ({self.nx}, {self.ny}) surface or a "
+                        f"({self.nx}, {self.ny}, {self.nz}) volume field, "
+                        f"got shape {f.shape}")
 
     def sobolev_norm(self, f: np.ndarray, s: int) -> float:
         """H^s norm sqrt(sum_{|m|<=s} ||D^m f||_0^2) over plain derivatives.

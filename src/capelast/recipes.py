@@ -1,14 +1,15 @@
 """Initial-field recipes.
 
-A recipe builds one vector field on the grid.  The ``stream`` recipe uses
-the twisted derivatives of a scalar potential that is constant on the
-confining boundaries, which makes the result divergence-free and tangential
-up to operator-commutator error; the projection in the initializer removes
-the rest.
+A recipe builds one vector field from a graph map (``build(gm)``), on the
+map's grid.  The ``stream`` recipe uses the twisted derivatives of a scalar
+potential that is constant on the confining boundaries, which makes the
+result divergence-free and tangential up to operator-commutator error; the
+projection in the initializer removes the rest.
 """
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import dataclass
 
@@ -39,6 +40,15 @@ def _require(ok: bool, recipe, what: str):
         raise ConfigError(f"bad {type(recipe).__name__} argument: {what}")
 
 
+def _require_finite(recipe, *names: str):
+    """Reject a non-finite amplitude or phase; NaN would pass every later
+    comparison and reach the solver."""
+    for name in names:
+        value = getattr(recipe, name)
+        _require(math.isfinite(value), recipe,
+                 f"{name} must be finite, got {value!r}")
+
+
 @dataclass
 class ShearRecipe:
     """component ``comp`` = amp * cos(k * x_dep + phase) * profile(x3)."""
@@ -57,8 +67,10 @@ class ShearRecipe:
                  f"dep_axis must be 1 or 2, got {self.dep_axis!r}")
         _require(self.profile in _PROFILES, self,
                  f"unknown vertical profile {self.profile!r}")
+        _require_finite(self, "amp", "phase")
 
-    def build(self, grid: Grid, gm: GraphMap) -> np.ndarray:
+    def build(self, gm: GraphMap) -> np.ndarray:
+        grid = gm.grid
         X1, X2, _ = grid.mesh_volume()
         Xd = X1 if self.dep_axis == 1 else X2
         out = np.zeros((3, grid.nx, grid.ny, grid.nz))
@@ -87,8 +99,10 @@ class StreamRecipe:
                  f"plane must be xz or yz, got {self.plane!r}")
         _require(self.profile in _PROFILES, self,
                  f"unknown vertical profile {self.profile!r}")
+        _require_finite(self, "amp", "phase")
 
-    def build(self, grid: Grid, gm: GraphMap) -> np.ndarray:
+    def build(self, gm: GraphMap) -> np.ndarray:
+        grid = gm.grid
         X1, X2, _ = grid.mesh_volume()
         tan_axis = 1 if self.plane == "xz" else 2
         Xt = X1 if tan_axis == 1 else X2
@@ -114,8 +128,10 @@ class RandomRecipe:
         _require(self.seed >= 0, self, f"seed must be >= 0, got {self.seed}")
         _require(self.profile in _PROFILES, self,
                  f"unknown vertical profile {self.profile!r}")
+        _require_finite(self, "amp")
 
-    def build(self, grid: Grid, gm: GraphMap) -> np.ndarray:
+    def build(self, gm: GraphMap) -> np.ndarray:
+        grid = gm.grid
         rng = np.random.default_rng(self.seed)
         X1, X2, _ = grid.mesh_volume()
         mu = _zprofile(self.profile, grid)[None, None, :]

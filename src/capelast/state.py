@@ -191,7 +191,7 @@ def build_initial_data(spec: InitSpec, tol: float = DEFAULT_TOL):
     def realize(recipe):
         if recipe is None:
             return np.zeros((3, grid.nx, grid.ny, grid.nz))
-        return project_divfree(recipe.build(grid, gm0), gm0, tol=tol)
+        return project_divfree(recipe.build(gm0), gm0, tol=tol)
 
     state = State(t=0.0, psi=psi0, v=realize(spec.v_recipe),
                   F=np.stack([realize(r) for r in spec.F_recipes]),

@@ -213,6 +213,9 @@ def test_unknown_config_entry_exits_2(tmp_path, capsys, old, new, message):
     ("shear: comp=1, dep_axis=2, profile=foo",
      "unknown vertical profile 'foo'"),
     ("shear: plane=xz", "recipe 'shear' has no argument 'plane'"),
+    # NaN passes every later comparison and would reach the solver
+    ("stream: amp=nan, k=1, profile=sinh", "amp must be finite, got nan"),
+    ("stream: amp=0.1, phase=inf", "phase must be finite, got inf"),
 ])
 def test_malformed_recipe_exits_2(tmp_path, capsys, recipe, message):
     cfgpath = _write(tmp_path, REST_CONFIG.replace("v = none",

@@ -1,11 +1,17 @@
+import sys
+
 import numpy as np
 import pytest
 
+import capelast.good_unknowns
+import capelast.graphmap
 import capelast.state
 from capelast import InsufficientHistoryError, make_grid, verify
+from capelast.evolve import cfl_limit
 from capelast.good_unknowns import (
     Calculus,
     MultiIndex,
+    _dphi_series,
     alinhac_residual,
     curl_commutator_residuals,
     fornberg_weights,
@@ -226,6 +232,57 @@ def test_remainder_C_matches_the_separate_formulas(moving):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), alpha
     with pytest.raises(ValueError):
         remainder_C(calc, "q", MultiIndex(0, 1, 0), 4)
+
+
+def test_dt_order_row_forms_only_the_component_it_reads(monkeypatch):
+    # the battery's dt-order study reads the tau1 identity alone: C_1 takes
+    # d_1^phi of the newest d3^phi q, not its whole twisted gradient, and
+    # the residual keeps the bits of the separate tau formula
+    g = make_grid(16, 16, 17, 1.0, dealias=False)
+    cut = make_cutoff(g)
+    stacks = []
+    original = capelast.good_unknowns.grad_phi_stack
+    monkeypatch.setattr(capelast.good_unknowns, "grad_phi_stack",
+                        lambda f, gm: stacks.append(f) or original(f, gm))
+    calc = Calculus(verify.moving_history(g, cut, dt=0.06), cut, g)
+    alpha = MultiIndex(1, 0, 0)
+    r = alinhac_residual(calc, "q", alpha, "tau1")
+    assert stacks == []
+    lhs = calc.D_alpha(_dphi_series(calc, "q", 1), alpha)
+    rhs = (dphi(good_unknown(calc, "q", alpha), 1, calc.gm)
+           + reference_Ctau(calc, alpha, 1))
+    assert r.hex() == g.norm0(lhs - rhs).hex()
+
+
+def test_transport_and_remainder_D_read_the_one_normal_flux(monkeypatch):
+    # v . Nb is written once: a 1e-3 relative error in normal_flux moves
+    # the CFL limit's vertical bound and the remainder D
+    g = make_grid(16, 16, 9, 1.0, dealias=False)
+    cut = make_cutoff(g)
+    hist = verify.moving_history(g, cut)
+    newest = hist.newest
+    # no tangential speed and no surface tension: the vertical bound alone
+    v = np.zeros_like(newest.v)
+    v[2] = newest.v[2]
+    vertical = State(t=newest.t, psi=newest.psi, v=v, F=newest.F,
+                     q=newest.q, sigma=0.0)
+    gm = vertical.graphmap(cut, g)
+    alpha = MultiIndex(1, 1, 0)
+    cfl = cfl_limit(vertical, gm)
+    D = remainder_D(Calculus(hist, cut, g), "q", alpha)
+
+    original = capelast.graphmap.normal_flux
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("capelast") and getattr(module, "normal_flux",
+                                                   None) is original:
+            monkeypatch.setattr(module, "normal_flux",
+                                lambda v, gm: original(v, gm) * (1 + 1e-3))
+            patched.append(name)
+    assert {"capelast.graphmap", "capelast.good_unknowns"} <= set(patched)
+    assert cfl_limit(vertical, gm) != cfl
+    assert not np.array_equal(
+        remainder_D(Calculus(hist, cut, g), "q", alpha), D)
 
 
 def test_order_one_triple_brackets_vanish():

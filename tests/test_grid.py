@@ -25,6 +25,20 @@ def test_vertical_nodes_affine_chebyshev(g889):
     assert np.all(np.diff(g889.x3) < 0)
 
 
+@pytest.mark.parametrize("shape", [(3, 16, 16, 9), (3, 16, 16), (16, 16, 8),
+                                   (16,)])
+def test_norm0_takes_one_surface_or_volume_field(shape):
+    # any other shape is refused, a stack above all, which the surface
+    # quadrature would sum without the vertical weights; a stack's norm is
+    # sobolev_norm(f, 0), the root of its components' squared norms
+    g = make_grid(16, 16, 9, 1.0)
+    with pytest.raises(GridError, match="norm0 takes"):
+        g.norm0(np.ones(shape))
+    stack = np.ones((3, 16, 16, 9))
+    assert g.sobolev_norm(stack, 0) == pytest.approx(
+        np.sqrt(sum(g.norm0(c) ** 2 for c in stack)), rel=1e-13)
+
+
 def test_volume_weights_sum(g889):
     total = g889.quad_volume(np.ones((8, 8, 9)))
     assert abs(total - 4 * np.pi**2) <= 1e-12 * 4 * np.pi**2

@@ -78,8 +78,8 @@ def test_stream_recipe_compatibility():
     state.psi = spec.build_psi0(g)
     cut = make_cutoff(g)
     gm0 = build_graphmap(state.psi, cut, g)
-    state.v = StreamRecipe(amp=0.3, k=1, profile="sinh").build(g, gm0)
-    state.F[0] = StreamRecipe(amp=0.1, k=1, profile="confined").build(g, gm0)
+    state.v = StreamRecipe(amp=0.3, k=1, profile="sinh").build(gm0)
+    state.F[0] = StreamRecipe(amp=0.1, k=1, profile="confined").build(gm0)
     res = constraint_residuals(state, gm0)
     assert res["div_v"] <= 1e-9
     assert res["div_F"] <= 1e-9
